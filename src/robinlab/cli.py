@@ -100,9 +100,22 @@ def _grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {text!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise ValueError("grid count must be positive")
     return np.linspace(start, stop, count)
+
+
+def _check_args(args) -> None:
+    """Reject values that parse but that no solve can use."""
+    if args.nodes < 8 or args.nodes % 2:
+        raise ValueError(f"--nodes must be even and at least 8, got {args.nodes}")
+    if getattr(args, "count", 0) < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
+    alphas = getattr(args, "alpha", None)
+    if alphas and not np.all(np.isfinite(np.asarray(alphas, dtype=float))):
+        raise ValueError(f"--alpha must be finite, got {alphas}")
 
 
 def _domain_from_args(args) -> Domain:
@@ -534,6 +547,7 @@ def main(argv=None) -> int:
             sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
         return args.func(args)
     except (SolverError, ArithmeticError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +252,43 @@ class TestBadInputs:
                          "--dim", "3", "--rho-cos", "0,0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("energy", "--alpha", "nan"),
+        ("energy", "--alpha", "inf"),
+        ("energy", "--alpha-grid=nan:1:3"),
+        ("energy", "--alpha-grid=0:inf:3"),
+        ("energy", "--alpha", "0.5", "--nodes", "0"),
+        ("energy", "--alpha", "0.5", "--nodes", "7"),
+        ("corpus", "--count", "-1"),
+    ])
+    def test_rejected_before_any_table(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err
+
+    @pytest.mark.parametrize("command", [("pw-check",),
+                                         ("oracle-verify", "--alpha", "1.0")])
+    @pytest.mark.parametrize("h_max", ["0", "-0.1"])
+    def test_bad_h_max(self, capsys, command, h_max):
+        code, out, err = run(capsys, *command, "--h-max", h_max)
+        assert code == 2 and out == ""
+        assert "h_max" in err
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--frobnicate"])
         assert exc.value.code == 2
+
+
+def test_readme_quickstart_commands(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Quickstart, command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(ln)[1:] for ln in block.splitlines()
+                if ln.startswith("robinlab ")]
+    assert len(commands) == 5
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out.startswith(("i,", "alpha,", "area,", "index,")), argv

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from robinlab import (
     Domain,
@@ -13,6 +15,7 @@ from robinlab import (
     energy_series,
     fem_dirichlet_T,
     fem_robin_energy,
+    oracle,
     rigidity,
     spectrum_annulus,
     spectrum_ball,
@@ -112,3 +115,41 @@ class TestSteklovResidual:
     def test_annulus_unsupported(self):
         with pytest.raises(ValueError):
             steklov_residual(spectrum_annulus(3, 1.0, 0.5))
+
+
+class TestMeshArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"h_max": 0.0}, {"h_max": -0.1}, {"h_max": math.nan},
+        {"h_max": math.inf}, {"levels": 1},
+    ])
+    def test_rejected(self, disc, kwargs):
+        with pytest.raises(ValueError):
+            fem_dirichlet_T(disc, **kwargs)
+        with pytest.raises(ValueError):
+            fem_robin_energy(disc, 1.0, **kwargs)
+
+
+class TestFactor:
+    def test_singular_matrix_raises_solver_error(self):
+        A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(SolverError):
+            oracle._factor(A)
+
+    def test_matches_colamd_spsolve_on_finest_disc_mesh(self, disc):
+        # reference: SuperLU with its default COLAMD ordering on the free
+        # block picked by index sets, as the oracle solved before.  Alpha
+        # stays off the disc's Steklov spectrum (the integers): at alpha=1
+        # the k=1 modes are near-null and any two orderings differ along
+        # them by ~1e-5, although the energy agrees to ~1e-14.
+        rho, drho = oracle._rho_callable(disc)
+        *_, mesh = oracle._mesh_levels(rho, 0.065, 3)
+        K, f = mesh.assemble()
+        Mb = mesh.boundary_mass(rho, drho)
+        free = np.setdiff1d(np.arange(mesh.coords.shape[0]), mesh.boundary)
+        nf = mesh.n_free
+        cases = [(K - a * Mb, f, K - a * Mb, f) for a in (-1.0, 0.5)]
+        cases.append((K[:nf, :nf], f[:nf], K[free][:, free], f[free]))
+        for A, b, A_ref, b_ref in cases:
+            got = oracle._factor(A).solve(b)
+            ref = spla.spsolve(A_ref.tocsc(), b_ref, permc_spec="COLAMD")
+            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
