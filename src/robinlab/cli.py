@@ -26,6 +26,7 @@ from . import shape_calculus as sc
 from . import steklov as sk
 from .errors import SolverError
 from .geometry import Domain, PerturbationField, TrigPoly
+from .torsion import solve_torsion
 
 __all__ = ["main"]
 
@@ -113,9 +114,24 @@ def _check_args(args) -> None:
         raise ValueError(f"--nodes must be even and at least 8, got {args.nodes}")
     if getattr(args, "count", 0) < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
-    alphas = getattr(args, "alpha", None)
-    if alphas and not np.all(np.isfinite(np.asarray(alphas, dtype=float))):
-        raise ValueError(f"--alpha must be finite, got {alphas}")
+    _alpha_values(args)
+
+
+def _alpha_values(args) -> np.ndarray | None:
+    """--alpha as a 1-D float array, None when not given.
+
+    A config file may give a single number instead of a list.
+    """
+    raw = getattr(args, "alpha", None)
+    if raw is None or np.size(raw) == 0:
+        return None
+    try:
+        alphas = np.atleast_1d(np.asarray(raw, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"--alpha must be numeric, got {raw!r}") from exc
+    if alphas.ndim != 1 or not np.all(np.isfinite(alphas)):
+        raise ValueError(f"--alpha must be finite, got {raw}")
+    return alphas
 
 
 def _domain_from_args(args) -> Domain:
@@ -142,8 +158,9 @@ def _domain_from_args(args) -> Domain:
 def _alphas_from_args(args) -> np.ndarray:
     if getattr(args, "alpha_grid", None):
         return _grid(args.alpha_grid)
-    if getattr(args, "alpha", None):
-        return np.asarray(args.alpha, dtype=float)
+    alphas = _alpha_values(args)
+    if alphas is not None:
+        return alphas
     raise ValueError("provide --alpha or --alpha-grid")
 
 
@@ -197,8 +214,7 @@ def _cmd_energy(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
     basis = energy._default_basis(d, args.n_modes, args.nodes)
-    from .torsion import solve_torsion
-    ts = solve_torsion(d, args.nodes)
+    ts = solve_torsion(d, args.nodes, operator=basis.operator)
     poles = energy.pole_scan(d, basis=basis, ts=ts, M=args.nodes)
     keep = []
     for a in alphas:
@@ -222,8 +238,7 @@ def _cmd_split(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
     basis = energy._default_basis(d, args.n_modes, args.nodes)
-    from .torsion import solve_torsion
-    ts = solve_torsion(d, args.nodes)
+    ts = solve_torsion(d, args.nodes, operator=basis.operator)
 
     def run(a):
         rep = energy.energy_series(d, a, n_modes=args.n_modes, M=args.nodes,
@@ -277,34 +292,35 @@ def _cmd_second_variation(args) -> int:
     if d.kind != "ball":
         raise ValueError("the modal second variation is defined around balls")
     p = _modes_spec(d.dim, args.modes)
+    alphas = _alphas_from_args(args)
     cols = ["alpha", "xi", "E_ddot", "E_ddot_radial", "route_gap", "S_ddot",
             "zone", "definite_negative", "bound", "bound_satisfied"]
-    if args.fd_check:
-        cols += ["fd_E_ddot", "fd_rel_err", "fd_E_dot"]
-    rows = []
-    for a in _alphas_from_args(args):
+    reps, rows = [], []
+    for a in alphas:
         rep = sc.second_variation_ball(d, a, p)
         sign = sc.classify_sign(d, a, p)
-        row = [a, rep.xi, rep.E_ddot, rep.E_ddot_radial, rep.route_gap,
-               rep.S_ddot, sign.zone, sign.definite_negative, sign.bound,
-               sign.bound_satisfied if sign.bound_satisfied is not None else True]
-        if args.fd_check:
-            if d.dim != 2:
-                raise ValueError("--fd-check needs a planar ball")
-            scale = math.sqrt(math.pi * d.R ** 3)
-            b = p.b_array
-            eta = TrigPoly(0.0, tuple(b[1::2] / scale), tuple(b[2::2] / scale))
-            fam = sc.normal_speed_family(eta, d.R)
-            steps = np.asarray(_floats(args.fd_steps))
-            t_grid = np.concatenate([-steps[::-1], steps])
-            fd = sc.finite_difference_check(fam, float(a), t_grid,
-                                            route=args.fd_route,
-                                            degree=args.fd_degree,
-                                            n_modes=args.n_modes, M=args.nodes)
+        reps.append(rep)
+        rows.append([a, rep.xi, rep.E_ddot, rep.E_ddot_radial, rep.route_gap,
+                     rep.S_ddot, sign.zone, sign.definite_negative, sign.bound,
+                     sign.bound_satisfied if sign.bound_satisfied is not None else True])
+    if args.fd_check:
+        if d.dim != 2:
+            raise ValueError("--fd-check needs a planar ball")
+        cols += ["fd_E_ddot", "fd_rel_err", "fd_E_dot"]
+        scale = math.sqrt(math.pi * d.R ** 3)
+        b = p.b_array
+        eta = TrigPoly(0.0, tuple(b[1::2] / scale), tuple(b[2::2] / scale))
+        fam = sc.normal_speed_family(eta, d.R)
+        steps = np.asarray(_floats(args.fd_steps))
+        t_grid = np.concatenate([-steps[::-1], steps])
+        fds = sc.finite_difference_check(fam, alphas, t_grid,
+                                         route=args.fd_route,
+                                         degree=args.fd_degree,
+                                         n_modes=args.n_modes, M=args.nodes)
+        for row, rep, fd in zip(rows, reps, fds):
             rel = abs(fd.E_ddot - rep.E_ddot) / max(abs(rep.E_ddot), 1e-300)
             row += [fd.E_ddot, rel, fd.E_dot]
-        rows.append(tuple(row))
-    _emit(args, tuple(cols), rows)
+    _emit(args, tuple(cols), [tuple(r) for r in rows])
     return 0
 
 
@@ -341,8 +357,9 @@ def _cmd_pw_check(args) -> int:
 
 def _cmd_corollary_check(args) -> int:
     d = _domain_from_args(args)
-    if args.alpha:
-        alphas = [float(a) for a in args.alpha]
+    given = _alpha_values(args)
+    if given is not None:
+        alphas = [float(a) for a in given]
     else:
         basis = sk.spectrum_star2d(d if d.kind == "star2d" else
                                    Domain.star2d(TrigPoly.constant(d.R)),
@@ -383,12 +400,11 @@ def _cmd_corpus(args) -> int:
     def run(item):
         idx, d = item
         basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=args.nodes)
-        from .torsion import solve_torsion
-        ts = solve_torsion(d, args.nodes)
+        ts = solve_torsion(d, args.nodes, operator=basis.operator)
         R = math.sqrt(geo.volume(d) / math.pi)
         a = min(1.0 / R, 0.9 * basis.mu2())
         rep = energy.energy_series(d, a, basis=basis, ts=ts, M=args.nodes)
-        E_ball = math.pi * R ** 2 * (-R ** 2 / 8.0 + R / (2.0 * a))
+        E_ball = pw.disc_energy(R, a)
         J_dom = energy.j_functional(d, a, T_omega=ts.T, M=args.nodes)
         tol = 1e-9 * max(1.0, abs(E_ball))
         return (idx, R, basis.mu2(), a, rep.E_total, E_ball,

@@ -219,6 +219,20 @@ class StarLayerOperator:
         return math.sqrt(self.gamma) * self.evaluate(density, pts)
 
 
+def operator_for(rho: TrigPoly, M: int,
+                 operator: StarLayerOperator | None = None) -> StarLayerOperator:
+    """The layer operator of rho's curve at M nodes.
+
+    Returns `operator` when one is given, so solves on one boundary can
+    share a single build; it must have been built from rho at M nodes.
+    """
+    if operator is None:
+        return StarLayerOperator(rho, M)
+    if operator.M != M or operator.rho != rho:
+        raise ValueError("operator does not match the domain and node count")
+    return operator
+
+
 def _trace_sign(vals: np.ndarray) -> float:
     """Sign fix: project on the dominant angular frequency, cosine template first."""
     c = np.fft.rfft(vals)

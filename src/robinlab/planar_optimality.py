@@ -30,6 +30,7 @@ __all__ = [
     "threshold_alpha",
     "theorem_J_check",
     "corollary_disc_max",
+    "disc_energy",
 ]
 
 
@@ -125,6 +126,11 @@ def theorem_J_check(d: Domain, *, T_omega: float | None = None,
                             rep.epsilon0, eps_up)
 
 
+def disc_energy(R: float, alpha: float) -> float:
+    """Closed-form Robin energy of the disc of radius R: pi R^2 (-R^2/8 + R/(2 alpha))."""
+    return math.pi * R ** 2 * (-R ** 2 / 8.0 + R / (2.0 * alpha))
+
+
 @dataclass(frozen=True)
 class DiscMaxReport:
     alpha: float
@@ -156,8 +162,7 @@ def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
             f"alpha={alpha} outside the validity window (0, mu_2={mu2:.6g})")
     E_dom = energy.energy_series(d, alpha, basis=basis, M=M).E_total
     R = math.sqrt(geo.volume(d) / math.pi)
-    wn = math.pi
-    E_ball = wn * R ** 2 * (-R ** 2 / 8.0 + R / (2.0 * alpha))
+    E_ball = disc_energy(R, alpha)
     L = geo.surface_area(d)
     wein = 2.0 * math.pi / L
     chain = mu2 <= wein * (1 + 1e-9) and wein <= (1.0 / R) * (1 + 1e-9)

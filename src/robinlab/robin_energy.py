@@ -21,6 +21,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import SolverError
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
+from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
 from .steklov import SteklovBasis, tol_res
 from .torsion import TorsionSolution, solve_torsion, flux_coefficients
@@ -124,6 +125,20 @@ def _default_basis(d: Domain, n_modes: int, M: int) -> SteklovBasis:
     return sk.spectrum_star2d(d, n_modes=n_modes, M_nodes=M)
 
 
+def _check_alpha(alpha: float) -> None:
+    """NaN or infinite alpha has no energy to report."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
+def _torsion(d: Domain, basis: SteklovBasis, M: int) -> TorsionSolution:
+    """Torsion of d, reusing the basis operator when it is d's at M nodes."""
+    op = basis.operator
+    if op is not None and (op.M != M or op.rho != d.rho):
+        op = None
+    return solve_torsion(d, M, operator=op)
+
+
 def _flux_norm_sq(ts: TorsionSolution) -> float:
     d = ts.domain
     if d.kind == "ball":
@@ -145,7 +160,8 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
     d, alpha : domain and Robin parameter (alpha != 0 for solvability).
     n_modes, M : star-domain basis size and node count.
     basis, ts : precomputed Steklov basis / torsion solution (reused
-        across an alpha grid).
+        across an alpha grid).  Without `ts`, the torsion is solved on
+        `basis.operator` when that operator has M nodes.
 
     Returns
     -------
@@ -159,11 +175,14 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
     ------
     SolverError
         If the truncation tail bound exceeds 1e-6 of |E|.
+    ValueError
+        If alpha is NaN or infinite.
     """
+    _check_alpha(alpha)
     if basis is None:
         basis = _default_basis(d, n_modes, M)
     if ts is None:
-        ts = solve_torsion(d, M)
+        ts = _torsion(d, basis, M)
     a = flux_coefficients(ts, basis)
     use = np.ones(basis.count, dtype=bool)
     mu = basis.mu
@@ -252,15 +271,19 @@ def _radial_integral(d: Domain, profile, nodes: int = 96) -> float:
                  * np.sum(w * profile(r) * r ** (n - 1)) * jac)
 
 
-def solve_robin(d: Domain, alpha: float,
-                M: int = DEFAULT_BOUNDARY_NODES) -> RobinSolution:
+def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
+                operator: StarLayerOperator | None = None) -> RobinSolution:
     """Solve the Robin problem directly; the energy is -int u dx.
 
     Balls and shells use radial closed forms (Family representatives at
     nonradial resonances, where the energy is still single-valued).
     Star domains solve a single-layer boundary system; near a Steklov
     resonance that system degenerates and a SolverError is raised.
+    `operator`, the layer operator of d's boundary at M nodes, is used
+    for that system instead of building a new one, so several alphas on
+    one domain share it.  A NaN or infinite alpha raises ValueError.
     """
+    _check_alpha(alpha)
     n, R = d.dim, d.R
     if abs(alpha) < tol_res(alpha):
         return RobinSolution(d, alpha, sk.STATUS_NO_SOLUTION, math.nan)
@@ -289,12 +312,11 @@ def solve_robin(d: Domain, alpha: float,
             if min(mus) > alpha + 1.0:
                 break
         return RobinSolution(d, alpha, status, E, radial=(c1, c2))
-    return _solve_robin_star(d, alpha, M)
+    return _solve_robin_star(d, alpha, operator_for(d.rho, M, operator))
 
 
-def _solve_robin_star(d: Domain, alpha: float, M: int) -> RobinSolution:
-    from .layerpot import StarLayerOperator
-    op = StarLayerOperator(d.rho, M)
+def _solve_robin_star(d: Domain, alpha: float, op: StarLayerOperator) -> RobinSolution:
+    M = op.M
     x, y = op.points[:, 0], op.points[:, 1]
     rr = x * x + y * y
     xdotnu = (op.points * op.normals).sum(axis=1)
@@ -312,10 +334,13 @@ def _solve_robin_star(d: Domain, alpha: float, M: int) -> RobinSolution:
                          density=sigma, operator=op, boundary_values=u_b)
 
 
-def energy_direct(d: Domain, alpha: float,
-                  M: int = DEFAULT_BOUNDARY_NODES) -> float:
-    """E by direct solve, independent of the spectral series."""
-    sol = solve_robin(d, alpha, M)
+def energy_direct(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
+                  operator: StarLayerOperator | None = None) -> float:
+    """E by direct solve, independent of the spectral series.
+
+    `operator` is passed on to `solve_robin`.
+    """
+    sol = solve_robin(d, alpha, M, operator=operator)
     if sol.status == sk.STATUS_NO_SOLUTION:
         raise SolverError(f"no Robin solution at alpha={alpha}")
     return sol.energy
@@ -337,12 +362,13 @@ def energy_split_variational(d: Domain, alpha: float, *,
     maximizer on the unstable subspace, rather than summing the series.
     The E_minus bound evaluates Q at the optimally-scaled harmonic trial
     v(x) = x - c with c the boundary barycenter (valid below mu_2; NaN
-    when the trial's quadratic form loses positivity).
+    when the trial's quadratic form loses positivity).  Without `ts`,
+    the torsion is solved on `basis.operator` as in `energy_series`.
     """
     if basis is None:
         basis = _default_basis(d, n_modes, M)
     if ts is None:
-        ts = solve_torsion(d, M)
+        ts = _torsion(d, basis, M)
     a = flux_coefficients(ts, basis)
     mu = basis.mu
     unstable = mu < alpha - tol_res(alpha)
@@ -364,9 +390,7 @@ def energy_split_variational(d: Domain, alpha: float, *,
         c /= g.integrate(np.ones(g.points.shape[0]))
         num = 0.0
         xc = g.points - c[None, :]
-        # int_Omega (x_i - c_i) dx from boundary data: x_i = div(x_i x)/ (n+1)...
-        # use oint (x_i - c_i) (x.nu)/(n+1)? simpler: (1/2) oint (x_i-c_i)^2 nu_i-free
-        # int_Omega x_i dx = (1/(n+1)) oint x_i (x . nu) dS  for planar n=2 -> 1/3
+        # int_Omega x_i dx = (1/(n+1)) oint x_i (x . nu) dS
         mom = np.empty(2)
         for i in range(2):
             mom[i] = g.integrate(g.points[:, i] * (g.points * g.normals).sum(axis=1)) / (n + 1.0)
@@ -427,11 +451,15 @@ def pole_scan(d: Domain, *, basis: SteklovBasis | None = None,
               ts: TorsionSolution | None = None, n_modes: int = 32,
               M: int = DEFAULT_BOUNDARY_NODES,
               rel_tol: float = 1e-10) -> tuple[float, ...]:
-    """Eigenvalues that are true energy poles (nonzero flux component)."""
+    """Eigenvalues that are true energy poles (nonzero flux component).
+
+    Without `ts`, the torsion is solved on `basis.operator` as in
+    `energy_series`.
+    """
     if basis is None:
         basis = _default_basis(d, n_modes, M)
     if ts is None:
-        ts = solve_torsion(d, M)
+        ts = _torsion(d, basis, M)
     a = flux_coefficients(ts, basis)
     scale = math.sqrt(float(np.sum(a * a)))
     hit = np.abs(a) > rel_tol * max(1.0, scale)

@@ -28,6 +28,7 @@ from .geometry import Domain, PerturbationField, TrigPoly, DEFAULT_BOUNDARY_NODE
 from . import robin_energy as energy
 from . import steklov as sk
 from . import torsion as to
+from .layerpot import StarLayerOperator
 
 __all__ = [
     "VariationReport",
@@ -451,29 +452,51 @@ class FiniteDifferenceReport:
     route: str
 
 
-def finite_difference_check(family: NormalSpeedFamily, alpha: float,
-                            t_grid, route: str = "series", degree: int = 2,
-                            n_modes: int = 32,
-                            M: int = DEFAULT_BOUNDARY_NODES) -> FiniteDifferenceReport:
+def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
+                            route: str = "series", degree: int = 2,
+                            n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES):
     """Fit E(t) on the family by least squares and read off derivatives.
 
     route: "series" (spectral), "direct" (boundary solve), or "fem"
     (the independent finite-element oracle).  The polynomial degree
     should exceed 2 when third-order contamination matters.
+
+    `alpha` is a number, giving one FiniteDifferenceReport, or a
+    sequence of numbers, giving a list of reports in the same order.
+    Every alpha shares the family members: each member's Steklov basis
+    and torsion (series) or layer operator (direct) is built once for
+    all alphas, so a list gives exactly the reports of the scalar calls.
+    A NaN or infinite alpha raises ValueError.
     """
+    if route not in ("series", "direct", "fem"):
+        raise ValueError(f"unknown route {route!r}")
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    for a in alphas:
+        energy._check_alpha(a)
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.empty(t_grid.size)
+    vals = np.empty((len(alphas), t_grid.size))
     for j, t in enumerate(t_grid):
         dom = family.domain(float(t))
         if route == "series":
-            vals[j] = energy.energy_series(dom, alpha, n_modes=n_modes, M=M).E_total
+            basis = sk.spectrum_star2d(dom, n_modes=n_modes, M_nodes=M)
+            ts = to.solve_torsion(dom, M, operator=basis.operator)
+            for i, a in enumerate(alphas):
+                vals[i, j] = energy.energy_series(dom, a, n_modes=n_modes, M=M,
+                                                  basis=basis, ts=ts).E_total
         elif route == "direct":
-            vals[j] = energy.energy_direct(dom, alpha, M)
-        elif route == "fem":
-            from . import oracle
-            vals[j] = oracle.fem_robin_energy(dom, alpha).energy
+            op = StarLayerOperator(dom.rho, M)
+            for i, a in enumerate(alphas):
+                vals[i, j] = energy.energy_direct(dom, a, M, operator=op)
         else:
-            raise ValueError(f"unknown route {route!r}")
+            from . import oracle
+            for i, a in enumerate(alphas):
+                vals[i, j] = oracle.fem_robin_energy(dom, a).energy
+    reports = [_fit_derivatives(t_grid, row, degree, route) for row in vals]
+    return reports[0] if np.ndim(alpha) == 0 else reports
+
+
+def _fit_derivatives(t_grid: np.ndarray, vals: np.ndarray, degree: int,
+                     route: str) -> FiniteDifferenceReport:
     V = np.vander(t_grid, degree + 1, increasing=True)
     coef, res, *_ = np.linalg.lstsq(V, vals, rcond=None)
     fit = V @ coef

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
-from .layerpot import StarLayerOperator
+from .layerpot import StarLayerOperator, operator_for
 from .steklov import SteklovBasis
 
 __all__ = [
@@ -93,8 +93,8 @@ def _annulus_T(n: int, R: float, a: float, c1: float, c2: float) -> float:
     return -n * wn * (-i_pow / (2.0 * n) + c1 * i_one + c2 * i_g)
 
 
-def _solve_star(d: Domain, M: int) -> tuple[float, np.ndarray, np.ndarray, StarLayerOperator]:
-    op = StarLayerOperator(d.rho, M)
+def _solve_star(op: StarLayerOperator) -> tuple[float, np.ndarray, np.ndarray]:
+    M = op.M
     x, y = op.points[:, 0], op.points[:, 1]
     rr = x * x + y * y
     sigma = op.dirichlet_density(0.25 * rr)
@@ -104,16 +104,21 @@ def _solve_star(d: Domain, M: int) -> tuple[float, np.ndarray, np.ndarray, StarL
     rho4 = op.rho(op.thetas) ** 4
     vol_term = float(np.sum(rho4) * (2.0 * np.pi / M) / 16.0)
     T = vol_term + float(np.sum(0.25 * rr * flux * op.weights))
-    return T, flux, sigma, op
+    return T, flux, sigma
 
 
-def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> TorsionSolution:
+def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
+                  operator: StarLayerOperator | None = None) -> TorsionSolution:
     """Solve the torsion problem on a ball, shell, or planar star domain.
 
     Parameters
     ----------
     d : Domain
     M : boundary node count for star-domain solves (ignored otherwise).
+    operator : layer operator of d's boundary at M nodes (for example
+        `SteklovBasis.operator`), reused for the main solve instead of
+        building a new one.  The node-doubling error estimate always
+        builds its own operator at M/2.  Ignored for balls and shells.
 
     Returns
     -------
@@ -131,8 +136,9 @@ def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> TorsionSolution
         gp = (lambda r: 1.0 / r) if n == 2 else (lambda r: (2 - n) * r ** (1 - n))
         sp = lambda r: -r / n + c2 * gp(r)
         return TorsionSolution(d, T, (sp(R), -sp(a)), radial=(c1, c2))
-    T, flux, sigma, op = _solve_star(d, M)
-    T_half, _, _, _ = _solve_star(d, M // 2)
+    op = operator_for(d.rho, M, operator)
+    T, flux, sigma = _solve_star(op)
+    T_half, _, _ = _solve_star(StarLayerOperator(d.rho, M // 2))
     return TorsionSolution(d, T, flux, error=abs(T - T_half),
                            flux_nodal=flux, thetas=op.thetas,
                            weights=op.weights, density=sigma, operator=op)

@@ -133,6 +133,16 @@ class TestVariations:
         assert float(cols["fd_rel_err"]) < 1e-2
         assert abs(float(cols["fd_E_dot"])) < 1e-6
 
+    def test_fd_check_alpha_list_matches_single_calls(self, capsys):
+        argv = ["second-variation", "--modes", "k2=1,k3s=-0.5", "--fd-check",
+                "--fd-route", "direct", "--fd-steps", "0.01,0.02"]
+        code, out, _ = run(capsys, *argv, "--alpha", "0.3", "--alpha", "0.7")
+        assert code == 0
+        header, *rows = out.strip().split("\n")
+        for alpha, row in zip(("0.3", "0.7"), rows):
+            _, single, _ = run(capsys, *argv, "--alpha", alpha)
+            assert single == f"{header}\n{row}\n"
+
     def test_j_variations(self, capsys):
         code, out, _ = run(capsys, "j-variations", "--alpha", "0.7",
                            "--modes", "k2=0.8,k4s=-0.5")
@@ -273,6 +283,33 @@ class TestBadInputs:
         code, out, err = run(capsys, *command, "--h-max", h_max)
         assert code == 2 and out == ""
         assert "h_max" in err
+
+    def test_scalar_alpha_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.5}))
+        code, out, _ = run(capsys, "--config", str(cfg), "energy")
+        assert code == 0
+        _, ref, _ = run(capsys, "energy", "--alpha", "0.5")
+        assert out == ref
+
+    @pytest.mark.parametrize("alpha", [{"value": 0.5}, ["a", 1.0], [None],
+                                       [[0.5]]])
+    def test_bad_alpha_in_config(self, capsys, tmp_path, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": alpha}))
+        code, out, err = run(capsys, "--config", str(cfg), "energy")
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err and "--alpha" in err
+
+    def test_string_alpha_in_config(self, capsys, tmp_path):
+        # argparse converts a string default with the option's type itself
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": "half"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "energy"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--alpha" in captured.err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,104 @@
+"""One layer operator per (domain, M): build counts and unchanged numbers."""
+
+import numpy as np
+import pytest
+
+from robinlab import (
+    StarLayerOperator,
+    TrigPoly,
+    energy_direct,
+    energy_series,
+    finite_difference_check,
+    normal_speed_family,
+    solve_torsion,
+    spectrum_star2d,
+)
+from robinlab.cli import main
+
+M = 192
+N_MODES = 24
+ALPHAS = [0.2, 0.35, 0.5, 0.65, 0.8]
+T_GRID = [-0.02, -0.01, 0.01, 0.02]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Node counts of every StarLayerOperator built while the test runs."""
+    made = []
+    init = StarLayerOperator.__init__
+
+    def counted(self, rho, M=256):
+        made.append(M)
+        init(self, rho, M)
+
+    monkeypatch.setattr(StarLayerOperator, "__init__", counted)
+    return made
+
+
+@pytest.fixture(scope="module")
+def family():
+    return normal_speed_family(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)))
+
+
+class TestBuildCounts:
+    def test_cold_energy_series(self, builds, three_mode):
+        energy_series(three_mode, -0.5, n_modes=N_MODES, M=M)
+        assert builds == [M, M // 2]     # basis/torsion operator, error estimate
+
+    def test_corpus_two_per_domain(self, builds, capsys):
+        code = main(["corpus", "--count", "3", "--seed", "5",
+                     "--n-modes", str(N_MODES), "--nodes", str(M)])
+        capsys.readouterr()
+        assert code == 0
+        assert sorted(builds) == [M // 2] * 3 + [M] * 3
+
+    def test_direct_fd_check_one_per_member(self, builds, family):
+        finite_difference_check(family, ALPHAS, T_GRID, route="direct",
+                                degree=3, M=M)
+        assert builds == [M] * len(T_GRID)
+
+    def test_series_fd_check_two_per_member(self, builds, family):
+        finite_difference_check(family, ALPHAS, T_GRID, route="series",
+                                degree=3, n_modes=N_MODES, M=M)
+        assert builds == [M, M // 2] * len(T_GRID)
+
+
+class TestSameNumbers:
+    @pytest.mark.parametrize("route", ["series", "direct"])
+    def test_alpha_list_equals_scalar_calls(self, family, route):
+        kw = dict(route=route, degree=3, n_modes=N_MODES, M=M)
+        reports = finite_difference_check(family, ALPHAS, T_GRID, **kw)
+        assert len(reports) == len(ALPHAS)
+        for a, rep in zip(ALPHAS, reports):
+            ref = finite_difference_check(family, a, T_GRID, **kw)
+            assert np.array_equal(rep.energies, ref.energies)
+            assert rep.E_ddot == ref.E_ddot
+            assert rep.E_dot == ref.E_dot
+            assert rep.E0 == ref.E0
+            assert rep.fit_residual == ref.fit_residual
+
+    def test_scalar_alpha_returns_one_report(self, family):
+        rep = finite_difference_check(family, 0.5, T_GRID, route="direct", M=M)
+        assert rep.route == "direct" and rep.energies.shape == (len(T_GRID),)
+
+    def test_torsion_on_given_operator(self, three_mode):
+        op = spectrum_star2d(three_mode, n_modes=N_MODES, M_nodes=M).operator
+        shared = solve_torsion(three_mode, M, operator=op)
+        fresh = solve_torsion(three_mode, M)
+        assert shared.operator is op
+        assert shared.T == fresh.T and shared.error == fresh.error
+        assert np.array_equal(shared.flux_nodal, fresh.flux_nodal)
+
+    def test_direct_energy_on_given_operator(self, three_mode):
+        op = StarLayerOperator(three_mode.rho, M)
+        for a in (-0.5, 0.3):
+            assert energy_direct(three_mode, a, M, operator=op) \
+                == energy_direct(three_mode, a, M)
+
+    @pytest.mark.parametrize("nodes", [M // 2, M])
+    def test_mismatched_operator_rejected(self, three_mode, ellipse, nodes):
+        op = StarLayerOperator(ellipse.rho if nodes == M else three_mode.rho, nodes)
+        with pytest.raises(ValueError, match="operator does not match"):
+            solve_torsion(three_mode, M, operator=op)
+        with pytest.raises(ValueError, match="operator does not match"):
+            energy_direct(three_mode, 0.3, M, operator=op)

@@ -19,7 +19,9 @@ from robinlab import (
     energy_direct,
     energy_series,
     energy_split_variational,
+    finite_difference_check,
     j_functional,
+    normal_speed_family,
     pole_scan,
     random_star_domain,
     solve_robin,
@@ -221,3 +223,28 @@ class TestPoleScan:
         # below the even disc eigenvalues
         assert ps[1] == pytest.approx(1.95759496, abs=1e-6)
         assert ps[2] == pytest.approx(3.97219073, abs=1e-6)
+
+
+class TestNonFiniteAlpha:
+    """NaN or infinite alpha has no energy: every entry point says so."""
+
+    CALLS = {
+        "series_disc": lambda d, a: energy_series(d["disc"], a),
+        "series_star": lambda d, a: energy_series(d["star"], a, n_modes=24, M=192),
+        "direct_disc": lambda d, a: energy_direct(d["disc"], a),
+        "direct_star": lambda d, a: energy_direct(d["star"], a, 192),
+        "solve_robin_shell": lambda d, a: solve_robin(d["shell"], a),
+        "fd_scalar": lambda d, a: finite_difference_check(
+            d["family"], a, [-0.01, 0.01], route="direct", M=192),
+        "fd_list": lambda d, a: finite_difference_check(
+            d["family"], [0.5, a], [-0.01, 0.01], route="series", M=192),
+    }
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, disc, shell, three_mode, call, alpha):
+        doms = {"disc": disc, "star": three_mode, "shell": shell,
+                "family": normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))}
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            self.CALLS[call](doms, alpha)
+
