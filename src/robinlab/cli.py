@@ -34,6 +34,8 @@ __all__ = ["main"]
 # -- output plumbing ---------------------------------------------------------
 
 def _fmt(v) -> str:
+    if type(v) is float:             # most cells of an alpha-grid table
+        return f"{v:.17g}"
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
@@ -114,22 +116,18 @@ def _check_args(args) -> None:
         raise ValueError(f"--nodes must be even and at least 8, got {args.nodes}")
     if getattr(args, "count", 0) < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
+    if getattr(args, "kmax", 0) < 0:
+        raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     _alpha_values(args)
 
 
 def _alpha_values(args) -> np.ndarray | None:
-    """--alpha as a 1-D float array, None when not given.
-
-    A config file may give a single number instead of a list.
-    """
+    """--alpha as a 1-D float array, None when not given."""
     raw = getattr(args, "alpha", None)
-    if raw is None or np.size(raw) == 0:
+    if not raw:
         return None
-    try:
-        alphas = np.atleast_1d(np.asarray(raw, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"--alpha must be numeric, got {raw!r}") from exc
-    if alphas.ndim != 1 or not np.all(np.isfinite(alphas)):
+    alphas = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(alphas)):
         raise ValueError(f"--alpha must be finite, got {raw}")
     return alphas
 
@@ -213,23 +211,15 @@ def _cmd_spectrum(args) -> int:
 def _cmd_energy(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
-    basis = energy._default_basis(d, args.n_modes, args.nodes)
-    ts = solve_torsion(d, args.nodes, operator=basis.operator)
-    poles = energy.pole_scan(d, basis=basis, ts=ts, M=args.nodes)
-    keep = []
-    for a in alphas:
-        near = [p for p in poles if abs(a - p) < sk.tol_res(a)]
-        if near:
-            _log(f"excluded alpha={a:.17g}: within tolerance of pole {near[0]:.17g}")
-        else:
-            keep.append(float(a))
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    poles = energy.pole_scan(d, pack=pack)
+    near = np.abs(alphas[:, None] - np.array(poles)) < sk.tol_res(alphas)[:, None]
+    excluded = near.any(axis=1)
+    for i in np.flatnonzero(excluded):
+        pole = poles[int(np.argmax(near[i]))]
+        _log(f"excluded alpha={alphas[i]:.17g}: within tolerance of pole {pole:.17g}")
     _log(f"poles: {{{', '.join(f'{p:.12g}' for p in poles)}}}")
-
-    def run(a):
-        return energy.energy_series(d, a, n_modes=args.n_modes, M=args.nodes,
-                                    basis=basis, ts=ts).as_row()
-
-    rows = _map_ordered(run, keep)
+    rows = energy.energy_series_grid(pack, alphas[~excluded])
     _emit(args, energy.ENERGY_COLUMNS, rows)
     return 0
 
@@ -237,20 +227,16 @@ def _cmd_energy(args) -> int:
 def _cmd_split(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
-    basis = energy._default_basis(d, args.n_modes, args.nodes)
-    ts = solve_torsion(d, args.nodes, operator=basis.operator)
-
-    def run(a):
-        rep = energy.energy_series(d, a, n_modes=args.n_modes, M=args.nodes,
-                                   basis=basis, ts=ts)
-        ep, em_bound = energy.energy_split_variational(
-            d, a, n_modes=args.n_modes, M=args.nodes, basis=basis, ts=ts)
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    series = energy.energy_series_grid(pack, alphas)
+    e_plus, e_minus_bound = energy.split_variational_grid(pack, alphas)
+    rows = []
+    for (a, _, E_plus, E_minus, *_), ep, em_bound in zip(
+            series, e_plus.tolist(), e_minus_bound.tolist()):
         # the trial bound only applies below mu_2; NaN means not applicable
         ok = math.isnan(em_bound) or \
-            rep.E_minus <= em_bound + 1e-9 * max(1.0, abs(rep.E_minus))
-        return (a, rep.E_plus, rep.E_minus, ep, em_bound, ok)
-
-    rows = _map_ordered(run, [float(a) for a in alphas])
+            E_minus <= em_bound + 1e-9 * max(1.0, abs(E_minus))
+        rows.append((a, E_plus, E_minus, ep, em_bound, ok))
     _emit(args, ("alpha", "E_plus", "E_minus", "E_plus_series",
                  "E_minus_bound", "bound_ok"), rows)
     return 0
@@ -527,6 +513,26 @@ def _all_dests(parser) -> set:
     return dests
 
 
+def _config_value(act: argparse.Action, value):
+    """A config-file value converted as the option converts its flag text.
+
+    Each element of a list is converted for an `append` option; a single
+    value there stands for a one-element list.
+    """
+    if act.type is None:
+        return value
+
+    def convert(v):
+        try:
+            return act.type(str(v))
+        except ValueError as exc:
+            raise ValueError(f"{act.option_strings[0]}: {exc}") from exc
+
+    if isinstance(act, argparse._AppendAction):
+        return [convert(v) for v in (value if isinstance(value, list) else [value])]
+    return convert(value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -558,9 +564,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         # subparsers parse into fresh namespaces, so push defaults into each
-        for sub in _all_parsers(parser):
-            dests = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
+        try:
+            for sub in _all_parsers(parser):
+                sub.set_defaults(**{act.dest: _config_value(act, cfg[act.dest])
+                                    for act in sub._actions if act.dest in cfg})
+        except ValueError as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 2
     try:
         args = parser.parse_args(argv)
         _check_args(args)

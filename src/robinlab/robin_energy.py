@@ -33,6 +33,9 @@ __all__ = [
     "ENERGY_COLUMNS",
     "solve_robin",
     "energy_series",
+    "energy_series_grid",
+    "series_pack",
+    "split_variational_grid",
     "energy_direct",
     "energy_split_variational",
     "j_functional",
@@ -149,6 +152,176 @@ def _flux_norm_sq(ts: TorsionSolution) -> float:
     return float(np.sum(ts.flux_nodal ** 2 * ts.weights))
 
 
+# Alpha rows per broadcast block.  Grid evaluation holds a few (rows, modes)
+# float arrays at a time, so memory stays flat however long the grid is.
+SERIES_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class _SeriesPack:
+    """The alpha-independent data of E(alpha) = T + sum a_i^2 / (alpha - mu_i).
+
+    Built once per (basis, torsion); every alpha of a grid reads it.
+    `use` marks the modes summed (a star basis keeps its last pair for
+    the tail bound), `nonzero` the modes carrying torsion flux, and
+    `poles` their distinct eigenvalues.  `live_a2` and `live_mu` are
+    a_i^2 and mu_i over `use & nonzero`, in eigenvalue order.
+    """
+
+    domain: Domain
+    M: int                          # boundary nodes of the split's trial grid
+    a: np.ndarray
+    mu: np.ndarray
+    use: np.ndarray
+    nonzero: np.ndarray
+    poles: tuple[float, ...]
+    tail_mu_next: float | None      # star bases only
+    missing: float                  # flux norm^2 outside the summed modes
+    T: float
+    live_a2: np.ndarray
+    live_mu: np.ndarray
+
+
+def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES,
+                basis: SteklovBasis | None = None,
+                ts: TorsionSolution | None = None) -> _SeriesPack:
+    """Everything the series needs that does not depend on alpha.
+
+    Builds the default basis of d (n_modes, M) and its torsion unless
+    given; without `ts`, the torsion is solved on `basis.operator` when
+    that operator has M nodes.  `flux_coefficients` runs here, once.
+    Pass the result to `energy_series_grid`, `split_variational_grid`
+    or `pole_scan(pack=)`.
+
+    Raises
+    ------
+    ValueError
+        If a star basis has fewer than 2 modes (the last one only bounds
+        the series tail).
+    """
+    if basis is None:
+        basis = _default_basis(d, n_modes, M)
+    if basis.kind == "star" and basis.count < 2:
+        raise ValueError(f"the series needs at least 2 star modes, got {basis.count}")
+    if ts is None:
+        ts = _torsion(d, basis, M)
+    a = flux_coefficients(ts, basis)
+    mu = basis.mu
+    use = np.ones(basis.count, dtype=bool)
+    tail_mu_next, missing = None, 0.0
+    if basis.kind == "star":
+        use[-1] = False                      # last pair audits the tail only
+        tail_mu_next = float(mu[-1])
+        missing = max(0.0, _flux_norm_sq(ts) - float(np.sum(a[use] ** 2)))
+    a_scale = math.sqrt(float(np.sum(a * a)))
+    nonzero = np.abs(a) > 1e-10 * max(1.0, a_scale)
+    poles = tuple(sorted(set(float(m) for m in mu[nonzero])))
+    live = use & nonzero
+    return _SeriesPack(d, M, a, mu, use, nonzero, poles,
+                       tail_mu_next, missing, ts.T, a[live] ** 2, mu[live])
+
+
+def _prefix_sums(block: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, the sums of block[i, :k[i]] and block[i, k[i]:].
+
+    Rows are grouped by k and each part is summed as a C-contiguous
+    block, whose row sums equal `np.sum` of the same 1-D slice bit for
+    bit (a column-masked block is F-ordered and does not).
+    """
+    head = np.empty(block.shape[0])
+    rest = np.empty(block.shape[0])
+    for kk in np.unique(k):
+        rows = np.flatnonzero(k == kk)
+        part = block[rows]
+        head[rows] = np.ascontiguousarray(part[:, :kk]).sum(axis=1)
+        rest[rows] = np.ascontiguousarray(part[:, kk:]).sum(axis=1)
+    return head, rest
+
+
+def _finite_alphas(alphas) -> np.ndarray:
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    bad = ~np.isfinite(alphas)
+    if bad.any():
+        _check_alpha(float(alphas[bad][0]))
+    return alphas
+
+
+def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
+    """Series energies of one block of alphas, as energy_series computes them.
+
+    Returns (E_plus, E_minus, E_total, tail, status, resonant) with one
+    entry (row of `resonant`) per alpha.  A resonant alpha is Family
+    when every resonant mode carries no flux, and then sums the same
+    modes as an alpha off the spectrum; otherwise it is NoSolution with
+    NaN energies and no checks.  E_plus sums the positive terms, which
+    are the live modes below alpha: a prefix, since mu is sorted.  The
+    first alpha in grid order that fails a check raises; per alpha the
+    checks run truncation, then tail, then sign.
+    """
+    resonant = np.abs(pack.mu - alphas[:, None]) < tol_res(alphas)[:, None]
+    blocked = np.any(resonant & pack.nonzero, axis=1)
+    status = np.where(blocked, sk.STATUS_NO_SOLUTION,
+                      np.where(resonant.any(axis=1), sk.STATUS_FAMILY,
+                               sk.STATUS_UNIQUE))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = pack.live_a2 / (alphas[:, None] - pack.live_mu)
+        n_pos = np.count_nonzero(terms > 0, axis=1)
+        E_plus, E_minus = _prefix_sums(terms, n_pos)
+        # a term that underflows to zero is in neither part
+        for i in np.flatnonzero(n_pos + np.count_nonzero(terms < 0, axis=1)
+                                < terms.shape[1]):
+            E_plus[i] = np.sum(terms[i][terms[i] > 0])
+            E_minus[i] = np.sum(terms[i][terms[i] < 0])
+        E_plus[blocked] = E_minus[blocked] = math.nan
+        E_total = pack.T + E_plus + E_minus
+        tail = np.zeros(alphas.size)
+        truncated = np.zeros(alphas.size, dtype=bool)
+        if pack.tail_mu_next is not None:
+            truncated = pack.tail_mu_next <= alphas
+            tail = np.where(blocked, 0.0, pack.missing / (pack.tail_mu_next - alphas))
+        tail_bad = tail > TAIL_FRACTION * np.maximum(np.abs(E_total), 1e-300)
+        sign_bad = ~((E_plus >= 0.0) & (E_minus <= 0.0))
+    failed = np.flatnonzero(~blocked & (truncated | tail_bad | sign_bad))
+    if failed.size:
+        i = failed[0]
+        if truncated[i]:
+            raise SolverError(
+                f"alpha={float(alphas[i])} is not below the truncation eigenvalue "
+                f"{pack.tail_mu_next}; increase n_modes")
+        if tail_bad[i]:
+            raise SolverError(
+                f"series tail bound {tail[i]:.3e} exceeds {TAIL_FRACTION:.0e} of "
+                f"|E|={abs(E_total[i]):.3e}; increase n_modes")
+        raise SolverError("sign split violated; series terms inconsistent")
+    return E_plus, E_minus, E_total, tail, status, resonant
+
+
+def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
+    """Series rows (ENERGY_COLUMNS order) over an alpha grid, in grid order.
+
+    Each row equals `energy_series(d, alpha, basis=, ts=).as_row()` bit
+    for bit.  The grid is evaluated as numpy broadcasts over blocks of
+    SERIES_CHUNK alphas, so `flux_coefficients` and the pole set are
+    computed once (in `pack`) for the whole grid.
+
+    Raises
+    ------
+    SolverError
+        The error energy_series raises at the first failing alpha.
+    ValueError
+        If an alpha is NaN or infinite.
+    """
+    alphas = _finite_alphas(alphas)
+    rows = []
+    for lo in range(0, alphas.size, SERIES_CHUNK):
+        chunk = alphas[lo:lo + SERIES_CHUNK]
+        E_plus, E_minus, E_total, tail, status, _ = _series_rows(pack, chunk)
+        rows += zip(chunk.tolist(), [pack.T] * chunk.size, E_plus.tolist(),
+                    E_minus.tolist(), E_total.tolist(), tail.tolist(),
+                    status.tolist())
+    return rows
+
+
 def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
                   M: int = DEFAULT_BOUNDARY_NODES,
                   basis: SteklovBasis | None = None,
@@ -171,69 +344,27 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
         vanishes (the term is dropped; all family members share one
         energy) and NoSolution otherwise (energies become NaN).
 
+    This is the one-row case of `energy_series_grid`; for many alphas on
+    one domain, build `series_pack` once and evaluate the grid.
+
     Raises
     ------
     SolverError
         If the truncation tail bound exceeds 1e-6 of |E|.
     ValueError
-        If alpha is NaN or infinite.
+        If alpha is NaN or infinite, or a star basis has fewer than 2
+        modes.
     """
     _check_alpha(alpha)
-    if basis is None:
-        basis = _default_basis(d, n_modes, M)
-    if ts is None:
-        ts = _torsion(d, basis, M)
-    a = flux_coefficients(ts, basis)
-    use = np.ones(basis.count, dtype=bool)
-    mu = basis.mu
-    tail_mu_next = None
-    if basis.kind == "star":
-        use[-1] = False                      # last pair audits the tail only
-        tail_mu_next = float(mu[-1])
-
-    a_scale = math.sqrt(float(np.sum(a * a)))
-    nonzero = np.abs(a) > 1e-10 * max(1.0, a_scale)
-    poles = tuple(sorted(set(float(m) for m in mu[nonzero])))
-    pole_distance = min((abs(alpha - p) for p in poles), default=math.inf)
-
-    gap = mu - alpha
-    resonant = np.abs(gap) < tol_res(alpha)
-    status = sk.STATUS_UNIQUE
-    if np.any(resonant):
-        blocked = resonant & nonzero
-        status = sk.STATUS_NO_SOLUTION if np.any(blocked) else sk.STATUS_FAMILY
-    if status == sk.STATUS_NO_SOLUTION:
-        nan = math.nan
-        return EnergyReport(alpha, ts.T, nan, nan, nan, 0.0, status, poles,
-                            pole_distance,
-                            tuple(int(i) + 1 for i in np.where(resonant)[0]),
-                            int(np.sum(use)))
-
-    live = use & ~resonant & nonzero
-    terms = np.zeros(basis.count)
-    terms[live] = a[live] ** 2 / (alpha - mu[live])
-    E_plus = float(np.sum(terms[terms > 0]))
-    E_minus = float(np.sum(terms[terms < 0]))
-    E_total = ts.T + E_plus + E_minus
-
-    tail = 0.0
-    if basis.kind == "star":
-        missing = max(0.0, _flux_norm_sq(ts) - float(np.sum(a[use] ** 2)))
-        if tail_mu_next <= alpha:
-            raise SolverError(
-                f"alpha={alpha} is not below the truncation eigenvalue "
-                f"{tail_mu_next}; increase n_modes")
-        tail = missing / (tail_mu_next - alpha)
-        if tail > TAIL_FRACTION * max(abs(E_total), 1e-300):
-            raise SolverError(
-                f"series tail bound {tail:.3e} exceeds {TAIL_FRACTION:.0e} of "
-                f"|E|={abs(E_total):.3e}; increase n_modes")
-    if not (E_plus >= 0.0 and E_minus <= 0.0):
-        raise SolverError("sign split violated; series terms inconsistent")
-    return EnergyReport(alpha, ts.T, E_plus, E_minus, E_total, tail, status,
-                        poles, pole_distance,
-                        tuple(int(i) + 1 for i in np.where(resonant)[0]),
-                        int(np.sum(use)))
+    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis, ts=ts)
+    E_plus, E_minus, E_total, tail, status, resonant = _series_rows(
+        pack, np.array([alpha], dtype=float))
+    return EnergyReport(alpha, pack.T, float(E_plus[0]), float(E_minus[0]),
+                        float(E_total[0]), float(tail[0]), str(status[0]),
+                        pack.poles,
+                        min((abs(alpha - p) for p in pack.poles), default=math.inf),
+                        tuple(int(i) + 1 for i in np.flatnonzero(resonant[0])),
+                        int(np.sum(pack.use)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +481,63 @@ def energy_direct(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
 # variational split
 
 
+def _trial_data(d: Domain, M: int) -> tuple[float, float, float] | None:
+    """(num, n |Omega|, int |x - c|^2 dS) of the harmonic trial v = x - c.
+
+    c is the boundary barycenter; the E_minus bound at alpha is
+    -num / (n |Omega| - alpha int |x - c|^2 dS).  None for balls and
+    shells, where the coordinate moments vanish by symmetry.
+    """
+    if d.kind in ("ball", "annulus"):
+        return None
+    n = d.dim
+    vol = geo.volume(d)
+    g = geo.boundary_grid(d, M)
+    c = np.array([g.integrate(g.points[:, i]) for i in range(2)])
+    c /= g.integrate(np.ones(g.points.shape[0]))
+    num = 0.0
+    xc = g.points - c[None, :]
+    # int_Omega x_i dx = (1/(n+1)) oint x_i (x . nu) dS
+    mom = np.empty(2)
+    for i in range(2):
+        mom[i] = g.integrate(g.points[:, i] * (g.points * g.normals).sum(axis=1)) / (n + 1.0)
+        mom[i] -= c[i] * vol
+        num += mom[i] ** 2
+    return num, n * vol, g.integrate((xc ** 2).sum(axis=1))
+
+
+def split_variational_grid(pack: _SeriesPack, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """(E_plus via its maximizer, E_minus trial bound) over an alpha grid.
+
+    Each entry equals `energy_split_variational` at that alpha bit for
+    bit.  The trial data (boundary grid, barycenter, moments) is built
+    once; the unstable modes mu_i < alpha - tol_res(alpha) are a prefix
+    of the sorted spectrum, summed per block of SERIES_CHUNK alphas.
+    A NaN or infinite alpha raises ValueError.
+    """
+    alphas = _finite_alphas(alphas)
+    trial = _trial_data(pack.domain, pack.M)
+    e_plus = np.empty(alphas.size)
+    e_minus_bound = np.zeros(alphas.size)
+    a, mu = pack.a, pack.mu
+    for lo in range(0, alphas.size, SERIES_CHUNK):
+        chunk = alphas[lo:lo + SERIES_CHUNK]
+        k = np.searchsorted(mu, chunk - tol_res(chunk))
+        top = int(k.max())
+        # entries past a row's own k are never summed
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = a[:top] / (chunk[:, None] - mu[:top])
+            quad, _ = _prefix_sums((mu[:top] - chunk[:, None]) * v ** 2, k)
+            lin, _ = _prefix_sums(a[:top] * v, k)
+        e_plus[lo:lo + chunk.size] = quad + 2.0 * lin
+    if trial is not None:
+        num, n_vol, spread = trial
+        den = n_vol - alphas * spread
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_minus_bound = np.where(den > 0, -num / den, math.nan)
+    return e_plus, e_minus_bound
+
+
 def energy_split_variational(d: Domain, alpha: float, *,
                              basis: SteklovBasis | None = None,
                              ts: TorsionSolution | None = None,
@@ -364,41 +552,12 @@ def energy_split_variational(d: Domain, alpha: float, *,
     v(x) = x - c with c the boundary barycenter (valid below mu_2; NaN
     when the trial's quadratic form loses positivity).  Without `ts`,
     the torsion is solved on `basis.operator` as in `energy_series`.
+    This is the one-alpha case of `split_variational_grid`.
     """
-    if basis is None:
-        basis = _default_basis(d, n_modes, M)
-    if ts is None:
-        ts = _torsion(d, basis, M)
-    a = flux_coefficients(ts, basis)
-    mu = basis.mu
-    unstable = mu < alpha - tol_res(alpha)
-    v = np.zeros_like(a)
-    v[unstable] = a[unstable] / (alpha - mu[unstable])
-    e_plus = float(np.sum((mu[unstable] - alpha) * v[unstable] ** 2)
-                   + 2.0 * np.sum(a[unstable] * v[unstable]))
-
-    # harmonic coordinate trial for the stable side
-    n = d.dim
-    vol = geo.volume(d)
-    if d.kind == "ball":
-        e_minus_bound = 0.0   # coordinate moments vanish by symmetry
-    elif d.kind == "annulus":
-        e_minus_bound = 0.0
-    else:
-        g = geo.boundary_grid(d, M)
-        c = np.array([g.integrate(g.points[:, i]) for i in range(2)])
-        c /= g.integrate(np.ones(g.points.shape[0]))
-        num = 0.0
-        xc = g.points - c[None, :]
-        # int_Omega x_i dx = (1/(n+1)) oint x_i (x . nu) dS
-        mom = np.empty(2)
-        for i in range(2):
-            mom[i] = g.integrate(g.points[:, i] * (g.points * g.normals).sum(axis=1)) / (n + 1.0)
-            mom[i] -= c[i] * vol
-            num += mom[i] ** 2
-        den = n * vol - alpha * g.integrate((xc ** 2).sum(axis=1))
-        e_minus_bound = -num / den if den > 0 else math.nan
-    return e_plus, e_minus_bound
+    _check_alpha(alpha)
+    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis, ts=ts)
+    e_plus, e_minus_bound = split_variational_grid(pack, [alpha])
+    return float(e_plus[0]), float(e_minus_bound[0])
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +609,12 @@ def alpha0(d: Domain, *, T_omega: float | None = None,
 def pole_scan(d: Domain, *, basis: SteklovBasis | None = None,
               ts: TorsionSolution | None = None, n_modes: int = 32,
               M: int = DEFAULT_BOUNDARY_NODES,
-              rel_tol: float = 1e-10) -> tuple[float, ...]:
+              pack: _SeriesPack | None = None) -> tuple[float, ...]:
     """Eigenvalues that are true energy poles (nonzero flux component).
 
-    Without `ts`, the torsion is solved on `basis.operator` as in
-    `energy_series`.
+    Reads the flux mask of `pack` (see `series_pack`), or of one built
+    from d, basis, ts, n_modes and M.  Poles are rounded to 12 decimals.
     """
-    if basis is None:
-        basis = _default_basis(d, n_modes, M)
-    if ts is None:
-        ts = _torsion(d, basis, M)
-    a = flux_coefficients(ts, basis)
-    scale = math.sqrt(float(np.sum(a * a)))
-    hit = np.abs(a) > rel_tol * max(1.0, scale)
-    vals = sorted(set(round(float(m), 12) for m in basis.mu[hit]))
-    return tuple(vals)
+    if pack is None:
+        pack = series_pack(d, n_modes=n_modes, M=M, basis=basis, ts=ts)
+    return tuple(sorted(set(round(float(m), 12) for m in pack.mu[pack.nonzero])))

@@ -36,9 +36,12 @@ STATUS_FAMILY = "Family"
 STATUS_NO_SOLUTION = "NoSolution"
 
 
-def tol_res(alpha: float) -> float:
-    """Resonance detection tolerance: |mu_i - alpha| below this is a hit."""
-    return 1e-9 * max(1.0, abs(alpha))
+def tol_res(alpha):
+    """Resonance detection tolerance: |mu_i - alpha| below this is a hit.
+
+    `alpha` may be an array; the tolerance is taken elementwise.
+    """
+    return 1e-9 * np.maximum(1.0, np.abs(alpha))
 
 
 @dataclass(frozen=True)
@@ -181,11 +184,13 @@ def spectrum_ball(n: int, R: float, k_max: int = 21) -> SteklovBasis:
     Parameters
     ----------
     n, R : dimension and radius.
-    k_max : largest angular degree included.
+    k_max : largest angular degree included; negative raises ValueError.
 
     The basis lists each eigenvalue with its full multiplicity
     (1 for k=0, then 2 per degree for n=2, 2k+1 for n=3, ...).
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     d = Domain.ball(n, R)
     count = sum(geo.ball_mode_multiplicity(n, k) for k in range(k_max + 1))
     ks = geo.ball_mode_degrees(n, count)
@@ -248,8 +253,11 @@ def spectrum_annulus(n: int, R: float, kappa: float, k_max: int = 12) -> Steklov
 
     Degree 0 yields {0, mu_r}; every degree k >= 1 yields two
     eigenvalues, each carried with the spherical-harmonic multiplicity.
-    The closed-form mu_r is cross-checked against the pencil root.
+    The closed-form mu_r is cross-checked against the pencil root.  A
+    negative k_max raises ValueError.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     d = Domain.annulus(n, R, kappa)
     a = kappa * R
     entries = []   # (mu, k, parity, (c1, c2) or None)
@@ -297,13 +305,16 @@ def spectrum_star2d(d: Domain, n_modes: int = 32,
 
     Builds the single-layer DtN matrix at M_nodes equispaced boundary
     nodes and solves the symmetric eigenproblem against the boundary
-    mass.  Requires M_nodes >= 8 * n_modes.  Residuals report
+    mass.  Requires M_nodes >= 8 * n_modes; n_modes < 1 raises
+    ValueError.  Residuals report
     || d_nu phi - mu phi || in boundary L^2 per mode.
     """
     if d.kind == "ball" and d.dim == 2:
         d = Domain.star2d(geo.TrigPoly.constant(d.R))
     if d.kind != "star2d":
         raise ValueError("spectrum_star2d needs a planar star domain")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     op = operator if operator is not None else StarLayerOperator(d.rho, M_nodes)
     mu, traces, dens, resid = op.steklov_eigensystem(n_modes)
     mu = mu.copy()

@@ -207,6 +207,21 @@ class TestDeterminism:
         _, out3, _ = run(capsys, *args)
         assert out1 == out2 == out3
 
+    @pytest.mark.parametrize("argv", [
+        ("energy", "--alpha-grid=-6:-0.2:600", "--domain", "star",
+         "--rho-cos", "0,0.08,-0.05", "--rho-sin", "0,0.03"),
+        ("split", "--alpha-grid=-6:1.5:300", "--domain", "star",
+         "--rho-cos", "0,0.08,-0.05", "--rho-sin", "0,0.03"),
+        ("energy", "--alpha-grid=-3:8:23", "--domain", "annulus", "--dim", "3",
+         "--kappa", "0.5"),
+    ])
+    def test_grid_commands_ignore_thread_cap(self, capsys, monkeypatch, argv):
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        for cap in ("1", "3"):
+            monkeypatch.setenv("ROBINLAB_THREADS", cap)
+            assert run(capsys, *argv) == first
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(capsys, "energy", "--alpha", "0.5",
@@ -302,14 +317,46 @@ class TestBadInputs:
         assert "invalid configuration" in err and "--alpha" in err
 
     def test_string_alpha_in_config(self, capsys, tmp_path):
-        # argparse converts a string default with the option's type itself
+        # a config value goes through the option's type, as its flag text would
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": "half"}))
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "energy"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert "--alpha" in captured.err
+        code, out, err = run(capsys, "--config", str(cfg), "energy")
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err and "--alpha" in err
+
+    @pytest.mark.parametrize("cfg_value", [{"nodes": "x"}, {"nodes": 256.5},
+                                           {"alpha": [True]}, {"kappa": None}])
+    def test_untyped_config_value(self, capsys, tmp_path, cfg_value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_value))
+        code, out, err = run(capsys, "--config", str(cfg), "energy", "--alpha", "0.5")
+        assert code == 2 and out == ""
+        assert f"invalid configuration: --{next(iter(cfg_value))}" in err
+
+    def test_typed_config_values_match_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": ["0.5", 2], "nodes": "128",
+                                   "n_modes": 12, "radius": "1.5"}))
+        code, out, _ = run(capsys, "--config", str(cfg), "energy")
+        assert code == 0
+        _, ref, _ = run(capsys, "energy", "--alpha", "0.5", "--alpha", "2",
+                        "--nodes", "128", "--n-modes", "12", "--radius", "1.5")
+        assert out == ref
+
+    @pytest.mark.parametrize("argv", [
+        ("energy", "--alpha", "0.5", "--domain", "star", "--rho-cos", "0,0.05",
+         "--n-modes", "0"),
+        ("energy", "--alpha", "0.5", "--domain", "star", "--rho-cos", "0,0.05",
+         "--n-modes", "-2"),
+        ("energy", "--alpha", "0.5", "--domain", "star", "--rho-cos", "0,0.05",
+         "--n-modes", "1"),
+        ("spectrum", "--kmax", "-1"),
+    ])
+    def test_bad_mode_counts(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err
+        assert "modes" in err or "kmax" in err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
