@@ -10,13 +10,11 @@ independent finite-element oracle.
 from .errors import SolverError
 from .geometry import (
     DEFAULT_BOUNDARY_NODES,
-    BoundaryGrid,
     Domain,
     PerturbationField,
     TrigPoly,
     ball_mode_degrees,
     ball_mode_multiplicity,
-    ball_mode_parities,
     ball_trace_values,
     boundary_grid,
     check_volume_preserving,
@@ -28,7 +26,6 @@ from .geometry import (
     ellipse_perturbation,
     interior_integral,
     mean_curvature,
-    quadrature_error,
     random_perturbation,
     random_star_domain,
     surface_area,
@@ -40,11 +37,8 @@ from .geometry import (
     volume,
 )
 from .layerpot import StarLayerOperator
-from .oracle import FemSolution, fem_dirichlet_T, fem_robin_energy, steklov_residual
+from .oracle import fem_dirichlet_T, fem_robin_energy, steklov_residual
 from .planar_optimality import (
-    DiscMaxReport,
-    JThresholdReport,
-    PWBound,
     corollary_disc_max,
     epsilon0_upper,
     g,
@@ -54,9 +48,6 @@ from .planar_optimality import (
 )
 from .robin_energy import (
     ENERGY_COLUMNS,
-    Alpha0Report,
-    EnergyReport,
-    RobinSolution,
     alpha0,
     energy_direct,
     energy_series,
@@ -66,12 +57,6 @@ from .robin_energy import (
     solve_robin,
 )
 from .shape_calculus import (
-    FiniteDifferenceReport,
-    JVariationReport,
-    NormalSpeedFamily,
-    ShapeDerivativeSolution,
-    SignReport,
-    VariationReport,
     classify_sign,
     finite_difference_check,
     first_variation_general,
@@ -88,7 +73,6 @@ from .steklov import (
     STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
     HarmonicExpansion,
-    SteklovBasis,
     annulus_radial_eigenvalue,
     expand_harmonic,
     spectrum_annulus,
@@ -97,7 +81,6 @@ from .steklov import (
     tol_res,
 )
 from .torsion import (
-    TorsionSolution,
     flux_coefficients,
     gauss_identity_residual,
     rigidity,
@@ -108,35 +91,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SolverError",
-    "DEFAULT_BOUNDARY_NODES", "BoundaryGrid", "Domain", "PerturbationField",
-    "TrigPoly", "ball_mode_degrees", "ball_mode_multiplicity",
-    "ball_mode_parities", "ball_trace_values", "boundary_grid",
-    "check_volume_preserving", "domain_from_dict", "domain_from_json",
-    "domain_to_dict", "domain_to_json", "ellipse_domain",
+    "DEFAULT_BOUNDARY_NODES", "Domain", "PerturbationField", "TrigPoly",
+    "ball_mode_degrees", "ball_mode_multiplicity", "ball_trace_values",
+    "boundary_grid", "check_volume_preserving", "domain_from_dict",
+    "domain_from_json", "domain_to_dict", "domain_to_json", "ellipse_domain",
     "ellipse_perturbation", "interior_integral", "mean_curvature",
-    "quadrature_error", "random_perturbation", "random_star_domain",
-    "surface_area",
+    "random_perturbation", "random_star_domain", "surface_area",
     "surface_components", "surface_defect", "trig_interp",
     "unit_ball_volume", "unit_sphere_area", "volume",
     "StarLayerOperator",
-    "FemSolution", "fem_dirichlet_T", "fem_robin_energy", "steklov_residual",
-    "DiscMaxReport", "JThresholdReport", "PWBound", "corollary_disc_max",
-    "epsilon0_upper", "g", "pw_upper_bound", "theorem_J_check",
-    "threshold_alpha",
-    "ENERGY_COLUMNS", "Alpha0Report", "EnergyReport", "RobinSolution",
-    "alpha0", "energy_direct", "energy_series", "energy_split_variational",
-    "j_functional", "pole_scan", "solve_robin",
-    "FiniteDifferenceReport", "JVariationReport", "NormalSpeedFamily",
-    "ShapeDerivativeSolution", "SignReport", "VariationReport",
+    "fem_dirichlet_T", "fem_robin_energy", "steklov_residual",
+    "corollary_disc_max", "epsilon0_upper", "g", "pw_upper_bound",
+    "theorem_J_check", "threshold_alpha",
+    "ENERGY_COLUMNS", "alpha0", "energy_direct", "energy_series",
+    "energy_split_variational", "j_functional", "pole_scan", "solve_robin",
     "classify_sign", "finite_difference_check", "first_variation_general",
     "j_variations", "modal_coefficient", "normal_speed_family",
     "overdetermined_residual", "second_variation_ball", "solve_u_prime",
     "surface_second_variation",
     "STATUS_FAMILY", "STATUS_NO_SOLUTION", "STATUS_UNIQUE",
-    "HarmonicExpansion", "SteklovBasis", "annulus_radial_eigenvalue",
-    "expand_harmonic", "spectrum_annulus", "spectrum_ball", "spectrum_star2d",
-    "tol_res",
-    "TorsionSolution", "flux_coefficients", "gauss_identity_residual",
-    "rigidity", "solve_torsion",
+    "HarmonicExpansion", "annulus_radial_eigenvalue", "expand_harmonic",
+    "spectrum_annulus", "spectrum_ball", "spectrum_star2d", "tol_res",
+    "flux_coefficients", "gauss_identity_residual", "rigidity",
+    "solve_torsion",
     "__version__",
 ]

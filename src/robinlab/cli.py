@@ -550,6 +550,7 @@ def main(argv=None) -> int:
             path = tok.split("=", 1)[1]
             argv = argv[:at] + argv[at + 1:]
             break
+    appended = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -563,16 +564,25 @@ def main(argv=None) -> int:
             print(f"invalid configuration: unknown keys {sorted(bad)}",
                   file=sys.stderr)
             return 2
-        # subparsers parse into fresh namespaces, so push defaults into each
+        # subparsers parse into fresh namespaces, so push defaults into each;
+        # argparse appends flags to a list default, so keep those aside
         try:
             for sub in _all_parsers(parser):
-                sub.set_defaults(**{act.dest: _config_value(act, cfg[act.dest])
-                                    for act in sub._actions if act.dest in cfg})
+                for act in sub._actions:
+                    if act.dest in cfg:
+                        value = _config_value(act, cfg[act.dest])
+                        if isinstance(act, argparse._AppendAction):
+                            appended[act.dest] = value
+                        else:
+                            sub.set_defaults(**{act.dest: value})
         except ValueError as exc:
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 2
     try:
         args = parser.parse_args(argv)
+        for dest, value in appended.items():
+            if getattr(args, dest, value) is None:
+                setattr(args, dest, value)
         _check_args(args)
         return args.func(args)
     except (SolverError, ArithmeticError) as exc:

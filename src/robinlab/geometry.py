@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "surface_defect",
     "boundary_grid",
     "interior_integral",
-    "quadrature_error",
     "check_volume_preserving",
     "trig_interp",
     "ellipse_domain",
@@ -129,11 +128,6 @@ class TrigPoly:
                               + bk * np.sin(k * theta + shift))
         return out
 
-    def scaled(self, factor: float) -> "TrigPoly":
-        return TrigPoly(self.a0 * factor,
-                        tuple(c * factor for c in self.cos),
-                        tuple(s * factor for s in self.sin))
-
     def min_value(self, samples: int = 4096) -> float:
         t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         return float(np.min(self(t)))
@@ -182,10 +176,6 @@ class Domain:
             raise ValueError("rho must be strictly positive")
         area = _star_area(rho, 4 * DEFAULT_BOUNDARY_NODES)
         return Domain("star2d", 2, math.sqrt(area / math.pi), rho=rho)
-
-    @property
-    def is_disc_like(self) -> bool:
-        return self.kind == "star2d" and self.rho.degree == 0
 
     def __post_init__(self):
         if self.kind not in ("ball", "annulus", "star2d"):
@@ -257,8 +247,7 @@ def mean_curvature(d: Domain, theta=None, component: str = "outer"):
     if theta is None:
         raise ValueError("theta required for star2d curvature")
     t = np.asarray(theta, dtype=float)
-    r, r1, r2 = d.rho(t), d.rho(t, 1), d.rho(t, 2)
-    return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
+    return _polar_curve(d.rho, t.reshape(-1), 1.0).curvature.reshape(t.shape)
 
 
 def surface_defect(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
@@ -295,25 +284,30 @@ class BoundaryGrid:
         return float(np.dot(np.asarray(values), self.weights))
 
 
+def _polar_curve(rho: TrigPoly, thetas: np.ndarray, scale: float) -> BoundaryGrid:
+    """The curve scale * rho(theta) (cos theta, sin theta) at the given angles.
+
+    Curvature is (x' x x'') / |x'|^3; weights assume equispaced angles.
+    """
+    r = scale * rho(thetas)
+    r1 = scale * rho(thetas, 1)
+    r2 = scale * rho(thetas, 2)
+    ct, st = np.cos(thetas), np.sin(thetas)
+    x = np.stack([r * ct, r * st], axis=1)
+    x1 = np.stack([r1 * ct - r * st, r1 * st + r * ct], axis=1)
+    x2 = np.stack([(r2 - r) * ct - 2.0 * r1 * st, (r2 - r) * st + 2.0 * r1 * ct], axis=1)
+    q = np.hypot(x1[:, 0], x1[:, 1])
+    normals = np.stack([x1[:, 1], -x1[:, 0]], axis=1) / q[:, None]
+    curv = (x1[:, 0] * x2[:, 1] - x1[:, 1] * x2[:, 0]) / q ** 3
+    return BoundaryGrid(thetas, x, q, q * (2.0 * np.pi / thetas.size), normals, curv)
+
+
 def boundary_grid(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
     """Boundary nodes/weights for a planar ball or Star2D domain."""
     if d.dim != 2 or d.kind == "annulus":
         raise ValueError("boundary_grid covers planar simply connected domains")
-    t = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-    if d.kind == "ball":
-        r = np.full(M, d.R)
-        r1 = np.zeros(M)
-        r2 = np.zeros(M)
-    else:
-        r, r1, r2 = d.rho(t), d.rho(t, 1), d.rho(t, 2)
-    ct, st = np.cos(t), np.sin(t)
-    pts = np.stack([r * ct, r * st], axis=1)
-    x1 = np.stack([r1 * ct - r * st, r1 * st + r * ct], axis=1)
-    q = np.hypot(x1[:, 0], x1[:, 1])
-    normals = np.stack([x1[:, 1], -x1[:, 0]], axis=1) / q[:, None]
-    kappa = (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
-    w = q * (2.0 * np.pi / M)
-    return BoundaryGrid(t, pts, q, w, normals, kappa)
+    rho = TrigPoly.constant(d.R) if d.kind == "ball" else d.rho
+    return _polar_curve(rho, np.linspace(0.0, 2.0 * np.pi, M, endpoint=False), 1.0)
 
 
 def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray],
@@ -338,13 +332,6 @@ def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray],
     vals = np.asarray(f(pts)).reshape(nr, ntheta)
     jac = uu * (r_b[None, :] ** 2)
     return float(np.sum(vals * jac * wu[:, None]) * (2.0 * np.pi / ntheta))
-
-
-def quadrature_error(d: Domain, quantity: str = "volume",
-                     M: int = DEFAULT_BOUNDARY_NODES) -> float:
-    """Node-doubling error estimate for a boundary-quadrature quantity."""
-    fn = {"volume": volume, "surface": surface_area}[quantity]
-    return abs(fn(d, 2 * M) - fn(d, M))
 
 
 def trig_interp(values: np.ndarray, new_thetas: np.ndarray) -> np.ndarray:
@@ -427,7 +414,6 @@ class PerturbationField:
 
     b: tuple[float, ...]
     w_normal: object = W_COMPENSATING
-    t_range: float = 0.1
 
     @staticmethod
     def from_modes(n: int, amplitudes: dict[int, float], count: int | None = None,
@@ -503,13 +489,6 @@ def check_volume_preserving(p: PerturbationField, d: Domain, order: int = 1,
     residual = abs(curvature_term + w_int)
     tolerance = tol if tol is not None else 1e-10 * max(1.0, abs(curvature_term))
     return VolumePreservationReport(2, residual <= tolerance, residual, tolerance)
-
-
-def compensating_w_constant(p: PerturbationField, d: Domain) -> float:
-    """The constant w.nu satisfying the second-order volume condition on a ball."""
-    if d.kind != "ball":
-        raise ValueError("defined on balls")
-    return -(d.dim - 1) / d.R * p.l2sq() / surface_area(d)
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +585,12 @@ def perturbation_to_dict(p: PerturbationField) -> dict:
         w_mode = float(p.w_normal)
     else:
         raise ValueError("callable w.nu is not serializable")
-    return {"b": list(p.b), "w_mode": w_mode, "t_range": p.t_range}
+    return {"b": list(p.b), "w_mode": w_mode}
 
 
 def perturbation_from_dict(obj: dict) -> PerturbationField:
     return PerturbationField(tuple(float(v) for v in obj["b"]),
-                             w_normal=obj.get("w_mode", W_COMPENSATING),
-                             t_range=float(obj.get("t_range", 0.1)))
+                             w_normal=obj.get("w_mode", W_COMPENSATING))
 
 
 def domain_to_json(d: Domain) -> str:

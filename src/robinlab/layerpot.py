@@ -13,12 +13,11 @@ only a few node spacings away from the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import TrigPoly
+from .geometry import BoundaryGrid, TrigPoly, _polar_curve
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,36 +37,12 @@ def kress_log_weights(M: int) -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True)
-class _Curve:
-    t: np.ndarray
-    x: np.ndarray        # (M, 2)
-    speed: np.ndarray
-    normal: np.ndarray   # outward
-    curv: np.ndarray
-
-
-def _curve(rho: TrigPoly, M: int, scale: float) -> _Curve:
-    t = np.linspace(0.0, TWO_PI, M, endpoint=False)
-    r = scale * rho(t)
-    r1 = scale * rho(t, 1)
-    r2 = scale * rho(t, 2)
-    ct, st = np.cos(t), np.sin(t)
-    x = np.stack([r * ct, r * st], axis=1)
-    x1 = np.stack([r1 * ct - r * st, r1 * st + r * ct], axis=1)
-    x2 = np.stack([(r2 - r) * ct - 2.0 * r1 * st, (r2 - r) * st + 2.0 * r1 * ct], axis=1)
-    q = np.hypot(x1[:, 0], x1[:, 1])
-    nu = np.stack([x1[:, 1], -x1[:, 0]], axis=1) / q[:, None]
-    curv = (x1[:, 0] * x2[:, 1] - x1[:, 1] * x2[:, 0]) / q ** 3
-    return _Curve(t, x, q, nu, curv)
-
-
-def single_layer_matrix(c: _Curve) -> np.ndarray:
+def single_layer_matrix(c: BoundaryGrid) -> np.ndarray:
     """Nystrom matrix of the single layer V (trace of S[sigma] on the curve)."""
-    M = c.t.size
-    dx = c.x[:, None, :] - c.x[None, :, :]
+    M = c.M
+    dx = c.points[:, None, :] - c.points[None, :, :]
     dist = np.hypot(dx[..., 0], dx[..., 1])
-    ts = c.t[:, None] - c.t[None, :]
+    ts = c.thetas[:, None] - c.thetas[None, :]
     s2 = 2.0 * np.abs(np.sin(0.5 * ts))
     with np.errstate(divide="ignore", invalid="ignore"):
         smooth = -np.log(dist / s2) / TWO_PI
@@ -78,15 +53,15 @@ def single_layer_matrix(c: _Curve) -> np.ndarray:
     return V
 
 
-def normal_derivative_matrix(c: _Curve) -> np.ndarray:
+def normal_derivative_matrix(c: BoundaryGrid) -> np.ndarray:
     """Nystrom matrix of the interior normal derivative d_nu S[sigma] = (K' + I/2) sigma."""
-    M = c.t.size
-    dx = c.x[:, None, :] - c.x[None, :, :]
+    M = c.M
+    dx = c.points[:, None, :] - c.points[None, :, :]
     dist2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    num = dx[..., 0] * c.normal[:, 0][:, None] + dx[..., 1] * c.normal[:, 1][:, None]
+    num = dx[..., 0] * c.normals[:, 0][:, None] + dx[..., 1] * c.normals[:, 1][:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ker = -num / dist2 / TWO_PI
-    np.fill_diagonal(ker, -c.curv / (4.0 * np.pi))
+    np.fill_diagonal(ker, -c.curvature / (4.0 * np.pi))
     A = ker * (c.speed[None, :] * TWO_PI / M)
     A[np.diag_indices(M)] += 0.5
     return A
@@ -97,27 +72,31 @@ class StarLayerOperator:
 
     All public inputs/outputs (boundary values, fluxes, points, weights)
     live on the unscaled domain; the internal shrink factor is hidden.
+    M must be an even integer >= 8 (ValueError otherwise).
     """
 
     def __init__(self, rho: TrigPoly, M: int = 256):
-        if M % 2 != 0:
-            raise ValueError("node count must be even")
+        if not isinstance(M, (int, np.integer)) or M < 8 or M % 2:
+            raise ValueError(f"node count must be an even integer >= 8, got {M}")
         rmax = -TrigPoly(-rho.a0, tuple(-v for v in rho.cos),
                          tuple(-v for v in rho.sin)).min_value()
         self.gamma = 0.5 / rmax
         self.rho = rho
         self.M = M
-        self._c = _curve(rho, M, self.gamma)
+        self._c = _polar_curve(rho, np.linspace(0.0, TWO_PI, M, endpoint=False),
+                               self.gamma)
         self.V = single_layer_matrix(self._c)
         self.A = normal_derivative_matrix(self._c)
         self._V_lu = sla.lu_factor(self.V)
         # unscaled node data
-        self.thetas = self._c.t
-        self.points = self._c.x / self.gamma
+        self.thetas = self._c.thetas
+        self.points = self._c.points / self.gamma
         self.speed = self._c.speed / self.gamma
-        self.normals = self._c.normal
+        self.normals = self._c.normals
         self.weights = self.speed * (TWO_PI / M)
-        self.curvature = self._c.curv * self.gamma
+        self.curvature = self._c.curvature * self.gamma
+        x, y = self.points[:, 0], self.points[:, 1]
+        self.radius_sq = x * x + y * y
 
     # -- solves ------------------------------------------------------------
 
@@ -148,19 +127,18 @@ class StarLayerOperator:
     def evaluate(self, sigma: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """S[sigma] at strictly interior points (plain trapezoid; keep clear of the boundary)."""
         p = self.gamma * np.atleast_2d(pts)
-        dx = p[:, None, :] - self._c.x[None, :, :]
+        dx = p[:, None, :] - self._c.points[None, :, :]
         dist = np.hypot(dx[..., 0], dx[..., 1])
-        w = self._c.speed * (TWO_PI / self.M)
-        return -(np.log(dist) * w[None, :]) @ np.asarray(sigma) / TWO_PI
+        return -(np.log(dist) * self._c.weights[None, :]) @ np.asarray(sigma) / TWO_PI
 
-    def evaluate_gradient(self, sigma: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Unscaled gradient of S[sigma] at interior points."""
-        p = self.gamma * np.atleast_2d(pts)
-        dx = p[:, None, :] - self._c.x[None, :, :]
-        dist2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-        w = self._c.speed * (TWO_PI / self.M)
-        g = -(dx / dist2[..., None] * (w * np.asarray(sigma))[None, :, None]).sum(axis=1)
-        return self.gamma * g / TWO_PI
+    def poisson_interior(self, sigma: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """-|x|^2/4 + S[sigma] at interior points (solves Delta u + 1 = 0)."""
+        pts = np.atleast_2d(pts)
+        return -0.25 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + self.evaluate(sigma, pts)
+
+    def quarter_r2_integral(self) -> float:
+        """int |x|^2/4 dx = (1/16) int rho^4 dtheta, spectrally exact by the trapezoid rule."""
+        return float(np.sum(self.rho(self.thetas) ** 4) * (TWO_PI / self.M) / 16.0)
 
     # -- Steklov eigensystem -------------------------------------------------
 
@@ -182,13 +160,13 @@ class StarLayerOperator:
                 f"node count {self.M} too small for {n_modes} modes (need >= {8 * n_modes})")
         # A V^{-1} as (V^{-T} A^T)^T; V itself is not symmetric
         D = sla.lu_solve(self._V_lu, self.A.T, trans=1).T
-        w_s = self._c.speed * (TWO_PI / self.M)        # scaled boundary weights
+        w_s = self._c.weights                          # scaled boundary weights
         m = self.M // 8
         F = np.empty((self.M, 2 * m + 1))
         F[:, 0] = 1.0
         for k in range(1, m + 1):
-            F[:, 2 * k - 1] = np.cos(k * self._c.t)
-            F[:, 2 * k] = np.sin(k * self._c.t)
+            F[:, 2 * k - 1] = np.cos(k * self.thetas)
+            F[:, 2 * k] = np.sin(k * self.thetas)
         L = sla.cholesky(F.T @ (w_s[:, None] * F), lower=True)
         F = sla.solve_triangular(L, F.T, lower=True).T  # boundary-orthonormal columns
         B = F.T @ (w_s[:, None] * (D @ F))

@@ -36,7 +36,10 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
 def _rho_callable(d) -> tuple:
-    """(rho(theta), drho(theta)) callables from a Domain or a plain callable."""
+    """(rho(theta), drho(theta)) callables from a Domain or a plain callable.
+
+    A plain callable gets a central-difference derivative.
+    """
     if isinstance(d, Domain):
         if d.kind == "ball" and d.dim == 2:
             R = d.R
@@ -46,7 +49,24 @@ def _rho_callable(d) -> tuple:
             rho = d.rho
             return (lambda t: rho(t), lambda t: rho(t, order=1))
         raise ValueError("the oracle handles planar domains only")
-    return d, None
+    return d, lambda t: (np.asarray(d(t + 1e-6), float)
+                         - np.asarray(d(t - 1e-6), float)) / 2e-6
+
+
+def _p1_gradients(x: np.ndarray):
+    """(det, b, c) of P1 triangles x (T, 3, 2): grad phi_j = (b_j, c_j), area det/2."""
+    v1 = x[:, 1] - x[:, 0]
+    v2 = x[:, 2] - x[:, 0]
+    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    if np.any(det <= 0):
+        raise SolverError("mesh produced degenerate or flipped triangles")
+    bmat = np.stack([x[:, 1, 1] - x[:, 2, 1],
+                     x[:, 2, 1] - x[:, 0, 1],
+                     x[:, 0, 1] - x[:, 1, 1]], axis=1) / det[:, None]
+    cmat = np.stack([x[:, 2, 0] - x[:, 1, 0],
+                     x[:, 0, 0] - x[:, 2, 0],
+                     x[:, 1, 0] - x[:, 0, 0]], axis=1) / det[:, None]
+    return det, bmat, cmat
 
 
 class _Mesh:
@@ -89,19 +109,8 @@ class _Mesh:
 
     def assemble(self):
         """(stiffness K, load f) for P1 elements."""
-        x = self.coords[self.tris]                      # (T, 3, 2)
-        v1 = x[:, 1] - x[:, 0]
-        v2 = x[:, 2] - x[:, 0]
-        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-        if np.any(det <= 0):
-            raise SolverError("mesh produced degenerate or flipped triangles")
+        det, bmat, cmat = _p1_gradients(self.coords[self.tris])
         area = 0.5 * det
-        bmat = np.stack([x[:, 1, 1] - x[:, 2, 1],
-                         x[:, 2, 1] - x[:, 0, 1],
-                         x[:, 0, 1] - x[:, 1, 1]], axis=1) / det[:, None]
-        cmat = np.stack([x[:, 2, 0] - x[:, 1, 0],
-                         x[:, 0, 0] - x[:, 2, 0],
-                         x[:, 1, 0] - x[:, 0, 0]], axis=1) / det[:, None]
         kloc = (bmat[:, :, None] * bmat[:, None, :]
                 + cmat[:, :, None] * cmat[:, None, :]) * area[:, None, None]
         rows = np.repeat(self.tris, 3, axis=1).ravel()
@@ -119,11 +128,7 @@ class _Mesh:
         t0 = self.thetas
         tq = t0[:, None] + 0.5 * dt * (_GAUSS_X[None, :] + 1.0)   # (n_t, 4)
         r = np.asarray(rho(tq.ravel()), float).reshape(tq.shape)
-        if drho is None:
-            rp = (np.asarray(rho((tq + 1e-6).ravel()), float).reshape(tq.shape)
-                  - np.asarray(rho((tq - 1e-6).ravel()), float).reshape(tq.shape)) / 2e-6
-        else:
-            rp = np.asarray(drho(tq.ravel()), float).reshape(tq.shape)
+        rp = np.asarray(drho(tq.ravel()), float).reshape(tq.shape)
         q = np.sqrt(r * r + rp * rp)
         n1 = (tq - t0[:, None]) / dt
         n0 = 1.0 - n1
@@ -139,38 +144,28 @@ class _Mesh:
         n = self.coords.shape[0]
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
-    def boundary_gradient_flux(self, u: np.ndarray, rho, drho) -> np.ndarray:
-        """Normal derivative at boundary edge midpoints from raw P1 gradients.
+    def boundary_gradient_flux(self, u: np.ndarray, rho, drho):
+        """(normal derivative, curve speed) at boundary edge midpoints.
 
-        First-order accurate; used only as an independent sanity residual.
+        The derivative comes from raw P1 gradients: first-order accurate,
+        used only as an independent sanity residual.
         """
         n_t = self.n_t
         lo = 1 + (self.n_r - 1) * n_t
         jp = (np.arange(n_t) + 1) % n_t
         tri = np.column_stack([lo - n_t + np.arange(n_t), lo + np.arange(n_t),
                                lo + jp])
-        x = self.coords[tri]
-        v1 = x[:, 1] - x[:, 0]
-        v2 = x[:, 2] - x[:, 0]
-        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-        bmat = np.stack([x[:, 1, 1] - x[:, 2, 1], x[:, 2, 1] - x[:, 0, 1],
-                         x[:, 0, 1] - x[:, 1, 1]], axis=1) / det[:, None]
-        cmat = np.stack([x[:, 2, 0] - x[:, 1, 0], x[:, 0, 0] - x[:, 2, 0],
-                         x[:, 1, 0] - x[:, 0, 0]], axis=1) / det[:, None]
+        _, bmat, cmat = _p1_gradients(self.coords[tri])
         uv = u[tri]
         gx = (bmat * uv).sum(axis=1)
         gy = (cmat * uv).sum(axis=1)
         tm = self.thetas + np.pi / n_t
         r = np.asarray(rho(tm), float)
-        if drho is None:
-            rp = (np.asarray(rho(tm + 1e-6), float)
-                  - np.asarray(rho(tm - 1e-6), float)) / 2e-6
-        else:
-            rp = np.asarray(drho(tm), float)
+        rp = np.asarray(drho(tm), float)
         q = np.sqrt(r * r + rp * rp)
         nx = (r * np.cos(tm) + rp * np.sin(tm)) / q
         ny = (r * np.sin(tm) - rp * np.cos(tm)) / q
-        return gx * nx + gy * ny
+        return gx * nx + gy * ny, q
 
 
 def _factor(A) -> spla.SuperLU:
@@ -286,17 +281,10 @@ def fem_robin_energy(d, alpha: float, h_max: float = 0.065,
                 f"Robin solution blowup at alpha={alpha}")
         vals.append(-float(f @ u))
     energy, err = _richardson(vals)
-    flux = mesh.boundary_gradient_flux(u, rho, drho)
+    flux, q = mesh.boundary_gradient_flux(u, rho, drho)
     ub = u[mesh.boundary]
     mid = 0.5 * (ub + np.roll(ub, -1))
-    tm = mesh.thetas + np.pi / mesh.n_t
-    r = np.asarray(rho(tm), float)
-    if drho is None:
-        rp = (np.asarray(rho(tm + 1e-6), float)
-              - np.asarray(rho(tm - 1e-6), float)) / 2e-6
-    else:
-        rp = np.asarray(drho(tm), float)
-    w = np.sqrt(r * r + rp * rp) * (2.0 * np.pi / mesh.n_t)
+    w = q * (2.0 * np.pi / mesh.n_t)
     bres = math.sqrt(float(((flux - alpha * mid) ** 2 * w).sum()))
     return FemSolution(alpha, energy, err, tuple(vals), mesh.h_max,
                        mesh.coords, mesh.tris, u, bres)

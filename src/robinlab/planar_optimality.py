@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import xlogy
-
 from . import geometry as geo
 from . import robin_energy as energy
 from . import steklov as sk
@@ -46,6 +43,11 @@ class PWBound:
     epsilon0_upper: float  # upper bound on T(Omega) - T(ball of equal area)
 
 
+def _xlogy(x: float, y: float) -> float:
+    """x log y, taken as 0 when x = 0 (so also at y = 0)."""
+    return 0.0 if x == 0 else x * math.log(y)
+
+
 def pw_upper_bound(A: float, L: float) -> PWBound:
     """Upper bound on the torsion energy from area and perimeter.
 
@@ -63,8 +65,8 @@ def pw_upper_bound(A: float, L: float) -> PWBound:
     y2 = max(y2, 0.0)
     rt = L / (2.0 * math.pi)
     t_star = 0.5 * math.pi * rt ** 4 * (
-        0.5 * float(xlogy(y2 ** 2, y2)) - 0.75 * y2 ** 2 + y2 - 0.25)
-    eps_up = 0.25 * math.pi * rt ** 4 * y2 * (1.0 + float(xlogy(y2, y2)) - y2)
+        0.5 * _xlogy(y2 ** 2, y2) - 0.75 * y2 ** 2 + y2 - 0.25)
+    eps_up = 0.25 * math.pi * rt ** 4 * y2 * (1.0 + _xlogy(y2, y2) - y2)
     return PWBound(A, L, y2, rt, t_star, eps_up)
 
 
@@ -87,7 +89,7 @@ def g(t: float) -> float:
     if eps < 1e-3:
         series = 1.0 + eps / 3.0 + eps ** 2 / 6.0 + eps ** 3 / 10.0 + eps ** 4 / 15.0
         return 2.0 / ((1.0 + root) * series)
-    den = 1.0 + float(xlogy(t, t)) - t
+    den = 1.0 + _xlogy(t, t) - t
     return eps ** 2 / ((1.0 + root) * den)
 
 

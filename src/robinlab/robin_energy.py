@@ -14,7 +14,7 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import SolverError
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
-from .steklov import SteklovBasis, tol_res
+from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_profile, tol_res
 from .torsion import TorsionSolution, solve_torsion, flux_coefficients
 
 __all__ = [
@@ -71,17 +71,12 @@ class RobinSolution:
         r = np.asarray(r, dtype=float)
         if self.radial is None:
             raise ValueError("no radial profile for this solve")
-        c1, c2 = self.radial
-        g = np.zeros_like(r)
-        if d.kind == "annulus":
-            g = np.log(r) if d.dim == 2 else r ** (2 - d.dim)
-        return -r ** 2 / (2.0 * d.dim) + c1 + c2 * g
+        return _radial_profile(d.dim, r, *self.radial)
 
     def interior_values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
         if self.operator is not None:
-            h = self.operator.evaluate(self.density, pts)
-            return -0.25 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + h
+            return self.operator.poisson_interior(self.density, pts)
+        pts = np.atleast_2d(pts)
         return self.u_radial(np.hypot(pts[:, 0], pts[:, 1]))
 
 
@@ -140,16 +135,6 @@ def _torsion(d: Domain, basis: SteklovBasis, M: int) -> TorsionSolution:
     if op is not None and (op.M != M or op.rho != d.rho):
         op = None
     return solve_torsion(d, M, operator=op)
-
-
-def _flux_norm_sq(ts: TorsionSolution) -> float:
-    d = ts.domain
-    if d.kind == "ball":
-        return ts.flux ** 2 * geo.surface_area(d)
-    if d.kind == "annulus":
-        s_out, s_in = geo.surface_components(d)
-        return ts.flux[0] ** 2 * s_out + ts.flux[1] ** 2 * s_in
-    return float(np.sum(ts.flux_nodal ** 2 * ts.weights))
 
 
 # Alpha rows per broadcast block.  Grid evaluation holds a few (rows, modes)
@@ -212,7 +197,8 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES
     if basis.kind == "star":
         use[-1] = False                      # last pair audits the tail only
         tail_mu_next = float(mu[-1])
-        missing = max(0.0, _flux_norm_sq(ts) - float(np.sum(a[use] ** 2)))
+        missing = max(0.0, ts.boundary_integral(lambda v: v ** 2)
+                      - float(np.sum(a[use] ** 2)))
     a_scale = math.sqrt(float(np.sum(a * a)))
     nonzero = np.abs(a) > 1e-10 * max(1.0, a_scale)
     poles = tuple(sorted(set(float(m) for m in mu[nonzero])))
@@ -258,11 +244,7 @@ def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
     first alpha in grid order that fails a check raises; per alpha the
     checks run truncation, then tail, then sign.
     """
-    resonant = np.abs(pack.mu - alphas[:, None]) < tol_res(alphas)[:, None]
-    blocked = np.any(resonant & pack.nonzero, axis=1)
-    status = np.where(blocked, sk.STATUS_NO_SOLUTION,
-                      np.where(resonant.any(axis=1), sk.STATUS_FAMILY,
-                               sk.STATUS_UNIQUE))
+    resonant, blocked, status = sk._resonance(pack.mu, alphas, pack.nonzero)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = pack.live_a2 / (alphas[:, None] - pack.live_mu)
         n_pos = np.count_nonzero(terms > 0, axis=1)
@@ -375,12 +357,9 @@ def _radial_robin_coefficients(d: Domain, alpha: float) -> tuple[float, float]:
     """(c1, c2) of the radial Robin solution on a shell; singular at {0, mu_r}."""
     n, R = d.dim, d.R
     a = d.kappa * R
-    if n == 2:
-        g, gp = (lambda r: math.log(r)), (lambda r: 1.0 / r)
-    else:
-        g, gp = (lambda r: r ** (2 - n)), (lambda r: (2 - n) * r ** (1 - n))
-    A = np.array([[-alpha, gp(R) - alpha * g(R)],
-                  [-alpha, -gp(a) - alpha * g(a)]])
+    g, gp = _radial_g, _radial_g_prime
+    A = np.array([[-alpha, gp(n, R) - alpha * g(n, R)],
+                  [-alpha, -gp(n, a) - alpha * g(n, a)]])
     rhs = np.array([R / n - alpha * R ** 2 / (2 * n),
                     -a / n - alpha * a ** 2 / (2 * n)])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
@@ -424,16 +403,13 @@ def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
         k_hit = round(alpha * R)
         if k_hit >= 1 and abs(alpha - k_hit / R) < tol_res(alpha):
             status = sk.STATUS_FAMILY
-        u = lambda r: c1 - r ** 2 / (2 * n)
-        E = -_radial_integral(d, u)
+        E = -_radial_integral(d, lambda r: _radial_profile(n, r, c1, 0.0))
         return RobinSolution(d, alpha, status, E, radial=(c1, 0.0))
     if d.kind == "annulus":
         if abs(alpha - sk.annulus_radial_eigenvalue(n, R, d.kappa)) < tol_res(alpha):
             return RobinSolution(d, alpha, sk.STATUS_NO_SOLUTION, math.nan)
         c1, c2 = _radial_robin_coefficients(d, alpha)
-        gfun = (lambda r: np.log(r)) if n == 2 else (lambda r: r ** (2 - n))
-        u = lambda r: -r ** 2 / (2 * n) + c1 + c2 * gfun(r)
-        E = -_radial_integral(d, u)
+        E = -_radial_integral(d, lambda r: _radial_profile(n, r, c1, c2))
         status = sk.STATUS_UNIQUE
         for k in range(1, 40):
             mus, _ = sk._annulus_pencil(n, R, d.kappa * R, k)
@@ -447,9 +423,7 @@ def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
 
 
 def _solve_robin_star(d: Domain, alpha: float, op: StarLayerOperator) -> RobinSolution:
-    M = op.M
-    x, y = op.points[:, 0], op.points[:, 1]
-    rr = x * x + y * y
+    rr = op.radius_sq
     xdotnu = (op.points * op.normals).sum(axis=1)
     rhs = 0.5 * xdotnu - 0.25 * alpha * rr
     try:
@@ -459,8 +433,7 @@ def _solve_robin_star(d: Domain, alpha: float, op: StarLayerOperator) -> RobinSo
             f"Robin boundary system degenerate near alpha={alpha}: {exc}") from exc
     u_b = -0.25 * rr + op.trace(sigma)
     # int u dx = oint u [ (x.nu)/2 - alpha |x|^2/4 ] dS - int |x|^2/4 dx
-    vol_term = float(np.sum(op.rho(op.thetas) ** 4) * (2 * np.pi / M) / 16.0)
-    int_u = float(np.sum(u_b * rhs * op.weights)) - vol_term
+    int_u = float(np.sum(u_b * rhs * op.weights)) - op.quarter_r2_integral()
     return RobinSolution(d, alpha, sk.STATUS_UNIQUE, -int_u,
                          density=sigma, operator=op, boundary_values=u_b)
 

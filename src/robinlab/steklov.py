@@ -8,8 +8,7 @@ phi_1 = |dOmega|^{-1/2} always comes first (mu_1 = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,20 @@ def tol_res(alpha):
     `alpha` may be an array; the tolerance is taken elementwise.
     """
     return 1e-9 * np.maximum(1.0, np.abs(alpha))
+
+
+def _resonance(mu: np.ndarray, alphas: np.ndarray, carries: np.ndarray):
+    """(resonant, blocked, status) over a 1-D array of alphas.
+
+    Mode j is resonant at alpha_i when |mu_j - alpha_i| < tol_res(alpha_i).
+    An alpha is NoSolution (`blocked`) when a resonant mode `carries`
+    data, Family when no resonant mode does, and Unique off resonance.
+    """
+    resonant = np.abs(mu - alphas[:, None]) < tol_res(alphas)[:, None]
+    blocked = np.any(resonant & carries, axis=1)
+    status = np.where(blocked, STATUS_NO_SOLUTION,
+                      np.where(resonant.any(axis=1), STATUS_FAMILY, STATUS_UNIQUE))
+    return resonant, blocked, status
 
 
 @dataclass(frozen=True)
@@ -88,8 +101,7 @@ class SteklovBasis:
             return np.stack([geo.trig_interp(row, thetas) for row in self.traces])
         if self.kind == "ball" and self.domain.dim == 2:
             if thetas is None:
-                thetas = np.linspace(0.0, 2.0 * np.pi, DEFAULT_BOUNDARY_NODES,
-                                     endpoint=False)
+                thetas = self.boundary_quadrature()[0]
             return np.stack([geo.ball_trace_values(2, self.domain.R, i + 1, thetas)
                              for i in range(self.count)])
         raise ValueError("pointwise traces unavailable for this basis")
@@ -199,13 +211,25 @@ def spectrum_ball(n: int, R: float, k_max: int = 21) -> SteklovBasis:
     return SteklovBasis(d, mu.astype(float), ks, parity, "ball")
 
 
-def _radial_g(n: int, r: float) -> float:
-    """Second radial harmonic: r^{2-n}, or ln r in the plane."""
-    return math.log(r) if n == 2 else r ** (2 - n)
+def _radial_g(n: int, r):
+    """Second radial harmonic: r^{2-n}, or ln r in the plane.
+
+    A float takes math.log and an array np.log (they can differ in the last bit).
+    """
+    if n != 2:
+        return r ** (2 - n)
+    return np.log(r) if isinstance(r, np.ndarray) else math.log(r)
 
 
-def _radial_g_prime(n: int, r: float) -> float:
+def _radial_g_prime(n: int, r):
+    """g'(r): (2-n) r^{1-n}, or 1/r in the plane."""
     return 1.0 / r if n == 2 else (2 - n) * r ** (1 - n)
+
+
+def _radial_profile(n: int, r, c1: float, c2: float):
+    """-r^2/(2n) + c1 + c2 g(r) solves Delta u + 1 = 0; no g term when c2 = 0 (balls)."""
+    u = -r ** 2 / (2.0 * n) + c1
+    return u + c2 * _radial_g(n, r) if c2 else u
 
 
 def annulus_radial_eigenvalue(n: int, R: float, kappa: float) -> float:
@@ -218,16 +242,16 @@ def annulus_radial_eigenvalue(n: int, R: float, kappa: float) -> float:
 def _annulus_pencil(n: int, R: float, a: float, k: int):
     """2x2 generalized pencil for degree-k shell modes; returns (mus, vecs).
 
-    Radial solutions r^k and r^{2-n-k} (ln r for the planar degree-0 pair).
+    Radial solutions r^k and r^{2-n-k} (1 and g(r) for degree 0).
     Rows are the Steklov conditions at the outer/inner spheres.
     """
-    if n == 2 and k == 0:
-        f = lambda r: np.array([1.0, math.log(r)])
-        fp = lambda r: np.array([0.0, 1.0 / r])
+    if k == 0:
+        f = lambda r: np.array([1.0, _radial_g(n, r)])
+        fp = lambda r: np.array([0.0, _radial_g_prime(n, r)])
     else:
         e1, e2 = k, 2 - n - k
         f = lambda r: np.array([r ** e1, r ** e2])
-        fp = lambda r: np.array([e1 * r ** (e1 - 1) if e1 else 0.0, e2 * r ** (e2 - 1)])
+        fp = lambda r: np.array([e1 * r ** (e1 - 1), e2 * r ** (e2 - 1)])
     P = np.array([fp(R), -fp(a)])
     Q = np.array([f(R), f(a)])
     # det(P - mu Q) = c2 mu^2 + c1 mu + c0
@@ -351,16 +375,11 @@ def expand_harmonic(basis: SteklovBasis, alpha: float, g) -> HarmonicExpansion:
     minimal-norm representative); otherwise there is no solution.
     """
     m = basis.moments(g)
-    gap = basis.mu - alpha
-    res = np.where(np.abs(gap) < tol_res(alpha))[0]
+    scale = math.sqrt(float(np.sum(m * m)))
+    resonant, _, status = _resonance(basis.mu, np.array([alpha], dtype=float),
+                                     np.abs(m) > 1e-8 * max(1.0, scale))
+    ok = ~resonant[0]
     coeff = np.zeros_like(m)
-    ok = np.ones_like(m, dtype=bool)
-    ok[res] = False
-    coeff[ok] = m[ok] / gap[ok]
-    status = STATUS_UNIQUE
-    if res.size:
-        scale = math.sqrt(float(np.sum(m * m))) or 1.0
-        compatible = np.all(np.abs(m[res]) <= 1e-8 * max(1.0, scale))
-        status = STATUS_FAMILY if compatible else STATUS_NO_SOLUTION
-    return HarmonicExpansion(coeff, m, alpha, status,
-                             tuple(int(i) + 1 for i in res))
+    coeff[ok] = m[ok] / (basis.mu[ok] - alpha)
+    return HarmonicExpansion(coeff, m, alpha, str(status[0]),
+                             tuple(int(i) + 1 for i in np.flatnonzero(resonant[0])))

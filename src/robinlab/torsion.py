@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry as geo
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
-from .steklov import SteklovBasis
+from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_profile
 
 __all__ = [
     "TorsionSolution",
@@ -33,20 +33,39 @@ class TorsionSolution:
     """Torsion function data: T, boundary flux, and a radial/nodal profile.
 
     `flux` is a float (balls), an (outer, inner) pair (shells), or nodal
-    values on the operator grid (star domains).  `error` is a
-    node-doubling estimate for numeric solves, 0.0 for closed forms.
+    values on the operator grid (star domains).
     """
 
     domain: Domain
     T: float
     flux: object
-    error: float = 0.0
     radial: tuple[float, float] | None = None    # (c1, c2): s = -r^2/2n + c1 + c2 g(r)
     flux_nodal: np.ndarray | None = None
     thetas: np.ndarray | None = None
     weights: np.ndarray | None = None
     density: np.ndarray | None = None
     operator: object | None = None
+
+    @property
+    def error(self) -> float:
+        """|T - T_half| with T_half solved anew at 2 (M // 4) nodes on each read.
+
+        0.0 for closed forms; a star solve with M < 16 raises ValueError.
+        """
+        if self.operator is None:
+            return 0.0
+        half = StarLayerOperator(self.domain.rho, 2 * (self.operator.M // 4))
+        return abs(self.T - _solve_star(half)[0])
+
+    def boundary_integral(self, f) -> float:
+        """oint f(d_nu s) dS over every boundary piece."""
+        d = self.domain
+        if d.kind == "ball":
+            return f(self.flux) * geo.surface_area(d)
+        if d.kind == "annulus":
+            s_out, s_in = geo.surface_components(d)
+            return f(self.flux[0]) * s_out + f(self.flux[1]) * s_in
+        return float(np.sum(f(self.flux_nodal) * self.weights))
 
     def s_radial(self, r):
         """Radial profile s(r) for balls and shells."""
@@ -55,9 +74,7 @@ class TorsionSolution:
         if d.kind == "ball":
             return (d.R ** 2 - r ** 2) / (2.0 * d.dim)
         if d.kind == "annulus":
-            c1, c2 = self.radial
-            g = np.log(r) if d.dim == 2 else r ** (2 - d.dim)
-            return -r ** 2 / (2.0 * d.dim) + c1 + c2 * g
+            return _radial_profile(d.dim, r, *self.radial)
         raise ValueError("no radial profile for star domains")
 
     def interior_values(self, pts: np.ndarray) -> np.ndarray:
@@ -65,17 +82,12 @@ class TorsionSolution:
         if self.operator is None:
             pts = np.atleast_2d(pts)
             return self.s_radial(np.hypot(pts[:, 0], pts[:, 1]))
-        pts = np.atleast_2d(pts)
-        h = self.operator.evaluate(self.density, pts)
-        return -0.25 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + h
+        return self.operator.poisson_interior(self.density, pts)
 
 
 def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
     # s(R) = s(a) = 0 pins the harmonic part c1 + c2 g(r)
-    if n == 2:
-        gR, ga = math.log(R), math.log(a)
-    else:
-        gR, ga = R ** (2 - n), a ** (2 - n)
+    gR, ga = _radial_g(n, R), _radial_g(n, a)
     c2 = (R ** 2 - a ** 2) / (2.0 * n * (gR - ga))
     c1 = R ** 2 / (2.0 * n) - c2 * gR
     return c1, c2
@@ -94,16 +106,11 @@ def _annulus_T(n: int, R: float, a: float, c1: float, c2: float) -> float:
 
 
 def _solve_star(op: StarLayerOperator) -> tuple[float, np.ndarray, np.ndarray]:
-    M = op.M
-    x, y = op.points[:, 0], op.points[:, 1]
-    rr = x * x + y * y
+    rr = op.radius_sq
     sigma = op.dirichlet_density(0.25 * rr)
     flux = -0.5 * (op.points * op.normals).sum(axis=1) + op.normal_derivative(sigma)
-    # T = int |x|^2/4 dx + oint |x|^2/4 d_nu s dS; the volume term is
-    # (1/16) int rho^4 dtheta, spectrally exact by the trapezoid rule
-    rho4 = op.rho(op.thetas) ** 4
-    vol_term = float(np.sum(rho4) * (2.0 * np.pi / M) / 16.0)
-    T = vol_term + float(np.sum(0.25 * rr * flux * op.weights))
+    # T = int |x|^2/4 dx + oint |x|^2/4 d_nu s dS
+    T = op.quarter_r2_integral() + float(np.sum(0.25 * rr * flux * op.weights))
     return T, flux, sigma
 
 
@@ -116,14 +123,14 @@ def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
     d : Domain
     M : boundary node count for star-domain solves (ignored otherwise).
     operator : layer operator of d's boundary at M nodes (for example
-        `SteklovBasis.operator`), reused for the main solve instead of
-        building a new one.  The node-doubling error estimate always
-        builds its own operator at M/2.  Ignored for balls and shells.
+        `SteklovBasis.operator`), used for the solve instead of building
+        a new one.  Ignored for balls and shells.
 
     Returns
     -------
     TorsionSolution
-        T with outward flux d_nu s on each boundary piece.
+        T with outward flux d_nu s on each boundary piece.  Its `error`
+        solves again at half the nodes each time it is read.
     """
     n, R = d.dim, d.R
     if d.kind == "ball":
@@ -133,14 +140,11 @@ def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
         a = d.kappa * R
         c1, c2 = _annulus_coefficients(n, R, a)
         T = _annulus_T(n, R, a, c1, c2)
-        gp = (lambda r: 1.0 / r) if n == 2 else (lambda r: (2 - n) * r ** (1 - n))
-        sp = lambda r: -r / n + c2 * gp(r)
+        sp = lambda r: -r / n + c2 * _radial_g_prime(n, r)
         return TorsionSolution(d, T, (sp(R), -sp(a)), radial=(c1, c2))
     op = operator_for(d.rho, M, operator)
     T, flux, sigma = _solve_star(op)
-    T_half, _, _ = _solve_star(StarLayerOperator(d.rho, M // 2))
-    return TorsionSolution(d, T, flux, error=abs(T - T_half),
-                           flux_nodal=flux, thetas=op.thetas,
+    return TorsionSolution(d, T, flux, flux_nodal=flux, thetas=op.thetas,
                            weights=op.weights, density=sigma, operator=op)
 
 
@@ -170,13 +174,4 @@ def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
 
 def gauss_identity_residual(ts: TorsionSolution) -> float:
     """|oint d_nu s dS + |Omega||, zero in exact arithmetic."""
-    d = ts.domain
-    vol = geo.volume(d)
-    if d.kind == "ball":
-        total = ts.flux * geo.surface_area(d)
-    elif d.kind == "annulus":
-        s_out, s_in = geo.surface_components(d)
-        total = ts.flux[0] * s_out + ts.flux[1] * s_in
-    else:
-        total = float(np.sum(ts.flux_nodal * ts.weights))
-    return abs(total + vol)
+    return abs(ts.boundary_integral(lambda v: v) + geo.volume(ts.domain))

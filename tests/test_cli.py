@@ -249,6 +249,15 @@ class TestConfig:
         rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
         assert float(rows[1][3]) == pytest.approx(1.0)
 
+    def test_alpha_flag_replaces_config_list(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": [0.5]}))
+        code, out, _ = run(capsys, "--config", str(cfg), "energy",
+                           "--alpha", "1.5")
+        assert code == 0
+        _, ref, _ = run(capsys, "energy", "--alpha", "1.5")
+        assert out == ref
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"radius": 2.0, "bogus": 1}))
@@ -290,6 +299,16 @@ class TestBadInputs:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "invalid configuration" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("energy", "--domain", "star", "--rho-cos", "0,0.05", "--alpha", "0.5"),
+        ("corpus", "--count", "2"),
+    ])
+    def test_nodes_with_odd_half_accepted(self, capsys, argv):
+        # 258 is even, but half of it is not
+        code, out, err = run(capsys, *argv, "--nodes", "258")
+        assert code == 0, err
+        assert out.count("\n") > 1
 
     @pytest.mark.parametrize("command", [("pw-check",),
                                          ("oracle-verify", "--alpha", "1.0")])

@@ -31,7 +31,7 @@ from robinlab import (
     unit_sphere_area,
     volume,
 )
-from robinlab.geometry import perturbation_from_dict, perturbation_to_dict
+from robinlab.geometry import _polar_curve, perturbation_from_dict, perturbation_to_dict
 
 TAU = 2.0 * math.pi
 
@@ -122,9 +122,14 @@ class TestCurvature:
     def test_planar_curve_value(self):
         # kappa(0) = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^{3/2}
         # for rho = 1 + 0.1 cos 2t at t=0: (1.21 + 0.44) / 1.21^{1.5}
-        d = Domain.star2d(TrigPoly(1.0, (0.0, 0.1)))
-        k = mean_curvature(d, np.array([0.0]))
-        assert k[0] == pytest.approx(1.65 / 1.331, rel=1e-12)
+        c = _polar_curve(TrigPoly(1.0, (0.0, 0.1)), np.array([0.0]), 1.0)
+        assert c.curvature[0] == pytest.approx(1.65 / 1.331, rel=1e-12)
+
+    def test_star_curvature_reads_the_polar_curve(self, ellipse):
+        g = boundary_grid(ellipse, 64)
+        assert np.array_equal(mean_curvature(ellipse, g.thetas), g.curvature)
+        assert mean_curvature(ellipse, 0.3) == \
+            _polar_curve(ellipse.rho, np.array([0.3]), 1.0).curvature[0]
 
 
 class TestTraceBasis:

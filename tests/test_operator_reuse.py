@@ -43,24 +43,30 @@ def family():
 class TestBuildCounts:
     def test_cold_energy_series(self, builds, three_mode):
         energy_series(three_mode, -0.5, n_modes=N_MODES, M=M)
-        assert builds == [M, M // 2]     # basis/torsion operator, error estimate
+        assert builds == [M]             # one operator for basis and torsion
 
-    def test_corpus_two_per_domain(self, builds, capsys):
+    def test_corpus_one_per_domain(self, builds, capsys):
         code = main(["corpus", "--count", "3", "--seed", "5",
                      "--n-modes", str(N_MODES), "--nodes", str(M)])
         capsys.readouterr()
         assert code == 0
-        assert sorted(builds) == [M // 2] * 3 + [M] * 3
+        assert builds == [M] * 3
+
+    def test_torsion_error_builds_on_read(self, builds, three_mode):
+        ts = solve_torsion(three_mode, M)
+        assert builds == [M]
+        assert ts.error == ts.error      # no cache: each read solves again
+        assert builds == [M, M // 2, M // 2]
 
     def test_direct_fd_check_one_per_member(self, builds, family):
         finite_difference_check(family, ALPHAS, T_GRID, route="direct",
                                 degree=3, M=M)
         assert builds == [M] * len(T_GRID)
 
-    def test_series_fd_check_two_per_member(self, builds, family):
+    def test_series_fd_check_one_per_member(self, builds, family):
         finite_difference_check(family, ALPHAS, T_GRID, route="series",
                                 degree=3, n_modes=N_MODES, M=M)
-        assert builds == [M, M // 2] * len(T_GRID)
+        assert builds == [M] * len(T_GRID)
 
 
 class TestSameNumbers:
@@ -102,3 +108,13 @@ class TestSameNumbers:
             solve_torsion(three_mode, M, operator=op)
         with pytest.raises(ValueError, match="operator does not match"):
             energy_direct(three_mode, 0.3, M, operator=op)
+
+
+class TestNodeCheck:
+    @pytest.mark.parametrize("nodes", [0, 2, 4, 6, 7, 9, -8, 8.0])
+    def test_rejected(self, three_mode, nodes):
+        with pytest.raises(ValueError, match="even integer >= 8"):
+            StarLayerOperator(three_mode.rho, nodes)
+
+    def test_smallest_accepted(self, three_mode):
+        assert StarLayerOperator(three_mode.rho, 8).M == 8

@@ -84,6 +84,11 @@ class TestStarSolve:
         ts2 = solve_torsion(three_mode, M=384)
         assert abs(ts2.T - ts.T) <= max(ts.error, 1e-12)
 
+    def test_error_with_odd_half_node_count(self, three_mode):
+        # the estimate runs at 2 (M // 4) nodes: 128 for M = 258
+        ts = solve_torsion(three_mode, M=258)
+        assert math.isfinite(ts.error) and ts.error < 1e-7
+
 
 class TestFluxIdentities:
     def test_gauss_identity_closed_forms(self, shell):
