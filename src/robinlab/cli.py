@@ -2,7 +2,9 @@
 
 Every subcommand writes one table (CSV by default, `--json` for the
 same rows as JSON) with 17-significant-digit floats, so identical
-configurations reproduce byte-identical output.  Alpha grids skip
+configurations reproduce byte-identical output whatever the thread
+settings: `main` pins BLAS to one thread and `ROBINLAB_THREADS` only
+sizes the domain pool, whose results keep their order.  Alpha grids skip
 values that fall within the resonance tolerance of a detected energy
 pole; each exclusion is logged to stderr.  Exit codes: 0 success,
 2 invalid configuration, 3 solver failure.
@@ -24,6 +26,7 @@ from . import planar_optimality as pw
 from . import robin_energy as energy
 from . import shape_calculus as sc
 from . import steklov as sk
+from ._blas import pin_single_thread
 from .errors import SolverError
 from .geometry import Domain, PerturbationField, TrigPoly
 from .torsion import solve_torsion
@@ -344,17 +347,18 @@ def _cmd_pw_check(args) -> int:
 def _cmd_corollary_check(args) -> int:
     d = _domain_from_args(args)
     given = _alpha_values(args)
+    basis = sk.spectrum_star2d(d if d.kind == "star2d" else
+                               Domain.star2d(TrigPoly.constant(d.R)),
+                               n_modes=args.n_modes, M_nodes=args.nodes)
     if given is not None:
         alphas = [float(a) for a in given]
     else:
-        basis = sk.spectrum_star2d(d if d.kind == "star2d" else
-                                   Domain.star2d(TrigPoly.constant(d.R)),
-                                   n_modes=args.n_modes, M_nodes=args.nodes)
         R = math.sqrt(geo.volume(d) / math.pi)
         alphas = [min(1.0 / R, 0.9 * basis.mu2())]
     rows = []
     for a in alphas:
-        rep = pw.corollary_disc_max(d, a, n_modes=args.n_modes, M=args.nodes)
+        rep = pw.corollary_disc_max(d, a, n_modes=args.n_modes, M=args.nodes,
+                                    basis=basis)
         ok = rep.gap >= -1e-9 * max(1.0, abs(rep.E_ball))
         rows.append((a, rep.E_domain, rep.E_ball, rep.gap, rep.mu2,
                      rep.weinstock, rep.inv_R, rep.chain_ok, ok))
@@ -365,13 +369,16 @@ def _cmd_corollary_check(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     d = _domain_from_args(args)
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
 
     def run(a):
-        rep = energy.energy_series(d, a, n_modes=args.n_modes, M=args.nodes)
+        # one-row grids keep energy_series' per-alpha error order
+        row, = energy.energy_series_grid(pack, [a])
+        E_series = row[energy.ENERGY_COLUMNS.index("E_total")]
         fs = oracle.fem_robin_energy(d, a, h_max=args.h_max)
-        diff = abs(rep.E_total - fs.energy)
-        ok = diff <= max(10.0 * fs.error, 1e-7 * max(1.0, abs(rep.E_total)))
-        return (a, rep.E_total, fs.energy, diff, fs.error, ok)
+        diff = abs(E_series - fs.energy)
+        ok = diff <= max(10.0 * fs.error, 1e-7 * max(1.0, abs(E_series)))
+        return (a, E_series, fs.energy, diff, fs.error, ok)
 
     rows = _map_ordered(run, [float(a) for a in _alphas_from_args(args)])
     _emit(args, ("alpha", "E_series", "E_fem", "diff", "fem_error",
@@ -534,6 +541,8 @@ def _config_value(act: argparse.Action, value):
 
 
 def main(argv=None) -> int:
+    # the domain pool is the only parallelism; BLAS threads would oversubscribe
+    pin_single_thread()
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     path = None

@@ -26,39 +26,45 @@ def kress_log_weights(M: int) -> np.ndarray:
     """Weights R_l for  int_0^{2pi} ln(4 sin^2((t-s)/2)) f(s) ds  at equispaced nodes.
 
     Returns R as a length-M vector; the quadrature matrix is R[(i-j) % M].
+    R_l = -(4 pi/M) [sum_{k<M/2} cos(k t_l)/k + cos(M t_l/2)/M], one inverse
+    real FFT of the half spectrum (0, 1, 1/2, ..., 1/(M/2)).
     """
     if M % 2 != 0:
         raise ValueError("node count must be even")
-    m = M // 2
-    d = TWO_PI * np.arange(M) / M
-    k = np.arange(1, m)
-    R = -(4.0 * np.pi / M) * (np.cos(np.outer(d, k)) / k).sum(axis=1)
-    R -= (4.0 * np.pi / M ** 2) * np.cos(m * d)
-    return R
+    return -TWO_PI * np.fft.irfft(np.r_[0.0, 1.0 / np.arange(1, M // 2 + 1)], M)
 
 
-def single_layer_matrix(c: BoundaryGrid) -> np.ndarray:
-    """Nystrom matrix of the single layer V (trace of S[sigma] on the curve)."""
+def _pair_geometry(c: BoundaryGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node differences x_i - x_j (both components) and their squared length."""
+    dx = c.points[:, 0][:, None] - c.points[:, 0][None, :]
+    dy = c.points[:, 1][:, None] - c.points[:, 1][None, :]
+    return dx, dy, dx ** 2 + dy ** 2
+
+
+def single_layer_matrix(c: BoundaryGrid, dist2: np.ndarray) -> np.ndarray:
+    """Nystrom matrix of the single layer V (trace of S[sigma] on the curve).
+
+    Kernel splitting: -ln|x_i - x_j| / 2 pi = -ln(4 sin^2((t_i - t_j)/2)) / 4 pi
+    + a smooth rest.  The Kress weights and the ln(2|sin|) part of the
+    rest depend on i - j only and form one circulant; `dist2` holds the
+    squared node distances |x_i - x_j|^2.
+    """
     M = c.M
-    dx = c.points[:, None, :] - c.points[None, :, :]
-    dist = np.hypot(dx[..., 0], dx[..., 1])
-    ts = c.thetas[:, None] - c.thetas[None, :]
-    s2 = 2.0 * np.abs(np.sin(0.5 * ts))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = -np.log(dist / s2) / TWO_PI
-    np.fill_diagonal(smooth, -np.log(c.speed) / TWO_PI)
     R = kress_log_weights(M)
-    Rmat = R[(np.arange(M)[:, None] - np.arange(M)[None, :]) % M]
-    V = (-Rmat / (4.0 * np.pi) + smooth * (TWO_PI / M)) * c.speed[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circ = np.log(2.0 * np.abs(np.sin(np.pi * np.arange(M) / M))) / M
+        V = sla.circulant(circ - R / (4.0 * np.pi)) - np.log(dist2) / (2 * M)
+    # on the diagonal the smooth rest tends to -ln|x'(t)| / 2 pi
+    V[np.diag_indices(M)] = -R[0] / (4.0 * np.pi) - np.log(c.speed) / M
+    V *= c.speed[None, :]
     return V
 
 
-def normal_derivative_matrix(c: BoundaryGrid) -> np.ndarray:
+def normal_derivative_matrix(c: BoundaryGrid, dx: np.ndarray, dy: np.ndarray,
+                             dist2: np.ndarray) -> np.ndarray:
     """Nystrom matrix of the interior normal derivative d_nu S[sigma] = (K' + I/2) sigma."""
     M = c.M
-    dx = c.points[:, None, :] - c.points[None, :, :]
-    dist2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    num = dx[..., 0] * c.normals[:, 0][:, None] + dx[..., 1] * c.normals[:, 1][:, None]
+    num = dx * c.normals[:, 0][:, None] + dy * c.normals[:, 1][:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ker = -num / dist2 / TWO_PI
     np.fill_diagonal(ker, -c.curvature / (4.0 * np.pi))
@@ -85,8 +91,9 @@ class StarLayerOperator:
         self.M = M
         self._c = _polar_curve(rho, np.linspace(0.0, TWO_PI, M, endpoint=False),
                                self.gamma)
-        self.V = single_layer_matrix(self._c)
-        self.A = normal_derivative_matrix(self._c)
+        dx, dy, dist2 = _pair_geometry(self._c)
+        self.V = single_layer_matrix(self._c, dist2)
+        self.A = normal_derivative_matrix(self._c, dx, dy, dist2)
         self._V_lu = sla.lu_factor(self.V)
         # unscaled node data
         self.thetas = self._c.thetas
@@ -158,29 +165,27 @@ class StarLayerOperator:
         if self.M < 8 * n_modes:
             raise ValueError(
                 f"node count {self.M} too small for {n_modes} modes (need >= {8 * n_modes})")
-        # A V^{-1} as (V^{-T} A^T)^T; V itself is not symmetric
-        D = sla.lu_solve(self._V_lu, self.A.T, trans=1).T
         w_s = self._c.weights                          # scaled boundary weights
-        m = self.M // 8
-        F = np.empty((self.M, 2 * m + 1))
+        k = np.arange(1, self.M // 8 + 1)
+        F = np.empty((self.M, 2 * k.size + 1))
         F[:, 0] = 1.0
-        for k in range(1, m + 1):
-            F[:, 2 * k - 1] = np.cos(k * self.thetas)
-            F[:, 2 * k] = np.sin(k * self.thetas)
+        F[:, 1::2] = np.cos(np.outer(self.thetas, k))
+        F[:, 2::2] = np.sin(np.outer(self.thetas, k))
         L = sla.cholesky(F.T @ (w_s[:, None] * F), lower=True)
         F = sla.solve_triangular(L, F.T, lower=True).T  # boundary-orthonormal columns
-        B = F.T @ (w_s[:, None] * (D @ F))
+        # the DtN form A V^{-1} on span F: densities G of the columns, fluxes A G
+        G = sla.lu_solve(self._V_lu, F)
+        AG = self.A @ G
+        B = (w_s[:, None] * F).T @ AG
         B = 0.5 * (B + B.T)
         vals, vecs = sla.eigh(B)
         order = np.argsort(vals)[:n_modes]
         mu_s = vals[order]
-        traces_s = (F @ vecs[:, order]).T              # (n_modes, M), orthonormal in w_s
-        resid = np.empty(n_modes)
-        dens = np.empty_like(traces_s)
-        for i in range(n_modes):
-            dens[i] = sla.lu_solve(self._V_lu, traces_s[i])
-            r = D @ traces_s[i] - mu_s[i] * traces_s[i]
-            resid[i] = math.sqrt(float(np.sum(r * r * w_s)))
+        vecs = vecs[:, order]
+        traces_s = (F @ vecs).T                        # (n_modes, M), orthonormal in w_s
+        dens = (G @ vecs).T
+        r = AG @ vecs - traces_s.T * mu_s
+        resid = np.sqrt(w_s @ (r * r))
         # map back: mu = gamma mu~, phi = sqrt(gamma) phi~, flux residual gains gamma
         mu = self.gamma * mu_s
         traces = math.sqrt(self.gamma) * traces_s

@@ -146,18 +146,21 @@ class DiscMaxReport:
 
 
 def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
-                       M: int = DEFAULT_BOUNDARY_NODES) -> DiscMaxReport:
+                       M: int = DEFAULT_BOUNDARY_NODES,
+                       basis: sk.SteklovBasis | None = None) -> DiscMaxReport:
     """Energy comparison with the equal-area disc for 0 < alpha < mu_2(Omega).
 
     Inside that window the disc maximizes E among equal-area planar
     domains; the report carries both energies and the Weinstock chain
-    mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.
+    mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  Pass the
+    domain's star basis (n_modes, M) as `basis` to reuse it across alphas.
     """
     if d.dim != 2 or d.kind == "annulus":
         raise ValueError("simply connected planar domains only")
     if d.kind == "ball":
         d = Domain.star2d(geo.TrigPoly.constant(d.R))
-    basis = sk.spectrum_star2d(d, n_modes=n_modes, M_nodes=M)
+    if basis is None:
+        basis = sk.spectrum_star2d(d, n_modes=n_modes, M_nodes=M)
     mu2 = basis.mu2()
     if not 0.0 < alpha < mu2:
         raise ValueError(

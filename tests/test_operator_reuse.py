@@ -52,6 +52,23 @@ class TestBuildCounts:
         assert code == 0
         assert builds == [M] * 3
 
+    @pytest.mark.parametrize("alphas", [[], ["0.3", "0.5", "0.6"]])
+    def test_corollary_check_one_per_domain(self, builds, capsys, alphas):
+        code = main(["corollary-check", "--domain", "star", "--rho-cos", "0,0.1,0.05",
+                     "--n-modes", str(N_MODES), "--nodes", str(M)]
+                    + [f"--alpha={a}" for a in alphas])
+        out = capsys.readouterr().out
+        assert code == 0 and len(out.splitlines()) == 1 + max(1, len(alphas))
+        assert builds == [M]
+
+    def test_oracle_verify_one_per_domain(self, builds, capsys):
+        code = main(["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1",
+                     "--alpha", "0.3", "--alpha", "-0.5", "--h-max", "0.2",
+                     "--n-modes", str(N_MODES), "--nodes", str(M)])
+        capsys.readouterr()
+        assert code == 0
+        assert builds == [M]
+
     def test_torsion_error_builds_on_read(self, builds, three_mode):
         ts = solve_torsion(three_mode, M)
         assert builds == [M]
