@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from robinlab import (
+    ENERGY_COLUMNS,
     Domain,
     ellipse_domain,
     energy_direct,
-    energy_series,
+    energy_series_grid,
     pole_scan,
     random_star_domain,
+    series_pack,
 )
 
 
@@ -52,7 +54,9 @@ def main() -> None:
     cfg = SweepConfig(domain=args.domain, seed=args.seed, count=args.count)
 
     d = build_domain(cfg)
-    poles = pole_scan(d, n_modes=cfg.n_modes, M=cfg.nodes)
+    # the series side: basis, torsion and flux coefficients once for the sweep
+    pack = series_pack(d, n_modes=cfg.n_modes, M=cfg.nodes)
+    poles = pole_scan(d, pack=pack)
     print(f"domain: {cfg.domain}   poles: {[round(p, 6) for p in poles]}")
 
     # sweep past the first few poles, staying well below the truncation
@@ -64,11 +68,11 @@ def main() -> None:
         if min(abs(a - p) for p in poles) < cfg.margin:
             print(f"{a:9.4f} {'pole':>14} {'':>14} {'':>9}  skipped")
             continue
-        rep = energy_series(d, a, n_modes=cfg.n_modes, M=cfg.nodes)
+        row = dict(zip(ENERGY_COLUMNS, energy_series_grid(pack, [a])[0]))
         direct = energy_direct(d, a, cfg.nodes)
-        gap = abs(rep.E_total - direct)
-        print(f"{a:9.4f} {rep.E_total:14.8f} {direct:14.8f} "
-              f"{gap:9.2e}  {rep.status}")
+        gap = abs(row["E_total"] - direct)
+        print(f"{a:9.4f} {row['E_total']:14.8f} {direct:14.8f} "
+              f"{gap:9.2e}  {row['status']}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ Usage: python3 scripts/planar_verdicts.py [--count N] [--seed S]
 """
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
@@ -19,9 +18,10 @@ import numpy as np
 from robinlab import (
     corollary_disc_max,
     fem_dirichlet_T,
+    low_alpha,
     pw_upper_bound,
     random_star_domain,
-    spectrum_star2d,
+    series_pack,
     surface_area,
     theorem_J_check,
     volume,
@@ -45,9 +45,9 @@ def run(cfg: CorpusConfig) -> int:
         bound = pw_upper_bound(A, L)
         T_fem = fem_dirichlet_T(d)
         jrep = theorem_J_check(d, T_omega=T_fem)
-        mu2 = float(spectrum_star2d(d, n_modes=8).mu[1])
-        alpha = min(1.0 / math.sqrt(A / math.pi), 0.9 * mu2)
-        crep = corollary_disc_max(d, alpha)
+        pack = series_pack(d)       # one basis and torsion per domain
+        alpha = low_alpha(d, float(pack.mu[1]))
+        crep = corollary_disc_max(d, alpha, pack=pack)
         ok = (T_fem <= bound.T_star and crep.gap >= 0.0
               and crep.chain_ok and jrep.satisfied)
         bad += not ok

@@ -42,6 +42,7 @@ from .planar_optimality import (
     corollary_disc_max,
     epsilon0_upper,
     g,
+    low_alpha,
     pw_upper_bound,
     theorem_J_check,
     threshold_alpha,
@@ -51,9 +52,11 @@ from .robin_energy import (
     alpha0,
     energy_direct,
     energy_series,
+    energy_series_grid,
     energy_split_variational,
     j_functional,
     pole_scan,
+    series_pack,
     solve_robin,
 )
 from .shape_calculus import (
@@ -101,10 +104,11 @@ __all__ = [
     "unit_ball_volume", "unit_sphere_area", "volume",
     "StarLayerOperator",
     "fem_dirichlet_T", "fem_robin_energy", "steklov_residual",
-    "corollary_disc_max", "epsilon0_upper", "g", "pw_upper_bound",
+    "corollary_disc_max", "epsilon0_upper", "g", "low_alpha", "pw_upper_bound",
     "theorem_J_check", "threshold_alpha",
     "ENERGY_COLUMNS", "alpha0", "energy_direct", "energy_series",
-    "energy_split_variational", "j_functional", "pole_scan", "solve_robin",
+    "energy_series_grid", "energy_split_variational", "j_functional",
+    "pole_scan", "series_pack", "solve_robin",
     "classify_sign", "finite_difference_check", "first_variation_general",
     "j_variations", "modal_coefficient", "normal_speed_family",
     "overdetermined_residual", "second_variation_ball", "solve_u_prime",

@@ -29,7 +29,6 @@ from . import steklov as sk
 from ._blas import pin_single_thread
 from .errors import SolverError
 from .geometry import Domain, PerturbationField, TrigPoly
-from .torsion import solve_torsion
 
 __all__ = ["main"]
 
@@ -347,18 +346,14 @@ def _cmd_pw_check(args) -> int:
 def _cmd_corollary_check(args) -> int:
     d = _domain_from_args(args)
     given = _alpha_values(args)
-    basis = sk.spectrum_star2d(d if d.kind == "star2d" else
-                               Domain.star2d(TrigPoly.constant(d.R)),
-                               n_modes=args.n_modes, M_nodes=args.nodes)
+    pack = pw.corollary_pack(d, args.n_modes, args.nodes)
     if given is not None:
         alphas = [float(a) for a in given]
     else:
-        R = math.sqrt(geo.volume(d) / math.pi)
-        alphas = [min(1.0 / R, 0.9 * basis.mu2())]
+        alphas = [pw.low_alpha(d, float(pack.mu[1]))]
     rows = []
     for a in alphas:
-        rep = pw.corollary_disc_max(d, a, n_modes=args.n_modes, M=args.nodes,
-                                    basis=basis)
+        rep = pw.corollary_disc_max(d, a, pack=pack)
         ok = rep.gap >= -1e-9 * max(1.0, abs(rep.E_ball))
         rows.append((a, rep.E_domain, rep.E_ball, rep.gap, rep.mu2,
                      rep.weinstock, rep.inv_R, rep.chain_ok, ok))
@@ -392,17 +387,17 @@ def _cmd_corpus(args) -> int:
 
     def run(item):
         idx, d = item
-        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=args.nodes)
-        ts = solve_torsion(d, args.nodes, operator=basis.operator)
+        pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+        mu2 = float(pack.mu[1])
+        a = pw.low_alpha(d, mu2)
+        row, = energy.energy_series_grid(pack, [a])
+        E_dom = row[energy.ENERGY_COLUMNS.index("E_total")]
         R = math.sqrt(geo.volume(d) / math.pi)
-        a = min(1.0 / R, 0.9 * basis.mu2())
-        rep = energy.energy_series(d, a, basis=basis, ts=ts, M=args.nodes)
         E_ball = pw.disc_energy(R, a)
-        J_dom = energy.j_functional(d, a, T_omega=ts.T, M=args.nodes)
+        J_dom = energy.j_functional(d, a, T_omega=pack.T, M=args.nodes)
         tol = 1e-9 * max(1.0, abs(E_ball))
-        return (idx, R, basis.mu2(), a, rep.E_total, E_ball,
-                rep.E_total <= E_ball + tol, J_dom, E_ball,
-                J_dom <= E_ball + tol)
+        return (idx, R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
+                J_dom, E_ball, J_dom <= E_ball + tol)
 
     rows = _map_ordered(run, list(enumerate(domains)))
     _emit(args, ("index", "R", "mu2", "alpha", "E_domain", "E_ball", "E_ok",

@@ -128,8 +128,8 @@ class TrigPoly:
                               + bk * np.sin(k * theta + shift))
         return out
 
-    def min_value(self, samples: int = 4096) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    def min_value(self) -> float:
+        t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         return float(np.min(self(t)))
 
     def mean(self) -> float:
@@ -204,21 +204,22 @@ def _star_area(rho: TrigPoly, M: int) -> float:
     return float(0.5 * np.sum(r * r) * (2.0 * np.pi / M))
 
 
-def volume(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
+def volume(d: Domain) -> float:
     """|Omega|.  Closed form for balls/shells, trapezoid quadrature for Star2D."""
     if d.kind == "ball":
         return unit_ball_volume(d.dim) * d.R ** d.dim
     if d.kind == "annulus":
         return unit_ball_volume(d.dim) * d.R ** d.dim * (1.0 - d.kappa ** d.dim)
-    return _star_area(d.rho, M)
+    return _star_area(d.rho, DEFAULT_BOUNDARY_NODES)
 
 
-def surface_area(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
+def surface_area(d: Domain) -> float:
     """|dOmega| (both components for a shell)."""
     if d.kind == "ball":
         return unit_sphere_area(d.dim) * d.R ** (d.dim - 1)
     if d.kind == "annulus":
         return unit_sphere_area(d.dim) * d.R ** (d.dim - 1) * (1.0 + d.kappa ** (d.dim - 1))
+    M = DEFAULT_BOUNDARY_NODES
     t = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
     r, r1 = d.rho(t), d.rho(t, 1)
     return float(np.sum(np.sqrt(r * r + r1 * r1)) * (2.0 * np.pi / M))
@@ -232,32 +233,28 @@ def surface_components(d: Domain) -> tuple[float, float]:
     return s * d.R ** (d.dim - 1), s * (d.kappa * d.R) ** (d.dim - 1)
 
 
-def mean_curvature(d: Domain, theta=None, component: str = "outer"):
+def mean_curvature(d: Domain, theta=None):
     """Mean curvature of the boundary w.r.t. the outward normal.
 
-    Balls: 1/R.  Shells: 1/R outer, -1/(kappa R) inner.  Star2D: the
-    planar curvature of the polar curve at angle(s) `theta`.
+    Balls and shells: 1/R (the outer sphere).  Star2D: the planar
+    curvature of the polar curve at angle(s) `theta`.
     """
-    if d.kind == "ball":
+    if d.kind in ("ball", "annulus"):
         return 1.0 / d.R
-    if d.kind == "annulus":
-        if component == "outer":
-            return 1.0 / d.R
-        return -1.0 / (d.kappa * d.R)
     if theta is None:
         raise ValueError("theta required for star2d curvature")
     t = np.asarray(theta, dtype=float)
     return _polar_curve(d.rho, t.reshape(-1), 1.0).curvature.reshape(t.shape)
 
 
-def surface_defect(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
+def surface_defect(d: Domain) -> float:
     """Isoperimetric deficit y^2 = 1 - 4 pi A / L^2 (planar domains)."""
     if d.dim != 2:
         raise ValueError("surface_defect is planar only")
     if d.kind == "ball":
         return 0.0
-    A = volume(d, M)
-    L = surface_area(d, M)
+    A = volume(d)
+    L = surface_area(d)
     return 1.0 - 4.0 * math.pi * A / (L * L)
 
 
@@ -310,17 +307,17 @@ def boundary_grid(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
     return _polar_curve(rho, np.linspace(0.0, 2.0 * np.pi, M, endpoint=False), 1.0)
 
 
-def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray],
-                      nr: int = 64, ntheta: int = DEFAULT_BOUNDARY_NODES) -> float:
+def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """integral of f over a planar domain on a polar tensor grid.
 
-    Gauss-Legendre in the radial fraction, trapezoid in angle.  `f` maps
-    an (N, 2) array of points to values.  Accuracy degrades for
-    integrands that are rough near the boundary (the outermost radial
-    node sits within ~1e-4 of it).
+    Gauss-Legendre in the radial fraction (64 nodes), trapezoid in angle
+    (DEFAULT_BOUNDARY_NODES nodes).  `f` maps an (N, 2) array of points
+    to values.  Accuracy degrades for integrands that are rough near the
+    boundary (the outermost radial node sits within ~1e-4 of it).
     """
     if d.dim != 2 or d.kind == "annulus":
         raise ValueError("interior_integral covers planar simply connected domains")
+    nr, ntheta = 64, DEFAULT_BOUNDARY_NODES
     u, wu = np.polynomial.legendre.leggauss(nr)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
@@ -454,8 +451,8 @@ class VolumePreservationReport:
     detail: str = ""
 
 
-def check_volume_preserving(p: PerturbationField, d: Domain, order: int = 1,
-                            tol: float | None = None) -> VolumePreservationReport:
+def check_volume_preserving(p: PerturbationField, d: Domain,
+                            order: int = 1) -> VolumePreservationReport:
     """Check the first- or second-order volume preservation condition on a ball.
 
     Order 1: integral of v.nu over the boundary vanishes (b_1 = 0).
@@ -469,7 +466,7 @@ def check_volume_preserving(p: PerturbationField, d: Domain, order: int = 1,
     b = p.b_array
     if order == 1:
         residual = abs(b[0]) * math.sqrt(surface_area(d)) if b.size else 0.0
-        tolerance = tol if tol is not None else 1e-12 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        tolerance = 1e-12 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
         return VolumePreservationReport(1, residual <= tolerance, residual, tolerance)
     if order != 2:
         raise ValueError("order must be 1 or 2")
@@ -487,7 +484,7 @@ def check_volume_preserving(p: PerturbationField, d: Domain, order: int = 1,
     else:
         raise ValueError(f"unsupported w_normal {w!r}")
     residual = abs(curvature_term + w_int)
-    tolerance = tol if tol is not None else 1e-10 * max(1.0, abs(curvature_term))
+    tolerance = 1e-10 * max(1.0, abs(curvature_term))
     return VolumePreservationReport(2, residual <= tolerance, residual, tolerance)
 
 

@@ -190,7 +190,7 @@ class StarLayerOperator:
         mu = self.gamma * mu_s
         traces = math.sqrt(self.gamma) * traces_s
         residuals = self.gamma ** 1.5 * resid
-        # sign convention: dominant Fourier component positive, cosine preferred
+        # sign convention: the larger part of the dominant Fourier component is positive
         for i in range(n_modes):
             if _trace_sign(traces[i]) < 0:
                 traces[i] = -traces[i]
@@ -217,14 +217,17 @@ def operator_for(rho: TrigPoly, M: int,
 
 
 def _trace_sign(vals: np.ndarray) -> float:
-    """Sign fix: project on the dominant angular frequency, cosine template first."""
+    """Sign fix: the larger part (cosine or sine) of the dominant frequency is positive.
+
+    Cosine wins a tie.  Taking the larger part keeps the sign off
+    rounding noise in the smaller one.
+    """
     c = np.fft.rfft(vals)
     k = int(np.argmax(np.abs(c)))
-    if abs(c[k].real) > 1e-8 * vals.size:
-        return 1.0 if c[k].real > 0 else -1.0
-    if abs(c[k].imag) > 1e-8 * vals.size:
-        # rfft imag < 0 corresponds to positive sin coefficient
-        return 1.0 if c[k].imag < 0 else -1.0
+    cos_part, sin_part = c[k].real, -c[k].imag   # rfft imag < 0 is a positive sine
+    part = cos_part if abs(cos_part) >= abs(sin_part) else sin_part
+    if abs(part) > 1e-8 * vals.size:
+        return 1.0 if part > 0 else -1.0
     nz = vals[np.abs(vals) > 1e-12]
     return 1.0 if (nz.size == 0 or nz[0] > 0) else -1.0
 

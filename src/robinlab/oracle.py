@@ -291,8 +291,7 @@ def fem_robin_energy(d, alpha: float, h_max: float = 0.065,
 
 
 def steklov_residual(basis, sample_density: int = 256,
-                     n_modes: int | None = None,
-                     return_modes: bool = False):
+                     n_modes: int | None = None) -> float:
     """Audit eigenpairs of a planar Steklov basis: max |flux(phi_i) - mu_i phi_i|.
 
     Analytic (ball) bases are recomputed from the closed-form harmonic
@@ -301,8 +300,7 @@ def steklov_residual(basis, sample_density: int = 256,
     and double that many boundary nodes); the boundary flux is
     recovered variationally and Richardson-extrapolated pointwise,
     which restores two-digit-per-doubling accuracy from the O(h^2)
-    raw flux error.  Returns the max over modes and sample points, or
-    the per-mode array when `return_modes` is set.
+    raw flux error.  Returns the max over modes and sample points.
     """
     n = basis.count if n_modes is None else min(n_modes, basis.count)
     if basis.kind == "ball":
@@ -310,12 +308,12 @@ def steklov_residual(basis, sample_density: int = 256,
         out = np.abs(basis.mu[:n] - np.asarray(basis.k[:n], float) / R)
         if basis.domain.dim == 2:
             out = out * np.abs(basis.trace_matrix()[:n]).max(axis=1)
-        return out if return_modes else float(out.max())
+        return float(out.max())
     if basis.kind != "star":
         raise ValueError("residual audit supports ball and star bases only")
 
     rho, drho = _rho_callable(basis.domain)
-    fluxes, grids = [], []
+    fluxes, traces = [], []
     n_r0 = max(4, sample_density // 6)
     for n_t, n_r in ((sample_density, n_r0), (2 * sample_density, 2 * n_r0)):
         mesh = _Mesh(rho, n_t, n_r)
@@ -328,7 +326,6 @@ def steklov_residual(basis, sample_density: int = 256,
         v[nf:] = g.T
         v[:nf] = _factor(K[:nf, :nf]).solve(-(K[:nf, nf:] @ g.T))
         fluxes.append(_factor(Mb[nf:, nf:]).solve((K @ v)[nf:]).T)
-        grids.append((mesh.thetas, g))
+        traces.append(g)
     coarse = (4.0 * fluxes[1][:, ::2] - fluxes[0]) / 3.0
-    out = np.abs(coarse - basis.mu[:n, None] * grids[0][1]).max(axis=1)
-    return out if return_modes else float(out.max())
+    return float(np.abs(coarse - basis.mu[:n, None] * traces[0]).max())

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from . import robin_energy as energy
-from . import steklov as sk
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 
 __all__ = [
@@ -26,6 +25,8 @@ __all__ = [
     "g",
     "threshold_alpha",
     "theorem_J_check",
+    "corollary_pack",
+    "low_alpha",
     "corollary_disc_max",
     "disc_energy",
 ]
@@ -145,27 +146,43 @@ class DiscMaxReport:
     chain_ok: bool        # mu2 <= 2 pi / L <= 1/R
 
 
-def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
-                       M: int = DEFAULT_BOUNDARY_NODES,
-                       basis: sk.SteklovBasis | None = None) -> DiscMaxReport:
-    """Energy comparison with the equal-area disc for 0 < alpha < mu_2(Omega).
+def corollary_pack(d: Domain, n_modes: int, M: int) -> energy._SeriesPack:
+    """The series pack `corollary_disc_max` reads, built once per domain.
 
-    Inside that window the disc maximizes E among equal-area planar
-    domains; the report carries both energies and the Weinstock chain
-    mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  Pass the
-    domain's star basis (n_modes, M) as `basis` to reuse it across alphas.
+    d must be simply connected and planar; a disc enters as the star
+    domain of constant radius, so its energy takes the Nystrom route.
     """
     if d.dim != 2 or d.kind == "annulus":
         raise ValueError("simply connected planar domains only")
     if d.kind == "ball":
         d = Domain.star2d(geo.TrigPoly.constant(d.R))
-    if basis is None:
-        basis = sk.spectrum_star2d(d, n_modes=n_modes, M_nodes=M)
-    mu2 = basis.mu2()
+    return energy.series_pack(d, n_modes=n_modes, M=M)
+
+
+def low_alpha(d: Domain, mu2: float) -> float:
+    """min(1/R, 0.9 mu_2) with R the equal-area radius: an alpha in the disc window."""
+    return min(1.0 / math.sqrt(geo.volume(d) / math.pi), 0.9 * mu2)
+
+
+def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
+                       M: int = DEFAULT_BOUNDARY_NODES,
+                       pack: energy._SeriesPack | None = None) -> DiscMaxReport:
+    """Energy comparison with the equal-area disc for 0 < alpha < mu_2(Omega).
+
+    Inside that window the disc maximizes E among equal-area planar
+    domains; the report carries both energies and the Weinstock chain
+    mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  Pass
+    `corollary_pack(d, n_modes, M)` as `pack` to reuse it across alphas.
+    """
+    if pack is None:
+        pack = corollary_pack(d, n_modes, M)
+    d = pack.domain
+    mu2 = float(pack.mu[1])
     if not 0.0 < alpha < mu2:
         raise ValueError(
             f"alpha={alpha} outside the validity window (0, mu_2={mu2:.6g})")
-    E_dom = energy.energy_series(d, alpha, basis=basis, M=M).E_total
+    row, = energy.energy_series_grid(pack, [alpha])
+    E_dom = row[energy.ENERGY_COLUMNS.index("E_total")]
     R = math.sqrt(geo.volume(d) / math.pi)
     E_ball = disc_energy(R, alpha)
     L = geo.surface_area(d)

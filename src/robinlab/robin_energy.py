@@ -24,7 +24,7 @@ from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
 from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_profile, tol_res
-from .torsion import TorsionSolution, solve_torsion, flux_coefficients
+from .torsion import solve_torsion, flux_coefficients
 
 __all__ = [
     "RobinSolution",
@@ -129,14 +129,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def _torsion(d: Domain, basis: SteklovBasis, M: int) -> TorsionSolution:
-    """Torsion of d, reusing the basis operator when it is d's at M nodes."""
-    op = basis.operator
-    if op is not None and (op.M != M or op.rho != d.rho):
-        op = None
-    return solve_torsion(d, M, operator=op)
-
-
 # Alpha rows per broadcast block.  Grid evaluation holds a few (rows, modes)
 # float arrays at a time, so memory stays flat however long the grid is.
 SERIES_CHUNK = 256
@@ -146,7 +138,7 @@ SERIES_CHUNK = 256
 class _SeriesPack:
     """The alpha-independent data of E(alpha) = T + sum a_i^2 / (alpha - mu_i).
 
-    Built once per (basis, torsion); every alpha of a grid reads it.
+    Built once per domain; every alpha of a grid reads it.
     `use` marks the modes summed (a star basis keeps its last pair for
     the tail bound), `nonzero` the modes carrying torsion flux, and
     `poles` their distinct eigenvalues.  `live_a2` and `live_mu` are
@@ -168,15 +160,14 @@ class _SeriesPack:
 
 
 def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES,
-                basis: SteklovBasis | None = None,
-                ts: TorsionSolution | None = None) -> _SeriesPack:
+                basis: SteklovBasis | None = None) -> _SeriesPack:
     """Everything the series needs that does not depend on alpha.
 
-    Builds the default basis of d (n_modes, M) and its torsion unless
-    given; without `ts`, the torsion is solved on `basis.operator` when
-    that operator has M nodes.  `flux_coefficients` runs here, once.
-    Pass the result to `energy_series_grid`, `split_variational_grid`
-    or `pole_scan(pack=)`.
+    Builds the default basis of d (n_modes, M) unless given, and solves
+    the torsion of d at M nodes, on `basis.operator` when that operator
+    is d's at M nodes.  `flux_coefficients` runs here, once.  Pass the
+    result to `energy_series_grid`, `split_variational_grid` or
+    `pole_scan(pack=)`.
 
     Raises
     ------
@@ -188,8 +179,10 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES
         basis = _default_basis(d, n_modes, M)
     if basis.kind == "star" and basis.count < 2:
         raise ValueError(f"the series needs at least 2 star modes, got {basis.count}")
-    if ts is None:
-        ts = _torsion(d, basis, M)
+    op = basis.operator
+    if op is not None and (op.M != M or op.rho != d.rho):
+        op = None
+    ts = solve_torsion(d, M, operator=op)
     a = flux_coefficients(ts, basis)
     mu = basis.mu
     use = np.ones(basis.count, dtype=bool)
@@ -281,8 +274,8 @@ def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
 def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
     """Series rows (ENERGY_COLUMNS order) over an alpha grid, in grid order.
 
-    Each row equals `energy_series(d, alpha, basis=, ts=).as_row()` bit
-    for bit.  The grid is evaluated as numpy broadcasts over blocks of
+    Each row equals `energy_series(d, alpha, basis=).as_row()` bit for
+    bit.  The grid is evaluated as numpy broadcasts over blocks of
     SERIES_CHUNK alphas, so `flux_coefficients` and the pole set are
     computed once (in `pack`) for the whole grid.
 
@@ -306,17 +299,15 @@ def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
 
 def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
                   M: int = DEFAULT_BOUNDARY_NODES,
-                  basis: SteklovBasis | None = None,
-                  ts: TorsionSolution | None = None) -> EnergyReport:
+                  basis: SteklovBasis | None = None) -> EnergyReport:
     """Spectral-series energy with sign split and truncation audit.
 
     Parameters
     ----------
     d, alpha : domain and Robin parameter (alpha != 0 for solvability).
     n_modes, M : star-domain basis size and node count.
-    basis, ts : precomputed Steklov basis / torsion solution (reused
-        across an alpha grid).  Without `ts`, the torsion is solved on
-        `basis.operator` when that operator has M nodes.
+    basis : precomputed Steklov basis; the torsion is solved on
+        `basis.operator` when that operator is d's at M nodes.
 
     Returns
     -------
@@ -338,7 +329,7 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
         modes.
     """
     _check_alpha(alpha)
-    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis, ts=ts)
+    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis)
     E_plus, E_minus, E_total, tail, status, resonant = _series_rows(
         pack, np.array([alpha], dtype=float))
     return EnergyReport(alpha, pack.T, float(E_plus[0]), float(E_minus[0]),
@@ -370,11 +361,11 @@ def _radial_robin_coefficients(d: Domain, alpha: float) -> tuple[float, float]:
     return float(c[0]), float(c[1])
 
 
-def _radial_integral(d: Domain, profile, nodes: int = 96) -> float:
-    """int_Omega profile(r) dx via Gauss-Legendre in r."""
+def _radial_integral(d: Domain, profile) -> float:
+    """int_Omega profile(r) dx via 96-node Gauss-Legendre in r."""
     n, R = d.dim, d.R
     r0 = d.kappa * R if d.kind == "annulus" else 0.0
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(96)
     r = 0.5 * (R - r0) * (x + 1.0) + r0
     jac = 0.5 * (R - r0)
     return float(n * geo.unit_ball_volume(n)
@@ -513,7 +504,6 @@ def split_variational_grid(pack: _SeriesPack, alphas) -> tuple[np.ndarray, np.nd
 
 def energy_split_variational(d: Domain, alpha: float, *,
                              basis: SteklovBasis | None = None,
-                             ts: TorsionSolution | None = None,
                              n_modes: int = 32,
                              M: int = DEFAULT_BOUNDARY_NODES) -> tuple[float, float]:
     """(E_plus via its maximizer, trial upper bound for E_minus).
@@ -523,12 +513,12 @@ def energy_split_variational(d: Domain, alpha: float, *,
     maximizer on the unstable subspace, rather than summing the series.
     The E_minus bound evaluates Q at the optimally-scaled harmonic trial
     v(x) = x - c with c the boundary barycenter (valid below mu_2; NaN
-    when the trial's quadratic form loses positivity).  Without `ts`,
-    the torsion is solved on `basis.operator` as in `energy_series`.
-    This is the one-alpha case of `split_variational_grid`.
+    when the trial's quadratic form loses positivity).  The torsion is
+    solved on `basis.operator` as in `energy_series`.  This is the
+    one-alpha case of `split_variational_grid`.
     """
     _check_alpha(alpha)
-    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis, ts=ts)
+    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis)
     e_plus, e_minus_bound = split_variational_grid(pack, [alpha])
     return float(e_plus[0]), float(e_minus_bound[0])
 
@@ -579,15 +569,13 @@ def alpha0(d: Domain, *, T_omega: float | None = None,
     return Alpha0Report(vol ** 2 * gap / eps0, eps0, R, T_omega, T_ball, gap)
 
 
-def pole_scan(d: Domain, *, basis: SteklovBasis | None = None,
-              ts: TorsionSolution | None = None, n_modes: int = 32,
-              M: int = DEFAULT_BOUNDARY_NODES,
+def pole_scan(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES,
               pack: _SeriesPack | None = None) -> tuple[float, ...]:
     """Eigenvalues that are true energy poles (nonzero flux component).
 
     Reads the flux mask of `pack` (see `series_pack`), or of one built
-    from d, basis, ts, n_modes and M.  Poles are rounded to 12 decimals.
+    from d, n_modes and M.  Poles are rounded to 12 decimals.
     """
     if pack is None:
-        pack = series_pack(d, n_modes=n_modes, M=M, basis=basis, ts=ts)
+        pack = series_pack(d, n_modes=n_modes, M=M)
     return tuple(sorted(set(round(float(m), 12) for m in pack.mu[pack.nonzero])))

@@ -26,8 +26,6 @@ from . import geometry as geo
 from .errors import SolverError
 from .geometry import Domain, PerturbationField, TrigPoly, DEFAULT_BOUNDARY_NODES
 from . import robin_energy as energy
-from . import steklov as sk
-from . import torsion as to
 from .layerpot import StarLayerOperator
 
 __all__ = [
@@ -463,9 +461,9 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
 
     `alpha` is a number, giving one FiniteDifferenceReport, or a
     sequence of numbers, giving a list of reports in the same order.
-    Every alpha shares the family members: each member's Steklov basis
-    and torsion (series) or layer operator (direct) is built once for
-    all alphas, so a list gives exactly the reports of the scalar calls.
+    Every alpha shares the family members: each member's series pack
+    (series) or layer operator (direct) is built once for all alphas,
+    so a list gives exactly the reports of the scalar calls.
     A NaN or infinite alpha raises ValueError.
     """
     if route not in ("series", "direct", "fem"):
@@ -478,11 +476,9 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
     for j, t in enumerate(t_grid):
         dom = family.domain(float(t))
         if route == "series":
-            basis = sk.spectrum_star2d(dom, n_modes=n_modes, M_nodes=M)
-            ts = to.solve_torsion(dom, M, operator=basis.operator)
-            for i, a in enumerate(alphas):
-                vals[i, j] = energy.energy_series(dom, a, n_modes=n_modes, M=M,
-                                                  basis=basis, ts=ts).E_total
+            pack = energy.series_pack(dom, n_modes=n_modes, M=M)
+            col = energy.ENERGY_COLUMNS.index("E_total")
+            vals[:, j] = [row[col] for row in energy.energy_series_grid(pack, alphas)]
         elif route == "direct":
             op = StarLayerOperator(dom.rho, M)
             for i, a in enumerate(alphas):

@@ -323,8 +323,7 @@ def _normalize_radial(d: Domain, vec: np.ndarray) -> tuple[float, float]:
 
 
 def spectrum_star2d(d: Domain, n_modes: int = 32,
-                    M_nodes: int = DEFAULT_BOUNDARY_NODES,
-                    operator: StarLayerOperator | None = None) -> SteklovBasis:
+                    M_nodes: int = DEFAULT_BOUNDARY_NODES) -> SteklovBasis:
     """Nystrom DtN spectrum of a planar star domain.
 
     Builds the single-layer DtN matrix at M_nodes equispaced boundary
@@ -339,7 +338,7 @@ def spectrum_star2d(d: Domain, n_modes: int = 32,
         raise ValueError("spectrum_star2d needs a planar star domain")
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    op = operator if operator is not None else StarLayerOperator(d.rho, M_nodes)
+    op = StarLayerOperator(d.rho, M_nodes)
     mu, traces, dens, resid = op.steklov_eigensystem(n_modes)
     mu = mu.copy()
     mu[0] = max(mu[0], 0.0) if abs(mu[0]) < 1e-9 else mu[0]

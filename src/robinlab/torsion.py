@@ -33,16 +33,14 @@ class TorsionSolution:
     """Torsion function data: T, boundary flux, and a radial/nodal profile.
 
     `flux` is a float (balls), an (outer, inner) pair (shells), or nodal
-    values on the operator grid (star domains).
+    values on the grid of `operator` (star domains, whose `thetas` and
+    `weights` are the nodes and quadrature weights).
     """
 
     domain: Domain
     T: float
     flux: object
     radial: tuple[float, float] | None = None    # (c1, c2): s = -r^2/2n + c1 + c2 g(r)
-    flux_nodal: np.ndarray | None = None
-    thetas: np.ndarray | None = None
-    weights: np.ndarray | None = None
     density: np.ndarray | None = None
     operator: object | None = None
 
@@ -65,7 +63,7 @@ class TorsionSolution:
         if d.kind == "annulus":
             s_out, s_in = geo.surface_components(d)
             return f(self.flux[0]) * s_out + f(self.flux[1]) * s_in
-        return float(np.sum(f(self.flux_nodal) * self.weights))
+        return float(np.sum(f(self.flux) * self.operator.weights))
 
     def s_radial(self, r):
         """Radial profile s(r) for balls and shells."""
@@ -144,8 +142,7 @@ def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
         return TorsionSolution(d, T, (sp(R), -sp(a)), radial=(c1, c2))
     op = operator_for(d.rho, M, operator)
     T, flux, sigma = _solve_star(op)
-    return TorsionSolution(d, T, flux, flux_nodal=flux, thetas=op.thetas,
-                           weights=op.weights, density=sigma, operator=op)
+    return TorsionSolution(d, T, flux, density=sigma, operator=op)
 
 
 def rigidity(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
@@ -167,9 +164,10 @@ def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
         return basis.moments((float(ts.flux[0]), float(ts.flux[1])))
     if basis.kind != "star":
         raise ValueError("star torsion needs a star basis")
-    if basis.thetas.size == ts.thetas.size and np.allclose(basis.thetas, ts.thetas):
-        return basis.moments(ts.flux_nodal)
-    return basis.moments(geo.trig_interp(ts.flux_nodal, basis.thetas))
+    thetas = ts.operator.thetas
+    if basis.thetas.size == thetas.size and np.allclose(basis.thetas, thetas):
+        return basis.moments(ts.flux)
+    return basis.moments(geo.trig_interp(ts.flux, basis.thetas))
 
 
 def gauss_identity_residual(ts: TorsionSolution) -> float:

@@ -71,3 +71,16 @@ def test_eigensystem_matches_per_mode_path(name, M):
     iso = gap > 1e-6
     assert iso.sum() >= 8
     assert np.all(np.abs(resid[iso] - resid_ref[iso]) <= 1e-3 * resid_ref[iso] + 1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_trace_sign_follows_larger_part(name):
+    # the larger of the cosine and sine parts of each trace's dominant
+    # Fourier coefficient is positive, however small the other part is
+    op = StarLayerOperator(DOMAINS[name].rho, 256)
+    _, traces, _, _ = op.steklov_eigensystem(32)
+    c = np.fft.rfft(traces, axis=1)
+    top = c[np.arange(len(c)), np.argmax(np.abs(c), axis=1)]
+    cos_part, sin_part = top.real, -top.imag
+    larger = np.where(np.abs(cos_part) >= np.abs(sin_part), cos_part, sin_part)
+    assert np.all(larger > 0)

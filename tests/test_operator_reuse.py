@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import robinlab.robin_energy as energy_module
 from robinlab import (
     StarLayerOperator,
     TrigPoly,
@@ -35,6 +36,24 @@ def builds(monkeypatch):
     return made
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of the torsion solves and flux projections the series makes."""
+    seen = {"torsion": 0, "flux": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(energy_module, "solve_torsion",
+                        counted("torsion", energy_module.solve_torsion))
+    monkeypatch.setattr(energy_module, "flux_coefficients",
+                        counted("flux", energy_module.flux_coefficients))
+    return seen
+
+
 @pytest.fixture(scope="module")
 def family():
     return normal_speed_family(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)))
@@ -60,6 +79,14 @@ class TestBuildCounts:
         out = capsys.readouterr().out
         assert code == 0 and len(out.splitlines()) == 1 + max(1, len(alphas))
         assert builds == [M]
+
+    def test_corollary_check_one_pack(self, solves, capsys):
+        code = main(["corollary-check", "--domain", "star", "--rho-cos", "0,0.1,0.05",
+                     "--n-modes", str(N_MODES), "--nodes", str(M),
+                     "--alpha", "0.3", "--alpha", "0.5", "--alpha", "0.6"])
+        out = capsys.readouterr().out
+        assert code == 0 and len(out.splitlines()) == 4
+        assert solves == {"torsion": 1, "flux": 1}
 
     def test_oracle_verify_one_per_domain(self, builds, capsys):
         code = main(["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1",
@@ -110,7 +137,7 @@ class TestSameNumbers:
         fresh = solve_torsion(three_mode, M)
         assert shared.operator is op
         assert shared.T == fresh.T and shared.error == fresh.error
-        assert np.array_equal(shared.flux_nodal, fresh.flux_nodal)
+        assert np.array_equal(shared.flux, fresh.flux)
 
     def test_direct_energy_on_given_operator(self, three_mode):
         op = StarLayerOperator(three_mode.rho, M)

@@ -10,10 +10,13 @@ import robinlab.robin_energy as energy_module
 from robinlab import (
     Domain,
     SolverError,
+    TrigPoly,
     boundary_grid,
     energy_series,
     energy_split_variational,
+    finite_difference_check,
     flux_coefficients,
+    normal_speed_family,
     solve_torsion,
     spectrum_annulus,
     spectrum_ball,
@@ -58,7 +61,7 @@ def reference_row(d, alpha, basis, ts):
     E_total = ts.T + E_plus + E_minus
     tail = 0.0
     if basis.kind == "star":
-        norm = float(np.sum(ts.flux_nodal ** 2 * ts.weights))
+        norm = float(np.sum(ts.flux ** 2 * ts.operator.weights))
         missing = max(0.0, norm - float(np.sum(a[use] ** 2)))
         if tail_mu_next <= alpha:
             raise SolverError(
@@ -145,9 +148,9 @@ class TestSameBits:
     def test_series_rows(self, packs, case):
         name, alphas = CASES[case]
         d, basis, ts = packs(name)
-        rows = energy_series_grid(series_pack(d, M=M, basis=basis, ts=ts), alphas)
+        rows = energy_series_grid(series_pack(d, M=M, basis=basis), alphas)
         ref = [reference_row(d, float(a), basis, ts) for a in alphas]
-        scalar = [energy_series(d, float(a), M=M, basis=basis, ts=ts).as_row()
+        scalar = [energy_series(d, float(a), M=M, basis=basis).as_row()
                   for a in alphas]
         assert [bits(r) for r in rows] == [bits(r) for r in ref] \
             == [bits(r) for r in scalar]
@@ -157,17 +160,17 @@ class TestSameBits:
         name, alphas = CASES[case]
         d, basis, ts = packs(name)
         e_plus, e_minus = split_variational_grid(
-            series_pack(d, M=M, basis=basis, ts=ts), alphas)
+            series_pack(d, M=M, basis=basis), alphas)
         got = list(zip(e_plus.tolist(), e_minus.tolist()))
         ref = [reference_split(d, float(a), basis, ts) for a in alphas]
-        scalar = [energy_split_variational(d, float(a), M=M, basis=basis, ts=ts)
+        scalar = [energy_split_variational(d, float(a), M=M, basis=basis)
                   for a in alphas]
         assert [bits(r) for r in got] == [bits(r) for r in ref] \
             == [bits(r) for r in scalar]
 
     def test_statuses_covered(self, packs):
         d, basis, ts = packs("disc")
-        rows = energy_series_grid(series_pack(d, M=M, basis=basis, ts=ts),
+        rows = energy_series_grid(series_pack(d, M=M, basis=basis),
                                   CASES["disc"][1])
         assert {r[-1] for r in rows} == {"Unique", "Family", "NoSolution"}
 
@@ -179,7 +182,7 @@ class TestSameBits:
         basis = spectrum_star2d(d, n_modes=N_MODES, M_nodes=M)
         ts = solve_torsion(d, M, operator=basis.operator)
         alphas = np.array([-1.79e308, -0.5, -1e308, -3.0])
-        pack = series_pack(d, M=M, basis=basis, ts=ts)
+        pack = series_pack(d, M=M, basis=basis)
         assert np.any(pack.live_a2 / (alphas[0] - pack.live_mu) == 0.0)
         rows = energy_series_grid(pack, alphas)
         ref = [reference_row(d, float(a), basis, ts) for a in alphas]
@@ -192,7 +195,7 @@ class TestSameBits:
         d, basis, ts = packs(name)
         hi = 8.0 if name == "shell" else -0.3
         alphas = np.linspace(-3.0, hi, count)
-        pack = series_pack(d, M=M, basis=basis, ts=ts)
+        pack = series_pack(d, M=M, basis=basis)
         rows = energy_series_grid(pack, alphas)
         ref = [reference_row(d, float(a), basis, ts) for a in alphas]
         assert [bits(r) for r in rows] == [bits(r) for r in ref]
@@ -220,14 +223,14 @@ class TestFailures:
                 break
         assert expected is not None
         with pytest.raises(SolverError) as exc:
-            energy_series_grid(series_pack(d, basis=basis, ts=ts), alphas)
+            energy_series_grid(series_pack(d, basis=basis), alphas)
         assert str(exc.value) == expected
 
     def test_truncation_message(self, packs):
         d, basis, ts = packs("wobbly")
         alphas = [0.5, float(basis.mu[-1]) + 1.0, 1e9]
         with pytest.raises(SolverError) as exc:
-            energy_series_grid(series_pack(d, M=M, basis=basis, ts=ts), alphas)
+            energy_series_grid(series_pack(d, M=M, basis=basis), alphas)
         assert str(exc.value) == \
             f"alpha={alphas[1]} is not below the truncation eigenvalue " \
             f"{float(basis.mu[-1])}; increase n_modes"
@@ -235,7 +238,7 @@ class TestFailures:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_alpha(self, packs, bad):
         d, basis, ts = packs("shell")
-        pack = series_pack(d, basis=basis, ts=ts)
+        pack = series_pack(d, basis=basis)
         with pytest.raises(ValueError, match="alpha must be finite"):
             energy_series_grid(pack, [1.0, bad])
         with pytest.raises(ValueError, match="alpha must be finite"):
@@ -249,7 +252,7 @@ class TestFailures:
 
     def test_pole_scan_reads_pack(self, packs):
         d, basis, ts = packs("shell")
-        pack = series_pack(d, basis=basis, ts=ts)
+        pack = series_pack(d, basis=basis)
         assert pole_scan(d, pack=pack) == pole_scan(d) == (0.0, 5.0)
         assert pack.poles == (0.0, 5.0)
 
@@ -285,6 +288,14 @@ class TestCallCounts:
         assert code == 0 and len(out.strip().split("\n")) == count + 1
         assert calls["flux"] == 1
         assert calls["grid"] == (1 if command == "split" else 0)
+
+    @pytest.mark.parametrize("alphas", [[0.4], [0.2, 0.4, 0.6]])
+    def test_series_fd_check_one_flux_call_per_member(self, calls, alphas):
+        family = normal_speed_family(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)))
+        t_grid = [-0.02, -0.01, 0.01, 0.02]
+        finite_difference_check(family, alphas, t_grid, route="series",
+                                n_modes=16, M=128)
+        assert calls["flux"] == len(t_grid)
 
     @pytest.mark.parametrize("command", ["energy", "split"])
     def test_shell_grid(self, calls, capsys, command):

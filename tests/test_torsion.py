@@ -66,7 +66,7 @@ class TestStarSolve:
     def test_disc_as_star_matches_closed_form(self):
         ts = solve_torsion(Domain.star2d(TrigPoly.constant(1.0)), M=128)
         assert ts.T == pytest.approx(-math.pi / 8.0, rel=1e-11)
-        assert np.allclose(ts.flux_nodal, -0.5, atol=1e-11)
+        assert np.allclose(ts.flux, -0.5, atol=1e-11)
 
     def test_interior_values_ellipse(self, ellipse):
         # the fixture is the area-preserving ellipse, short axis along x:
@@ -135,7 +135,7 @@ class TestTorsionProperties:
         ts = solve_torsion(d, M=128)
         assert ts.T < 0.0
         # torsion flux points outward-decreasing: d_nu s <= 0 everywhere
-        assert np.all(ts.flux_nodal < 1e-10)
+        assert np.all(ts.flux < 1e-10)
 
     @given(R=hst.floats(min_value=0.3, max_value=3.0),
            kappa=hst.floats(min_value=0.15, max_value=0.85))
