@@ -365,12 +365,13 @@ def _cmd_corollary_check(args) -> int:
 def _cmd_oracle_verify(args) -> int:
     d = _domain_from_args(args)
     pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    fem = oracle.FemRobin(d, h_max=args.h_max)
 
     def run(a):
         # one-row grids keep energy_series' per-alpha error order
         row, = energy.energy_series_grid(pack, [a])
         E_series = row[energy.ENERGY_COLUMNS.index("E_total")]
-        fs = oracle.fem_robin_energy(d, a, h_max=args.h_max)
+        fs = oracle.fem_robin_energy(fem, a)
         diff = abs(E_series - fs.energy)
         ok = diff <= max(10.0 * fs.error, 1e-7 * max(1.0, abs(E_series)))
         return (a, E_series, fs.energy, diff, fs.error, ok)

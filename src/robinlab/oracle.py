@@ -11,6 +11,20 @@ terms orthogonal to near-resonant odd modes.  Energies converge at
 second order in the mesh size; Richardson extrapolation over doubled
 meshes is applied and the last extrapolation jump is reported as the
 error indicator.
+
+The grid's structure is known, so nothing about it is searched for.
+Every ring node couples to the same seven stencil points: itself, its
+two neighbours on the ring, and two nodes on each adjacent ring, along
+the quad diagonal; the centre couples to the first ring.  `assemble`
+fills that stencil from per-triangle edge weights (minus half the
+cotangent of the opposite angle), and the boundary mass fills the
+outer ring's part of it.  A linear system is a principal block of the
+stencil matrix (the centre and rings lo..hi), laid out once per mesh
+in the nested-dissection order of George (SIAM J. Numer. Anal. 10,
+1973): two opposite rays and the centre split the rings into two
+rings x angles rectangles, each bisected recursively across its longer
+side, separators last.  SuperLU factors the block in that order, with
+its default threshold pivoting.
 """
 from __future__ import annotations
 
@@ -26,6 +40,7 @@ from .errors import SolverError
 from .geometry import Domain, trig_interp
 
 __all__ = [
+    "FemRobin",
     "FemSolution",
     "fem_dirichlet_T",
     "fem_robin_energy",
@@ -33,6 +48,15 @@ __all__ = [
 ]
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+
+# Stencil slots of ring node (i, j), in the order of their mesh numbers:
+# (i-1, j-1), (i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j), (i+1, j+1).
+# On the first ring both inner slots are the centre; the coupling sits in
+# the (i-1, j) slot.  The stencil values of a mesh are one flat array:
+# slot s of ring node (i, j) at ((i-1) n_t + j) * 7 + s, the centre's
+# diagonal last.
+_SLOT_RING = np.array([-1, -1, 0, 0, 0, 1, 1])
+_SLOT_ANGLE = np.array([-1, 0, -1, 0, 1, 0, 1])
 
 
 def _rho_callable(d) -> tuple:
@@ -69,8 +93,28 @@ def _p1_gradients(x: np.ndarray):
     return det, bmat, cmat
 
 
+def _edge_weights(p, q, r):
+    """(area, w_qr, w_rp, w_pq) of triangles p, q, r given as (..., 2) arrays.
+
+    w is minus half the cotangent of the angle opposite the edge: the
+    P1 stiffness coupling of the edge's two vertices.
+    """
+    u, v, w = q - p, r - q, p - r
+    det = u[..., 1] * w[..., 0] - u[..., 0] * w[..., 1]
+    if np.any(det <= 0):
+        raise SolverError("mesh produced degenerate or flipped triangles")
+    dot = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    half = 0.5 / det
+    return 0.5 * det, dot(u, w) * half, dot(u, v) * half, dot(v, w) * half
+
+
 class _Mesh:
-    """Polar P1 mesh: center node + n_r rings of n_t nodes each."""
+    """Polar P1 mesh: center node + n_r rings of n_t nodes each.
+
+    Node 0 is the centre and node 1 + (i-1) n_t + j sits on ring i at
+    angle j; the outer ring is numbered last, so the free nodes are
+    [:n_free].
+    """
 
     def __init__(self, rho, n_t: int, n_r: int):
         n_t = int(math.ceil(n_t / 4.0)) * 4
@@ -78,51 +122,75 @@ class _Mesh:
         r_b = np.asarray(rho(thetas), dtype=float)
         if np.any(r_b <= 0):
             raise ValueError("boundary radius must stay positive")
-        coords = [np.zeros((1, 2))]
-        for i in range(1, n_r + 1):
-            rad = (i / n_r) * r_b
-            coords.append(np.column_stack([rad * np.cos(thetas),
-                                           rad * np.sin(thetas)]))
-        self.coords = np.vstack(coords)
+        rad = (np.arange(1, n_r + 1) / n_r)[:, None] * r_b
+        rings = np.stack([rad * np.cos(thetas), rad * np.sin(thetas)], axis=-1)
+        self.coords = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])
         self.n_t, self.n_r = n_t, n_r
         self.thetas = thetas
         self.r_boundary = r_b
-        # the outer ring is numbered last, so the free nodes are [:n_free]
         self.n_free = 1 + (n_r - 1) * n_t
-        self.boundary = self.n_free + np.arange(n_t)
 
-        jp = (np.arange(n_t) + 1) % n_t
-        tris = [np.column_stack([np.zeros(n_t, dtype=int),
-                                 1 + np.arange(n_t), 1 + jp])]
-        for i in range(1, n_r):
-            lo = 1 + (i - 1) * n_t
-            hi = lo + n_t
-            a, b = lo + np.arange(n_t), lo + jp
-            c, e = hi + np.arange(n_t), hi + jp
-            tris.append(np.column_stack([a, c, e]))
-            tris.append(np.column_stack([a, e, b]))
-        self.tris = np.vstack(tris)
+        j = np.arange(n_t)
+        jp = np.roll(j, -1)
+        a = 1 + np.arange(n_r - 1)[:, None] * n_t + j
+        b = a - j + jp
+        fan = np.column_stack([np.zeros(n_t, dtype=int), 1 + j, 1 + jp])
+        quads = np.stack([np.stack([a, a + n_t, b + n_t], axis=-1),
+                          np.stack([a, b + n_t, b], axis=-1)], axis=1)
+        self.tris = np.vstack([fan, quads.reshape(-1, 3)])
 
     @property
     def h_max(self) -> float:
         return 2.0 * np.pi * float(self.r_boundary.max()) / self.n_t
 
+    @property
+    def n_stencil(self) -> int:
+        return 7 * self.n_r * self.n_t + 1
+
     def assemble(self):
-        """(stiffness K, load f) for P1 elements."""
-        det, bmat, cmat = _p1_gradients(self.coords[self.tris])
-        area = 0.5 * det
-        kloc = (bmat[:, :, None] * bmat[:, None, :]
-                + cmat[:, :, None] * cmat[:, None, :]) * area[:, None, None]
-        rows = np.repeat(self.tris, 3, axis=1).ravel()
-        cols = np.tile(self.tris, (1, 3)).ravel()
-        n = self.coords.shape[0]
-        K = sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        f = np.zeros(n)
-        np.add.at(f, self.tris.ravel(), np.repeat(area / 3.0, 3))
+        """(stiffness stencil K, load f) for P1 elements.
+
+        Quad q lies between rings q and q+1 (ring 0 is the centre, so
+        quad 0 is the fan): its triangles are (i,j), (i+1,j), (i+1,j+1)
+        and (i,j), (i+1,j+1), (i,j+1).
+        """
+        n_t, n_r = self.n_t, self.n_r
+        g = np.concatenate([np.zeros((1, n_t, 2)),
+                            self.coords[1:].reshape(n_r, n_t, 2)])
+        up = np.roll(g[1:], -1, axis=1)
+        area1, t1a, t1c, t1e = _edge_weights(g[:-1], g[1:], up)
+        area2, t2a, t2e, t2b = (np.zeros((n_r, n_t)) for _ in range(4))
+        area2[1:], t2a[1:], t2e[1:], t2b[1:] = _edge_weights(
+            g[1:-1], up[1:], np.roll(g[1:-1], -1, axis=1))
+        # edge weights by quad row q: (q, j)-(q+1, j), (q, j)-(q+1, j+1)
+        # and, on the ring between quads q and q+1, (q+1, j)-(q+1, j+1)
+        radial = t1e + np.roll(t2a, 1, axis=1)
+        diag = t1c + t2b
+        ring = t1a + np.concatenate([t2e[1:], np.zeros((1, n_t))])
+
+        S = np.zeros((n_r, n_t, 7))                   # row q: ring q+1's nodes
+        S[:, :, 0] = np.roll(diag, 1, axis=1)
+        S[:, :, 1] = radial
+        S[0, :, 1] += S[0, :, 0]                      # both fan edges reach the centre
+        S[0, :, 0] = 0.0
+        S[:, :, 2] = np.roll(ring, 1, axis=1)
+        S[:, :, 4] = ring
+        S[:-1, :, 5] = radial[1:]
+        S[:-1, :, 6] = diag[1:]
+        S[:, :, 3] = -S.sum(axis=2)
+        K = np.append(S.ravel(), -S[0, :, 1].sum())
+
+        quad = area1 + area2
+        f = np.empty(self.coords.shape[0])
+        f[0] = area1[0].sum() / 3.0
+        below = area1 + np.roll(quad, 1, axis=1)
+        above = quad + np.roll(area2, 1, axis=1)
+        below[:-1] += above[1:]
+        f[1:] = below.ravel() / 3.0
         return K, f
 
-    def boundary_mass(self, rho, drho) -> sp.csr_matrix:
-        """oint u v dS on the exact curve, hat functions linear in theta."""
+    def boundary_mass(self, rho, drho) -> np.ndarray:
+        """oint u v dS on the exact curve as a stencil, hat functions linear in theta."""
         n_t = self.n_t
         dt = 2.0 * np.pi / n_t
         t0 = self.thetas
@@ -136,13 +204,12 @@ class _Mesh:
         m00 = (w * n0 * n0).sum(axis=1)
         m01 = (w * n0 * n1).sum(axis=1)
         m11 = (w * n1 * n1).sum(axis=1)
-        b = self.boundary
-        bn = np.roll(b, -1)
-        rows = np.concatenate([b, b, bn, bn])
-        cols = np.concatenate([b, bn, b, bn])
-        vals = np.concatenate([m00, m01, m01, m11])
-        n = self.coords.shape[0]
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        Mb = np.zeros(self.n_stencil)
+        outer = Mb[7 * (self.n_r - 1) * n_t:-1].reshape(n_t, 7)
+        outer[:, 2] = np.roll(m01, 1)
+        outer[:, 3] = m00 + np.roll(m11, 1)
+        outer[:, 4] = m01
+        return Mb
 
     def boundary_gradient_flux(self, u: np.ndarray, rho, drho):
         """(normal derivative, curve speed) at boundary edge midpoints.
@@ -168,15 +235,111 @@ class _Mesh:
         return gx * nx + gy * ny, q
 
 
-def _factor(A) -> spla.SuperLU:
-    """Sparse LU of a FEM matrix, ordered on the pattern of A^T + A.
+def _nd_order(n_t: int, m: int, center: bool) -> np.ndarray:
+    """Nested-dissection order of the centre (if any) and m rings of n_t nodes.
 
-    P1 stiffness and boundary-mass matrices are structurally symmetric,
-    so a symmetric minimum-degree ordering gives about half the fill of
-    the default COLAMD column ordering.
+    Nodes are numbered centre first, then ring by ring.  Rays 0 and
+    n_t/2 come last, then the centre.  Each half between them is a
+    rectangle of m rings by n_t/2 - 1 angles, split across its longer
+    side by one ray or ring segment, which is ordered after both parts;
+    a rectangle's order is its transpose's, transposed.  Parts of one
+    shape share one order, so the work is a few array operations per
+    distinct shape, O(log^2 n) shapes in all.
     """
+    memo = {}
+
+    def block(h, w):
+        """(ring, angle) offsets within an h x w rectangle, in order."""
+        if (h, w) not in memo:
+            if h * w <= 1:
+                out = np.zeros((2, h * w), dtype=int)
+            elif h > w:
+                out = block(w, h)[::-1]
+            else:
+                k = w // 2
+                sep = np.stack([np.arange(h), np.full(h, k)])
+                out = np.concatenate([block(h, k), block(h, w - k - 1) + [[0], [k + 1]],
+                                      sep], axis=1)
+            memo[h, w] = out
+        return memo[h, w]
+
+    half = n_t // 2
+    ring, angle = block(m, half - 1)
+    c = int(center)
+    first = c + ring * n_t + angle + 1
+    rays = c + np.arange(m)[:, None] * n_t + [0, half]
+    return np.concatenate([first, first + half, rays.ravel(), np.zeros(c, dtype=int)])
+
+
+class _System:
+    """A principal block of a mesh's stencil matrix, in dissection order.
+
+    The block holds the centre (if lo == 1) and rings lo..hi, stored as
+    a CSC pattern.  Block-local node numbers are mesh node numbers minus
+    the block's first one.  `perm[k]` is the block-local node in row and
+    column k, and `gather` picks each stored entry from a flat stencil
+    array.
+    """
+
+    def __init__(self, mesh: _Mesh, lo: int, hi: int):
+        n_t, m = mesh.n_t, hi - lo + 1
+        c = int(lo == 1)
+        self.size = c + m * n_t
+        self.perm = _nd_order(n_t, m, lo == 1)
+        inv = np.empty(self.size, dtype=np.int32)
+        inv[self.perm] = np.arange(self.size, dtype=np.int32)
+
+        # one column per ring node, in order; the centre's column is last
+        ring = self.perm[:m * n_t]
+        k, j = np.divmod(ring - c, n_t)
+        nbr = ring[:, None] + (_SLOT_RING * n_t + _SLOT_ANGLE)
+        nbr[j == 0] += (_SLOT_ANGLE < 0) * n_t
+        nbr[j == n_t - 1] -= (_SLOT_ANGLE > 0) * n_t
+        first, last = k == 0, k == m - 1
+        if c:
+            nbr[first, 1] = 0          # the first ring's inner slot is the centre
+        keep = np.ones(nbr.shape, dtype=bool)
+        keep[np.ix_(first, [0] if c else [0, 1])] = False
+        keep[np.ix_(last, [5, 6])] = False
+        counts = np.count_nonzero(keep, axis=1)
+        rows = inv[nbr[keep]]
+        gather = ((ring + (lo - 1) * n_t - c) * 7)[:, None] + np.arange(7)
+        gather = gather[keep]
+        if c:
+            rows = np.concatenate([rows, inv[1:n_t + 1], [self.size - 1]])
+            gather = np.concatenate([gather, 7 * np.arange(n_t) + 1,
+                                     [mesh.n_stencil - 1]])
+            counts = np.append(counts, n_t + 1)
+        indptr = np.zeros(self.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        pattern = sp.csc_matrix((gather, rows.astype(np.int32), indptr),
+                                shape=(self.size, self.size))
+        pattern.sort_indices()
+        self.indices, self.indptr, self.gather = (
+            pattern.indices, pattern.indptr, pattern.data)
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The block, in dissection order, with stored entries `data`."""
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+    def solve(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve the block with entries `data` for b (block-local rows)."""
+        x = np.empty_like(b)
+        x[self.perm] = _factor(self.matrix(data)).solve(b[self.perm])
+        return x
+
+    def apply(self, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The block with entries `data` times v (block-local rows)."""
+        out = np.empty_like(v)
+        out[self.perm] = self.matrix(data) @ v[self.perm]
+        return out
+
+
+def _factor(A) -> spla.SuperLU:
+    """Sparse LU of a block whose rows and columns are already ordered."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as exc:        # "Factor is exactly singular"
         raise SolverError(f"sparse factorization failed: {exc}") from exc
 
@@ -216,8 +379,9 @@ def fem_dirichlet_T(d, h_max: float = 0.065, levels: int = 3) -> float:
     vals = []
     for mesh in _mesh_levels(rho, h_max, levels):
         K, f = mesh.assemble()
+        free = _System(mesh, 1, mesh.n_r - 1)
         nf = mesh.n_free
-        u = _factor(K[:nf, :nf]).solve(f[:nf])
+        u = free.solve(K[free.gather], f[:nf])
         vals.append(-float(f[:nf] @ u))
     return _richardson(vals)[0]
 
@@ -256,38 +420,77 @@ class FemSolution:
         })
 
 
-def fem_robin_energy(d, alpha: float, h_max: float = 0.065,
-                     levels: int = 3) -> FemSolution:
-    """Robin energy E = -int u dx by P1 elements with exact-curve boundary mass.
+class FemRobin:
+    """The P1 Robin problem of a planar domain on its doubled meshes.
 
-    Raises SolverError if the discrete solution norm indicates a
-    resonance blowup (alpha too close to a Steklov eigenvalue).
+    Each level's mesh, stiffness, load, boundary mass and ordering are
+    built once, here; `solve` then costs one factorization per level
+    and alpha.  `solve` only reads what is built, so threads may share
+    one instance.
     """
-    _check_mesh_args(h_max, levels)
-    if alpha == 0.0:
-        raise SolverError("alpha = 0 has no solution (incompatible flux)")
-    rho, drho = _rho_callable(d)
-    vals = []
-    mesh = u = None
-    for mesh in _mesh_levels(rho, h_max, levels):
-        K, f = mesh.assemble()
-        Mb = mesh.boundary_mass(rho, drho)
-        u = _factor(K - alpha * Mb).solve(f)
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"singular Robin system at alpha={alpha}")
-        scale = max(float(np.abs(mesh.coords).max()) ** 2, 1.0 / abs(alpha))
-        if float(np.abs(u).max()) > 1e10 * scale:
-            raise SolverError(
-                f"Robin solution blowup at alpha={alpha}")
-        vals.append(-float(f @ u))
-    energy, err = _richardson(vals)
-    flux, q = mesh.boundary_gradient_flux(u, rho, drho)
-    ub = u[mesh.boundary]
-    mid = 0.5 * (ub + np.roll(ub, -1))
-    w = q * (2.0 * np.pi / mesh.n_t)
-    bres = math.sqrt(float(((flux - alpha * mid) ** 2 * w).sum()))
-    return FemSolution(alpha, energy, err, tuple(vals), mesh.h_max,
-                       mesh.coords, mesh.tris, u, bres)
+
+    def __init__(self, d, h_max: float = 0.065, levels: int = 3):
+        _check_mesh_args(h_max, levels)
+        self._rho, self._drho = _rho_callable(d)
+        self._levels = []
+        for mesh in _mesh_levels(self._rho, h_max, levels):
+            K, f = mesh.assemble()
+            Mb = mesh.boundary_mass(self._rho, self._drho)
+            system = _System(mesh, 1, mesh.n_r)
+            self._levels.append((mesh, system, K[system.gather],
+                                 Mb[system.gather], f))
+
+    def solve(self, alpha: float) -> FemSolution:
+        """Robin energy E = -int u dx with exact-curve boundary mass.
+
+        Raises SolverError if the discrete solution norm indicates a
+        resonance blowup (alpha too close to a Steklov eigenvalue).
+        """
+        if alpha == 0.0:
+            raise SolverError("alpha = 0 has no solution (incompatible flux)")
+        vals = []
+        for mesh, system, K, Mb, f in self._levels:
+            u = system.solve(K - alpha * Mb, f)
+            if not np.all(np.isfinite(u)):
+                raise SolverError(f"singular Robin system at alpha={alpha}")
+            scale = max(float(np.abs(mesh.coords).max()) ** 2, 1.0 / abs(alpha))
+            if float(np.abs(u).max()) > 1e10 * scale:
+                raise SolverError(
+                    f"Robin solution blowup at alpha={alpha}")
+            vals.append(-float(f @ u))
+        energy, err = _richardson(vals)
+        flux, q = mesh.boundary_gradient_flux(u, self._rho, self._drho)
+        ub = u[mesh.n_free:]
+        mid = 0.5 * (ub + np.roll(ub, -1))
+        w = q * (2.0 * np.pi / mesh.n_t)
+        bres = math.sqrt(float(((flux - alpha * mid) ** 2 * w).sum()))
+        return FemSolution(alpha, energy, err, tuple(vals), mesh.h_max,
+                           mesh.coords, mesh.tris, u, bres)
+
+
+def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):
+    """Robin energy E = -int u dx by P1 elements, Richardson-extrapolated.
+
+    `d` is a planar Domain, a plain callable theta -> radius, or a
+    FemRobin, whose meshes serve as built (h_max and levels are then
+    not read).  `alpha` is a float, giving one FemSolution, or a
+    sequence, giving one per alpha from meshes and matrices built once.
+    Raises SolverError on a resonance blowup, see `FemRobin.solve`.
+    """
+    fem = d if isinstance(d, FemRobin) else FemRobin(d, h_max, levels)
+    sols = [fem.solve(float(a)) for a in np.atleast_1d(alpha)]
+    return sols[0] if np.ndim(alpha) == 0 else sols
+
+
+def _steklov_meshes(rho, sample_density: int) -> tuple[_Mesh, _Mesh]:
+    """A mesh with about sample_density boundary nodes and its doubling.
+
+    The fine mesh doubles the coarse one's rounded node count, so its
+    even boundary nodes are the coarse ones.
+    """
+    n_r0 = max(4, sample_density // 6)
+    coarse = _Mesh(rho, sample_density, n_r0)
+    return coarse, _Mesh(rho, 2 * coarse.n_t, 2 * n_r0)
 
 
 def steklov_residual(basis, sample_density: int = 256,
@@ -296,11 +499,12 @@ def steklov_residual(basis, sample_density: int = 256,
 
     Analytic (ball) bases are recomputed from the closed-form harmonic
     extension, so the residual is pure roundoff.  Star bases get each
-    trace imposed as Dirichlet data on two FEM meshes (sample_density
-    and double that many boundary nodes); the boundary flux is
-    recovered variationally and Richardson-extrapolated pointwise,
-    which restores two-digit-per-doubling accuracy from the O(h^2)
-    raw flux error.  Returns the max over modes and sample points.
+    trace imposed as Dirichlet data on two FEM meshes (sample_density,
+    rounded up to a multiple of 4, and double that many boundary nodes);
+    the boundary flux is recovered variationally and Richardson-
+    extrapolated pointwise, which restores two-digit-per-doubling
+    accuracy from the O(h^2) raw flux error.  Returns the max over modes
+    and sample points.
     """
     n = basis.count if n_modes is None else min(n_modes, basis.count)
     if basis.kind == "ball":
@@ -314,18 +518,19 @@ def steklov_residual(basis, sample_density: int = 256,
 
     rho, drho = _rho_callable(basis.domain)
     fluxes, traces = [], []
-    n_r0 = max(4, sample_density // 6)
-    for n_t, n_r in ((sample_density, n_r0), (2 * sample_density, 2 * n_r0)):
-        mesh = _Mesh(rho, n_t, n_r)
+    for mesh in _steklov_meshes(rho, sample_density):
         K, _ = mesh.assemble()
         Mb = mesh.boundary_mass(rho, drho)
-        nf = mesh.n_free
+        nf, n_r = mesh.n_free, mesh.n_r
+        full, free, outer = (_System(mesh, lo, hi) for lo, hi in
+                             ((1, n_r), (1, n_r - 1), (n_r, n_r)))
         g = np.stack([trig_interp(basis.traces[i], mesh.thetas)
                       for i in range(n)])
-        v = np.empty((mesh.coords.shape[0], n))
+        v = np.zeros((mesh.coords.shape[0], n))
         v[nf:] = g.T
-        v[:nf] = _factor(K[:nf, :nf]).solve(-(K[:nf, nf:] @ g.T))
-        fluxes.append(_factor(Mb[nf:, nf:]).solve((K @ v)[nf:]).T)
+        Kfull = K[full.gather]
+        v[:nf] = free.solve(K[free.gather], -full.apply(Kfull, v)[:nf])
+        fluxes.append(outer.solve(Mb[outer.gather], full.apply(Kfull, v)[nf:]).T)
         traces.append(g)
-    coarse = (4.0 * fluxes[1][:, ::2] - fluxes[0]) / 3.0
-    return float(np.abs(coarse - basis.mu[:n, None] * traces[0]).max())
+    coarse_flux = (4.0 * fluxes[1][:, ::2] - fluxes[0]) / 3.0
+    return float(np.abs(coarse_flux - basis.mu[:n, None] * traces[0]).max())

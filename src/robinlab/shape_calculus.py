@@ -462,8 +462,9 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
     `alpha` is a number, giving one FiniteDifferenceReport, or a
     sequence of numbers, giving a list of reports in the same order.
     Every alpha shares the family members: each member's series pack
-    (series) or layer operator (direct) is built once for all alphas,
-    so a list gives exactly the reports of the scalar calls.
+    (series), layer operator (direct) or meshes and matrices (fem) are
+    built once for all alphas, so a list gives exactly the reports of
+    the scalar calls.
     A NaN or infinite alpha raises ValueError.
     """
     if route not in ("series", "direct", "fem"):
@@ -485,8 +486,7 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
                 vals[i, j] = energy.energy_direct(dom, a, M, operator=op)
         else:
             from . import oracle
-            for i, a in enumerate(alphas):
-                vals[i, j] = oracle.fem_robin_energy(dom, a).energy
+            vals[:, j] = [s.energy for s in oracle.fem_robin_energy(dom, alphas)]
     reports = [_fit_derivatives(t_grid, row, degree, route) for row in vals]
     return reports[0] if np.ndim(alpha) == 0 else reports
 

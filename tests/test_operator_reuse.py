@@ -9,8 +9,10 @@ from robinlab import (
     TrigPoly,
     energy_direct,
     energy_series,
+    fem_robin_energy,
     finite_difference_check,
     normal_speed_family,
+    oracle,
     solve_torsion,
     spectrum_star2d,
 )
@@ -52,6 +54,20 @@ def solves(monkeypatch):
     monkeypatch.setattr(energy_module, "flux_coefficients",
                         counted("flux", energy_module.flux_coefficients))
     return seen
+
+
+@pytest.fixture
+def assembles(monkeypatch):
+    """Node counts of every FEM mesh assembled while the test runs."""
+    made = []
+    assemble = oracle._Mesh.assemble
+
+    def counted(self):
+        made.append(self.coords.shape[0])
+        return assemble(self)
+
+    monkeypatch.setattr(oracle._Mesh, "assemble", counted)
+    return made
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +127,34 @@ class TestBuildCounts:
         finite_difference_check(family, ALPHAS, T_GRID, route="series",
                                 degree=3, n_modes=N_MODES, M=M)
         assert builds == [M] * len(T_GRID)
+
+
+class TestFemBuildCounts:
+    ORACLE_ARGV = ["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1",
+                   "--alpha", "0.3", "--alpha", "-0.5", "--alpha", "0.7",
+                   "--h-max", "0.2", "--n-modes", str(N_MODES), "--nodes", str(M)]
+
+    def test_oracle_verify_assembles_each_level_once(self, assembles, capsys):
+        assert main(self.ORACLE_ARGV) == 0
+        capsys.readouterr()
+        assert len(assembles) == 3       # three levels, whatever the alphas
+
+    def test_alpha_list_assembles_each_level_once(self, assembles, disc):
+        sols = fem_robin_energy(disc, [0.5, -1.0, 1.5], h_max=0.2)
+        assert len(assembles) == 3
+        for a, sol in zip([0.5, -1.0, 1.5], sols):
+            ref = fem_robin_energy(disc, a, h_max=0.2)
+            assert sol.alpha == a and sol.levels == ref.levels
+            assert sol.energy == ref.energy and sol.error == ref.error
+            assert np.array_equal(sol.values, ref.values)
+
+    def test_oracle_verify_bytes_ignore_thread_cap(self, capsys, monkeypatch):
+        outs = []
+        for cap in ("1", "2"):
+            monkeypatch.setenv("ROBINLAB_THREADS", cap)
+            assert main(self.ORACLE_ARGV) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
 
 
 class TestSameNumbers:
