@@ -7,6 +7,11 @@ closed forms where they exist and periodic-trapezoid quadrature (which
 is spectrally accurate for smooth periodic integrands, and exact for
 trigonometric polynomials below the Nyquist degree) otherwise.
 
+A TrigPoly is sampled at N equispaced angles (boundary grids, measures,
+its minimum) by one inverse real FFT per derivative order, exact up to
+rounding at every degree; calling it evaluates the cosine/sine sum at
+arbitrary angles (pointwise curvature, element meshes).
+
 Perturbation fields are stored as coefficients against the Steklov
 boundary eigenbasis of the ball, ordered by eigenvalue with
 multiplicity, cosine before sine within an angular degree in 2-D.
@@ -128,9 +133,28 @@ class TrigPoly:
                               + bk * np.sin(k * theta + shift))
         return out
 
+    def _on_grid(self, N: int, order: int = 0) -> np.ndarray:
+        """The order-th derivative at the N angles 2 pi j / N, by one inverse real FFT.
+
+        The FFT length is the smallest multiple of N above 2 * degree, so
+        every frequency sits below its Nyquist index and the samples are
+        exact up to rounding; every (length / N)-th value is kept.
+        """
+        deg = self.degree
+        step = 2 * deg // N + 1
+        ab = np.zeros((2, deg))
+        ab[0, :len(self.cos)] = self.cos
+        ab[1, :len(self.sin)] = self.sin
+        c = np.zeros(N * step // 2 + 1, dtype=complex)
+        if order == 0:
+            c[0] = self.a0
+        # d^order/dt^order of Re((a - ib) e^{ikt}) = Re((a - ib) (ik)^order e^{ikt})
+        k = np.arange(1.0, deg + 1.0)
+        c[1:deg + 1] = 0.5 * (ab[0] - 1j * ab[1]) * k ** order * 1j ** order
+        return np.fft.irfft(c, N * step, norm="forward")[::step]
+
     def min_value(self) -> float:
-        t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        return float(np.min(self(t)))
+        return float(np.min(self._on_grid(4096)))
 
     def mean(self) -> float:
         return self.a0
@@ -157,25 +181,26 @@ class Domain:
     @staticmethod
     def ball(dim: int, R: float) -> "Domain":
         _check_dim(dim)
-        if R <= 0.0:
-            raise ValueError(f"radius must be positive, got {R}")
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {R}")
         return Domain("ball", dim, float(R))
 
     @staticmethod
     def annulus(dim: int, R: float, kappa: float) -> "Domain":
         _check_dim(dim)
-        if R <= 0.0:
-            raise ValueError(f"radius must be positive, got {R}")
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {R}")
         if not 0.0 < kappa < 1.0:
             raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
         return Domain("annulus", dim, float(R), kappa=float(kappa))
 
     @staticmethod
     def star2d(rho: TrigPoly) -> "Domain":
-        if rho.min_value() <= 0.0:
+        if not np.all(np.isfinite((rho.a0, *rho.cos, *rho.sin))):
+            raise ValueError("rho coefficients must be finite")
+        if not rho.min_value() > 0.0:
             raise ValueError("rho must be strictly positive")
-        area = _star_area(rho, 4 * DEFAULT_BOUNDARY_NODES)
-        return Domain("star2d", 2, math.sqrt(area / math.pi), rho=rho)
+        return Domain("star2d", 2, math.sqrt(_star_area(rho) / math.pi), rho=rho)
 
     def __post_init__(self):
         if self.kind not in ("ball", "annulus", "star2d"):
@@ -198,10 +223,10 @@ def unit_sphere_area(n: int) -> float:
     return n * unit_ball_volume(n)
 
 
-def _star_area(rho: TrigPoly, M: int) -> float:
-    t = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-    r = rho(t)
-    return float(0.5 * np.sum(r * r) * (2.0 * np.pi / M))
+def _star_area(rho: TrigPoly) -> float:
+    """(1/2) int rho^2 dtheta, by Parseval on the coefficients."""
+    sq = sum(a * a for a in rho.cos) + sum(b * b for b in rho.sin)
+    return math.pi * (rho.a0 * rho.a0 + 0.5 * sq)
 
 
 def volume(d: Domain) -> float:
@@ -210,7 +235,7 @@ def volume(d: Domain) -> float:
         return unit_ball_volume(d.dim) * d.R ** d.dim
     if d.kind == "annulus":
         return unit_ball_volume(d.dim) * d.R ** d.dim * (1.0 - d.kappa ** d.dim)
-    return _star_area(d.rho, DEFAULT_BOUNDARY_NODES)
+    return _star_area(d.rho)
 
 
 def surface_area(d: Domain) -> float:
@@ -220,8 +245,7 @@ def surface_area(d: Domain) -> float:
     if d.kind == "annulus":
         return unit_sphere_area(d.dim) * d.R ** (d.dim - 1) * (1.0 + d.kappa ** (d.dim - 1))
     M = DEFAULT_BOUNDARY_NODES
-    t = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-    r, r1 = d.rho(t), d.rho(t, 1)
+    r, r1 = d.rho._on_grid(M), d.rho._on_grid(M, 1)
     return float(np.sum(np.sqrt(r * r + r1 * r1)) * (2.0 * np.pi / M))
 
 
@@ -244,7 +268,7 @@ def mean_curvature(d: Domain, theta=None):
     if theta is None:
         raise ValueError("theta required for star2d curvature")
     t = np.asarray(theta, dtype=float)
-    return _polar_curve(d.rho, t.reshape(-1), 1.0).curvature.reshape(t.shape)
+    return _polar_curve(d.rho, t.reshape(-1)).curvature.reshape(t.shape)
 
 
 def surface_defect(d: Domain) -> float:
@@ -281,14 +305,17 @@ class BoundaryGrid:
         return float(np.dot(np.asarray(values), self.weights))
 
 
-def _polar_curve(rho: TrigPoly, thetas: np.ndarray, scale: float) -> BoundaryGrid:
-    """The curve scale * rho(theta) (cos theta, sin theta) at the given angles.
+def _polar_curve(rho: TrigPoly, thetas: np.ndarray) -> BoundaryGrid:
+    """The curve rho(theta) (cos theta, sin theta) at arbitrary angles."""
+    return _curve_from_radii(thetas, *(rho(thetas, order) for order in range(3)))
+
+
+def _curve_from_radii(thetas: np.ndarray, r: np.ndarray, r1: np.ndarray,
+                      r2: np.ndarray) -> BoundaryGrid:
+    """The polar curve r(theta) (cos theta, sin theta) from r, r' and r'' at the angles.
 
     Curvature is (x' x x'') / |x'|^3; weights assume equispaced angles.
     """
-    r = scale * rho(thetas)
-    r1 = scale * rho(thetas, 1)
-    r2 = scale * rho(thetas, 2)
     ct, st = np.cos(thetas), np.sin(thetas)
     x = np.stack([r * ct, r * st], axis=1)
     x1 = np.stack([r1 * ct - r * st, r1 * st + r * ct], axis=1)
@@ -304,7 +331,8 @@ def boundary_grid(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
     if d.dim != 2 or d.kind == "annulus":
         raise ValueError("boundary_grid covers planar simply connected domains")
     rho = TrigPoly.constant(d.R) if d.kind == "ball" else d.rho
-    return _polar_curve(rho, np.linspace(0.0, 2.0 * np.pi, M, endpoint=False), 1.0)
+    return _curve_from_radii(np.linspace(0.0, 2.0 * np.pi, M, endpoint=False),
+                             *(rho._on_grid(M, order) for order in range(3)))
 
 
 def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -322,7 +350,7 @@ def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray]) -> float
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     t = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    r_b = np.full(ntheta, d.R) if d.kind == "ball" else d.rho(t)
+    r_b = np.full(ntheta, d.R) if d.kind == "ball" else d.rho._on_grid(ntheta)
     uu, tt = np.meshgrid(u, t, indexing="ij")
     rr = uu * r_b[None, :]
     pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)

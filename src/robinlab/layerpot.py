@@ -17,7 +17,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import BoundaryGrid, TrigPoly, _polar_curve
+from .geometry import BoundaryGrid, TrigPoly, _curve_from_radii
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,13 +84,13 @@ class StarLayerOperator:
     def __init__(self, rho: TrigPoly, M: int = 256):
         if not isinstance(M, (int, np.integer)) or M < 8 or M % 2:
             raise ValueError(f"node count must be an even integer >= 8, got {M}")
-        rmax = -TrigPoly(-rho.a0, tuple(-v for v in rho.cos),
-                         tuple(-v for v in rho.sin)).min_value()
-        self.gamma = 0.5 / rmax
+        r, r1, r2 = (rho._on_grid(M, order) for order in range(3))
+        self.gamma = 0.5 / float(np.max(r))
         self.rho = rho
         self.M = M
-        self._c = _polar_curve(rho, np.linspace(0.0, TWO_PI, M, endpoint=False),
-                               self.gamma)
+        self._rho_nodes = r
+        self._c = _curve_from_radii(np.linspace(0.0, TWO_PI, M, endpoint=False),
+                                    self.gamma * r, self.gamma * r1, self.gamma * r2)
         dx, dy, dist2 = _pair_geometry(self._c)
         self.V = single_layer_matrix(self._c, dist2)
         self.A = normal_derivative_matrix(self._c, dx, dy, dist2)
@@ -114,7 +114,8 @@ class StarLayerOperator:
     def robin_density(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
         """Density of the harmonic h with d_nu h - alpha h = rhs on the boundary."""
         mat = self.gamma * self.A - alpha * self.V
-        sigma = sla.solve(mat, np.asarray(rhs, dtype=float))
+        sigma = sla.lu_solve(sla.lu_factor(mat, check_finite=False),
+                             np.asarray(rhs, dtype=float), check_finite=False)
         resid = np.max(np.abs(mat @ sigma - rhs))
         scale = max(1.0, float(np.max(np.abs(rhs))))
         if not np.all(np.isfinite(sigma)) or resid > 1e-6 * scale:
@@ -145,7 +146,7 @@ class StarLayerOperator:
 
     def quarter_r2_integral(self) -> float:
         """int |x|^2/4 dx = (1/16) int rho^4 dtheta, spectrally exact by the trapezoid rule."""
-        return float(np.sum(self.rho(self.thetas) ** 4) * (TWO_PI / self.M) / 16.0)
+        return float(np.sum(self._rho_nodes ** 4) * (TWO_PI / self.M) / 16.0)
 
     # -- Steklov eigensystem -------------------------------------------------
 
@@ -161,6 +162,10 @@ class StarLayerOperator:
         entrywise corrupts the spectrum on non-circular curves.  Projecting
         the form onto Fourier modes of degree <= M/8 (8 nodes per
         wavelength) keeps the symmetrization error at quadrature level.
+        The projected (M/4 + 1)-square form is small and dense, and every
+        eigenvector is wanted, so it goes to LAPACK's divide-and-conquer
+        driver (syevd), which is faster on these forms than the default
+        MRRR driver (syevr).
         """
         if self.M < 8 * n_modes:
             raise ValueError(
@@ -178,7 +183,7 @@ class StarLayerOperator:
         AG = self.A @ G
         B = (w_s[:, None] * F).T @ AG
         B = 0.5 * (B + B.T)
-        vals, vecs = sla.eigh(B)
+        vals, vecs = sla.eigh(B, driver="evd")
         order = np.argsort(vals)[:n_modes]
         mu_s = vals[order]
         vecs = vecs[:, order]
@@ -191,10 +196,9 @@ class StarLayerOperator:
         traces = math.sqrt(self.gamma) * traces_s
         residuals = self.gamma ** 1.5 * resid
         # sign convention: the larger part of the dominant Fourier component is positive
-        for i in range(n_modes):
-            if _trace_sign(traces[i]) < 0:
-                traces[i] = -traces[i]
-                dens[i] = -dens[i]
+        flip = _trace_sign(traces) < 0
+        traces[flip] = -traces[flip]
+        dens[flip] = -dens[flip]
         return mu, traces, dens, residuals
 
     def mode_interior(self, density: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -216,23 +220,25 @@ def operator_for(rho: TrigPoly, M: int,
     return operator
 
 
-def _trace_sign(vals: np.ndarray) -> float:
-    """Sign fix: the larger part (cosine or sine) of the dominant frequency is positive.
+def _trace_sign(traces: np.ndarray) -> np.ndarray:
+    """Sign fix of each row: the larger part (cosine or sine) of its dominant frequency is positive.
 
     Cosine wins a tie.  Taking the larger part keeps the sign off
-    rounding noise in the smaller one.
+    rounding noise in the smaller one.  A row whose part is below
+    1e-8 * M takes the sign of its first entry larger than 1e-12 in
+    magnitude (+1 if none).  One FFT covers all rows.
     """
-    c = np.fft.rfft(vals)
-    k = int(np.argmax(np.abs(c)))
-    cos_part, sin_part = c[k].real, -c[k].imag   # rfft imag < 0 is a positive sine
-    part = cos_part if abs(cos_part) >= abs(sin_part) else sin_part
-    if abs(part) > 1e-8 * vals.size:
-        return 1.0 if part > 0 else -1.0
-    nz = vals[np.abs(vals) > 1e-12]
-    return 1.0 if (nz.size == 0 or nz[0] > 0) else -1.0
+    c = np.fft.rfft(traces, axis=-1)
+    top = np.take_along_axis(c, np.argmax(np.abs(c), axis=-1)[..., None], axis=-1)[..., 0]
+    cos_part, sin_part = top.real, -top.imag   # rfft imag < 0 is a positive sine
+    part = np.where(np.abs(cos_part) >= np.abs(sin_part), cos_part, sin_part)
+    big = np.abs(traces) > 1e-12
+    first = np.take_along_axis(traces, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    fallback = np.where(big.any(axis=-1) & (first < 0), -1.0, 1.0)
+    return np.where(np.abs(part) > 1e-8 * traces.shape[-1],
+                    np.where(part > 0, 1.0, -1.0), fallback)
 
 
-def dominant_degree(vals: np.ndarray) -> int:
-    """Dominant angular frequency of nodal boundary values."""
-    c = np.fft.rfft(vals)
-    return int(np.argmax(np.abs(c)))
+def dominant_degree(traces: np.ndarray) -> np.ndarray:
+    """Dominant angular frequency of each row of nodal boundary values."""
+    return np.argmax(np.abs(np.fft.rfft(traces, axis=-1)), axis=-1)

@@ -342,7 +342,7 @@ def spectrum_star2d(d: Domain, n_modes: int = 32,
     mu, traces, dens, resid = op.steklov_eigensystem(n_modes)
     mu = mu.copy()
     mu[0] = max(mu[0], 0.0) if abs(mu[0]) < 1e-9 else mu[0]
-    ks = np.array([dominant_degree(row) for row in traces], dtype=int)
+    ks = dominant_degree(traces)
     parity = tuple("num" for _ in range(n_modes))
     return SteklovBasis(d, mu, ks, parity, "star", traces=traces,
                         thetas=op.thetas, weights=op.weights,

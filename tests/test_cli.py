@@ -300,6 +300,17 @@ class TestBadInputs:
         assert code == 2 and out == ""
         assert "invalid configuration" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--rho-cos", "0,nan"),
+        ("--rho-sin", "0,inf"),
+        ("--radius", "nan"),
+        ("--radius", "inf"),
+    ])
+    def test_non_finite_rho_rejected(self, capsys, flags):
+        code, out, err = run(capsys, "spectrum", "--domain", "star", *flags)
+        assert code == 2 and out == ""
+        assert "rho" in err
+
     @pytest.mark.parametrize("argv", [
         ("energy", "--domain", "star", "--rho-cos", "0,0.05", "--alpha", "0.5"),
         ("corpus", "--count", "2"),

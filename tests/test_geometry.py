@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from robinlab import (
     Domain,
@@ -73,6 +73,35 @@ class TestTrigPoly:
         assert p.mean() == pytest.approx(1.0)
 
 
+# The grid evaluator sums by one inverse FFT, __call__ term by term at each
+# angle.  Both err by a multiple of eps * sum_k k^order (|a_k| + |b_k|): the
+# direct sum rounds k * theta + shift (up to 2 pi * 40 here), the FFT adds
+# O(log N) rounding.  The multiple was fixed before the first run.
+GRID_EPS_MULTIPLE = 512
+
+
+class TestGridEvaluator:
+    @given(deg=st.integers(0, 40), order=st.integers(0, 2),
+           N=st.sampled_from([8, 10, 256, 4096]), seed=st.integers(0, 2**32 - 1))
+    @example(deg=4, order=2, N=8, seed=0)       # degree = N/2
+    @example(deg=5, order=1, N=10, seed=1)      # degree = N/2, N/2 odd
+    @example(deg=40, order=2, N=8, seed=2)      # N far below 2 * degree
+    @example(deg=13, order=0, N=10, seed=3)
+    @example(deg=0, order=1, N=8, seed=4)
+    def test_matches_pointwise_sum(self, deg, order, N, seed):
+        rng = np.random.default_rng(seed)
+        cos = rng.uniform(-1.0, 1.0, deg)
+        sin = rng.uniform(-1.0, 1.0, int(rng.integers(0, deg + 1)))
+        p = TrigPoly(float(rng.uniform(-2.0, 2.0)), tuple(cos), tuple(sin))
+        k = np.arange(1.0, deg + 1.0) ** order
+        size = np.sum(k * np.abs(cos)) + np.sum(k[:sin.size] * np.abs(sin))
+        if order == 0:
+            size += abs(p.a0)
+        t = np.linspace(0.0, TAU, N, endpoint=False)
+        err = np.max(np.abs(p._on_grid(N, order) - p(t, order)))
+        assert err <= GRID_EPS_MULTIPLE * np.finfo(float).eps * size
+
+
 class TestMeasures:
     def test_ball_volume_and_area(self):
         for n, R in ((2, 1.0), (2, 2.0), (3, 1.5)):
@@ -122,14 +151,18 @@ class TestCurvature:
     def test_planar_curve_value(self):
         # kappa(0) = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^{3/2}
         # for rho = 1 + 0.1 cos 2t at t=0: (1.21 + 0.44) / 1.21^{1.5}
-        c = _polar_curve(TrigPoly(1.0, (0.0, 0.1)), np.array([0.0]), 1.0)
+        c = _polar_curve(TrigPoly(1.0, (0.0, 0.1)), np.array([0.0]))
         assert c.curvature[0] == pytest.approx(1.65 / 1.331, rel=1e-12)
 
     def test_star_curvature_reads_the_polar_curve(self, ellipse):
+        # the grid samples rho by FFT and the pointwise curvature sums the
+        # series at each angle, so the two agree to rounding, not bit for bit
         g = boundary_grid(ellipse, 64)
-        assert np.array_equal(mean_curvature(ellipse, g.thetas), g.curvature)
+        kappa = mean_curvature(ellipse, g.thetas)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(kappa - g.curvature)) <= 64 * eps * np.max(np.abs(kappa))
         assert mean_curvature(ellipse, 0.3) == \
-            _polar_curve(ellipse.rho, np.array([0.3]), 1.0).curvature[0]
+            _polar_curve(ellipse.rho, np.array([0.3])).curvature[0]
 
 
 class TestTraceBasis:

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from robinlab import StarLayerOperator, ellipse_domain, random_star_domain
-from robinlab.layerpot import kress_log_weights
+from robinlab.layerpot import _trace_sign, dominant_degree, kress_log_weights
 
 
 def cosine_sum_weights(M):
@@ -17,6 +17,22 @@ def cosine_sum_weights(M):
     k = np.arange(1, m)
     R = -(4.0 * np.pi / M) * (np.cos(np.outer(t, k)) / k).sum(axis=1)
     return R - (4.0 * np.pi / M ** 2) * np.cos(m * t)
+
+
+def row_trace_sign(vals):
+    """The sign rule one row at a time, as it was before one FFT covered all rows."""
+    c = np.fft.rfft(vals)
+    k = int(np.argmax(np.abs(c)))
+    cos_part, sin_part = c[k].real, -c[k].imag
+    part = cos_part if abs(cos_part) >= abs(sin_part) else sin_part
+    if abs(part) > 1e-8 * vals.size:
+        return 1.0 if part > 0 else -1.0
+    nz = vals[np.abs(vals) > 1e-12]
+    return 1.0 if (nz.size == 0 or nz[0] > 0) else -1.0
+
+
+def row_dominant_degree(vals):
+    return int(np.argmax(np.abs(np.fft.rfft(vals))))
 
 
 def per_mode_eigensystem(op, n_modes):
@@ -84,3 +100,35 @@ def test_trace_sign_follows_larger_part(name):
     cos_part, sin_part = top.real, -top.imag
     larger = np.where(np.abs(cos_part) >= np.abs(sin_part), cos_part, sin_part)
     assert np.all(larger > 0)
+
+
+# rows of 8 nodes whose expected sign is known: exact cosine/sine ties at
+# degree 2 (cosine wins), parts below 1e-8 * M (first entry above 1e-12
+# decides), and rows with no entry above 1e-12 (+1)
+SPECIAL_ROWS = [
+    ([1.0, 1.0, -1.0, -1.0] * 2, 1.0),
+    ([-1.0, 1.0, 1.0, -1.0] * 2, -1.0),
+    ([1.0, -1.0, -1.0, 1.0] * 2, 1.0),
+    ([0.0, -3e-12, 5e-12, 0.0, 0.0, 0.0, 0.0, 0.0], -1.0),
+    ([1e-13, 4e-12, -5e-12, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+    ([1e-13, -2e-13, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+    ([0.0] * 8, 1.0),
+]
+
+
+def test_batched_sign_rule_on_ties_and_small_parts():
+    rows = np.array([r for r, _ in SPECIAL_ROWS])
+    expect = [sign for _, sign in SPECIAL_ROWS]
+    assert [row_trace_sign(r) for r in rows] == expect
+    assert _trace_sign(rows).tolist() == expect
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_batched_sign_and_degree_match_per_row(name):
+    op = StarLayerOperator(DOMAINS[name].rho, 256)
+    _, traces, _, _ = op.steklov_eigensystem(32)
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([traces, -traces, rng.standard_normal((8, 256)),
+                           1e-9 * rng.standard_normal((8, 256))])
+    assert _trace_sign(rows).tolist() == [row_trace_sign(r) for r in rows]
+    assert dominant_degree(rows).tolist() == [row_dominant_degree(r) for r in rows]

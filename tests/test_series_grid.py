@@ -1,5 +1,6 @@
 """Alpha grids over one series pack: the same bits as the per-alpha loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,9 +177,10 @@ class TestSameBits:
 
     def test_underflowing_terms(self):
         # near-circle modes carry tiny flux; at |alpha| ~ 1e308 their terms
-        # underflow to zero and drop out of both signed parts, which here
-        # changes the rounding of E_minus
-        d = Domain.star2d(geo_module.TrigPoly(5.0, (0.0, 0.1)))
+        # underflow to zero and drop out of both signed parts.  On this
+        # small three-fold star the degree-9 mode carries a^2 ~ 7e-18, a
+        # genuine mode well below the 4.4e-16 that underflows at -1.79e308
+        d = Domain.star2d(geo_module.TrigPoly(0.005, (0.0, 0.0, 5e-5)))
         basis = spectrum_star2d(d, n_modes=N_MODES, M_nodes=M)
         ts = solve_torsion(d, M, operator=basis.operator)
         alphas = np.array([-1.79e308, -0.5, -1e308, -3.0])
@@ -187,6 +189,22 @@ class TestSameBits:
         rows = energy_series_grid(pack, alphas)
         ref = [reference_row(d, float(a), basis, ts) for a in alphas]
         assert [bits(r) for r in rows] == [bits(r) for r in ref]
+
+    def test_underflowed_term_leaves_the_sum(self):
+        # numpy sums eight terms pairwise and seven in sequence; with these
+        # eight live terms, one underflowing, the two orders round apart, so
+        # E_minus must be the sum without the zero, as the reference takes it
+        d = Domain.star2d(geo_module.TrigPoly(0.005, (0.0, 0.0, 5e-5)))
+        pack = dataclasses.replace(
+            series_pack(d, M=M, n_modes=N_MODES),
+            live_a2=np.array([0.003, 95.379, 0.821, 8.661, 92.743, 9.739, 0.001, 1e-17]),
+            live_mu=0.5 * np.arange(8.0))
+        alpha = -1.79e308
+        terms = pack.live_a2 / (alpha - pack.live_mu)
+        assert np.count_nonzero(terms == 0.0) == 1
+        assert np.sum(terms) != np.sum(terms[terms < 0])
+        (row,) = energy_series_grid(pack, [alpha])
+        assert bits(row[2:4]) == bits((0.0, float(np.sum(terms[terms < 0]))))
 
     @pytest.mark.parametrize("count", [1, SERIES_CHUNK - 1, SERIES_CHUNK,
                                        SERIES_CHUNK + 1, 3500])
