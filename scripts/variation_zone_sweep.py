@@ -15,7 +15,6 @@ from robinlab import (
     Domain,
     PerturbationField,
     classify_sign,
-    second_variation_ball,
 )
 
 
@@ -42,8 +41,8 @@ def sweep(cfg: ZoneConfig) -> None:
             xi = float(xi)
             if abs(xi - round(xi)) < 0.05 and round(xi) >= 2:
                 continue
-            rep = second_variation_ball(ball, xi, p)
             sign = classify_sign(ball, xi, p)
+            rep = sign.variation
             ok = {True: "yes", False: "NO", None: "-"}[sign.bound_satisfied]
             bound = f"{sign.bound:10.4f}" if np.isfinite(sign.bound) \
                 else f"{'-':>10}"

@@ -285,8 +285,8 @@ def _cmd_second_variation(args) -> int:
             "zone", "definite_negative", "bound", "bound_satisfied"]
     reps, rows = [], []
     for a in alphas:
-        rep = sc.second_variation_ball(d, a, p)
         sign = sc.classify_sign(d, a, p)
+        rep = sign.variation
         reps.append(rep)
         rows.append([a, rep.xi, rep.E_ddot, rep.E_ddot_radial, rep.route_gap,
                      rep.S_ddot, sign.zone, sign.definite_negative, sign.bound,
@@ -393,11 +393,10 @@ def _cmd_corpus(args) -> int:
         a = pw.low_alpha(d, mu2)
         row, = energy.energy_series_grid(pack, [a])
         E_dom = row[energy.ENERGY_COLUMNS.index("E_total")]
-        R = math.sqrt(geo.volume(d) / math.pi)
-        E_ball = pw.disc_energy(R, a)
+        E_ball = energy.ball_energy(2, d.R, a)
         J_dom = energy.j_functional(d, a, T_omega=pack.T, M=args.nodes)
         tol = 1e-9 * max(1.0, abs(E_ball))
-        return (idx, R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
+        return (idx, d.R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
                 J_dom, E_ball, J_dom <= E_ball + tol)
 
     rows = _map_ordered(run, list(enumerate(domains)))

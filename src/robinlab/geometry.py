@@ -361,16 +361,7 @@ def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray]) -> float
 
 def trig_interp(values: np.ndarray, new_thetas: np.ndarray) -> np.ndarray:
     """Trigonometric interpolation from equispaced samples on [0, 2pi)."""
-    values = np.asarray(values, dtype=float)
-    m = values.size
-    c = np.fft.rfft(values) / m
-    out = np.full_like(np.asarray(new_thetas, dtype=float), c[0].real)
-    kmax = m // 2
-    for k in range(1, kmax + 1):
-        w = 1.0 if (m % 2 == 0 and k == kmax) else 2.0
-        out = out + w * (c[k].real * np.cos(k * new_thetas)
-                         - c[k].imag * np.sin(k * new_thetas))
-    return out
+    return TrigPoly.from_samples(values)(new_thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -78,13 +78,18 @@ class StarLayerOperator:
 
     All public inputs/outputs (boundary values, fluxes, points, weights)
     live on the unscaled domain; the internal shrink factor is hidden.
-    M must be an even integer >= 8 (ValueError otherwise).
+    M must be an even integer >= 8, and rho and its derivatives finite,
+    with rho positive, at every node (ValueError otherwise).  The dense
+    kernels below then skip scipy's NaN scan of each matrix.
     """
 
     def __init__(self, rho: TrigPoly, M: int = 256):
         if not isinstance(M, (int, np.integer)) or M < 8 or M % 2:
             raise ValueError(f"node count must be an even integer >= 8, got {M}")
-        r, r1, r2 = (rho._on_grid(M, order) for order in range(3))
+        with np.errstate(invalid="ignore", over="ignore"):    # checked just below
+            r, r1, r2 = (rho._on_grid(M, order) for order in range(3))
+        if not (np.all(r > 0.0) and np.all(np.isfinite([r, r1, r2]))):
+            raise ValueError("rho must be finite and positive at every node")
         self.gamma = 0.5 / float(np.max(r))
         self.rho = rho
         self.M = M
@@ -94,7 +99,7 @@ class StarLayerOperator:
         dx, dy, dist2 = _pair_geometry(self._c)
         self.V = single_layer_matrix(self._c, dist2)
         self.A = normal_derivative_matrix(self._c, dx, dy, dist2)
-        self._V_lu = sla.lu_factor(self.V)
+        self._V_lu = sla.lu_factor(self.V, check_finite=False)
         # unscaled node data
         self.thetas = self._c.thetas
         self.points = self._c.points / self.gamma
@@ -109,7 +114,8 @@ class StarLayerOperator:
 
     def dirichlet_density(self, boundary_values: np.ndarray) -> np.ndarray:
         """Density sigma with S[sigma] matching the boundary values."""
-        return sla.lu_solve(self._V_lu, np.asarray(boundary_values, dtype=float))
+        return sla.lu_solve(self._V_lu, np.asarray(boundary_values, dtype=float),
+                            check_finite=False)
 
     def robin_density(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
         """Density of the harmonic h with d_nu h - alpha h = rhs on the boundary."""
@@ -176,14 +182,15 @@ class StarLayerOperator:
         F[:, 0] = 1.0
         F[:, 1::2] = np.cos(np.outer(self.thetas, k))
         F[:, 2::2] = np.sin(np.outer(self.thetas, k))
-        L = sla.cholesky(F.T @ (w_s[:, None] * F), lower=True)
-        F = sla.solve_triangular(L, F.T, lower=True).T  # boundary-orthonormal columns
+        L = sla.cholesky(F.T @ (w_s[:, None] * F), lower=True, check_finite=False)
+        # boundary-orthonormal columns
+        F = sla.solve_triangular(L, F.T, lower=True, check_finite=False).T
         # the DtN form A V^{-1} on span F: densities G of the columns, fluxes A G
-        G = sla.lu_solve(self._V_lu, F)
+        G = sla.lu_solve(self._V_lu, F, check_finite=False)
         AG = self.A @ G
         B = (w_s[:, None] * F).T @ AG
         B = 0.5 * (B + B.T)
-        vals, vecs = sla.eigh(B, driver="evd")
+        vals, vecs = sla.eigh(B, driver="evd", check_finite=False)
         order = np.argsort(vals)[:n_modes]
         mu_s = vals[order]
         vecs = vecs[:, order]

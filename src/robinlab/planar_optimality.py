@@ -28,7 +28,6 @@ __all__ = [
     "corollary_pack",
     "low_alpha",
     "corollary_disc_max",
-    "disc_energy",
 ]
 
 
@@ -129,11 +128,6 @@ def theorem_J_check(d: Domain, *, T_omega: float | None = None,
                             rep.epsilon0, eps_up)
 
 
-def disc_energy(R: float, alpha: float) -> float:
-    """Closed-form Robin energy of the disc of radius R: pi R^2 (-R^2/8 + R/(2 alpha))."""
-    return math.pi * R ** 2 * (-R ** 2 / 8.0 + R / (2.0 * alpha))
-
-
 @dataclass(frozen=True)
 class DiscMaxReport:
     alpha: float
@@ -183,8 +177,8 @@ def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
             f"alpha={alpha} outside the validity window (0, mu_2={mu2:.6g})")
     row, = energy.energy_series_grid(pack, [alpha])
     E_dom = row[energy.ENERGY_COLUMNS.index("E_total")]
-    R = math.sqrt(geo.volume(d) / math.pi)
-    E_ball = disc_energy(R, alpha)
+    R = d.R                       # the equal-area radius of a star domain
+    E_ball = energy.ball_energy(2, R, alpha)
     L = geo.surface_area(d)
     wein = 2.0 * math.pi / L
     chain = mu2 <= wein * (1 + 1e-9) and wein <= (1.0 / R) * (1 + 1e-9)

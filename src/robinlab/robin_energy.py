@@ -23,7 +23,8 @@ from .errors import SolverError
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
-from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_profile, tol_res
+from .steklov import (SteklovBasis, _radial_g, _radial_g_prime, _radial_profile,
+                      _shell_energy, tol_res)
 from .torsion import solve_torsion, flux_coefficients
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "energy_split_variational",
     "j_functional",
     "alpha0",
+    "ball_energy",
     "pole_scan",
 ]
 
@@ -361,15 +363,13 @@ def _radial_robin_coefficients(d: Domain, alpha: float) -> tuple[float, float]:
     return float(c[0]), float(c[1])
 
 
-def _radial_integral(d: Domain, profile) -> float:
-    """int_Omega profile(r) dx via 96-node Gauss-Legendre in r."""
-    n, R = d.dim, d.R
-    r0 = d.kappa * R if d.kind == "annulus" else 0.0
-    x, w = np.polynomial.legendre.leggauss(96)
-    r = 0.5 * (R - r0) * (x + 1.0) + r0
-    jac = 0.5 * (R - r0)
-    return float(n * geo.unit_ball_volume(n)
-                 * np.sum(w * profile(r) * r ** (n - 1)) * jac)
+def ball_energy(n: int, R: float, alpha: float) -> float:
+    """Robin energy of the n-ball of radius R in closed form.
+
+    E = omega_n R^n (-R^2/(n(n+2)) + R/(alpha n)), with omega_n the volume
+    of the unit ball; at n = 2 this is pi R^2 (-R^2/8 + R/(2 alpha)).
+    """
+    return geo.unit_ball_volume(n) * R ** n * (-R ** 2 / (n * (n + 2)) + R / (alpha * n))
 
 
 def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
@@ -394,13 +394,12 @@ def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
         k_hit = round(alpha * R)
         if k_hit >= 1 and abs(alpha - k_hit / R) < tol_res(alpha):
             status = sk.STATUS_FAMILY
-        E = -_radial_integral(d, lambda r: _radial_profile(n, r, c1, 0.0))
-        return RobinSolution(d, alpha, status, E, radial=(c1, 0.0))
+        return RobinSolution(d, alpha, status, ball_energy(n, R, alpha), radial=(c1, 0.0))
     if d.kind == "annulus":
         if abs(alpha - sk.annulus_radial_eigenvalue(n, R, d.kappa)) < tol_res(alpha):
             return RobinSolution(d, alpha, sk.STATUS_NO_SOLUTION, math.nan)
         c1, c2 = _radial_robin_coefficients(d, alpha)
-        E = -_radial_integral(d, lambda r: _radial_profile(n, r, c1, c2))
+        E = _shell_energy(n, R, d.kappa * R, c1, c2)
         status = sk.STATUS_UNIQUE
         for k in range(1, 40):
             mus, _ = sk._annulus_pencil(n, R, d.kappa * R, k)
@@ -558,12 +557,12 @@ def alpha0(d: Domain, *, T_omega: float | None = None,
     n = d.dim
     vol = geo.volume(d)
     R = (vol / geo.unit_ball_volume(n)) ** (1.0 / n)
-    T_ball = -geo.unit_ball_volume(n) * R ** (n + 2) / (n * (n + 2))
+    ball = Domain.ball(n, R)
+    T_ball = solve_torsion(ball).T
     if T_omega is None:
         T_omega = solve_torsion(d, M).T
     eps0 = T_omega - T_ball
-    area_ball = geo.unit_sphere_area(n) * R ** (n - 1)
-    gap = 1.0 / area_ball - 1.0 / geo.surface_area(d)
+    gap = 1.0 / geo.surface_area(ball) - 1.0 / geo.surface_area(d)
     if eps0 <= 1e-14 * abs(T_ball):
         return Alpha0Report(math.inf, max(eps0, 0.0), R, T_omega, T_ball, gap)
     return Alpha0Report(vol ** 2 * gap / eps0, eps0, R, T_omega, T_ball, gap)

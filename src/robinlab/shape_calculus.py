@@ -151,7 +151,13 @@ def _validate_modal(d: Domain, alpha: float, p: PerturbationField):
                       stacklevel=3)
         b = b.copy()
         b[ks == 1.0] = 0.0
-    return n, R, xi, b, ks
+    # boundary components c_i of the state derivative u' and its saddle quadratic Q
+    live = ks >= 2.0
+    mu = ks / R
+    c = np.zeros_like(b)
+    c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
+    Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
+    return n, R, xi, b, ks, live, c, Q
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,6 @@ class VariationReport:
     E_ddot_radial: float       # field-expansion route
     route_gap: float
     S_ddot: float              # second variation of surface area
-    first_variation: float     # of the uniform-speed part; 0 when b_1 = 0
     d_values: np.ndarray
     degrees: np.ndarray
     b: np.ndarray
@@ -189,22 +194,17 @@ def second_variation_ball(d: Domain, alpha: float,
     nonzero mean component (b_1) is a ValueError; integer xi >= 2 is a
     SolverError (state derivative blows up), xi = 1 is fine.
     """
-    n, R, xi, b, ks = _validate_modal(d, alpha, p)
-    live = ks >= 2.0
+    n, R, xi, b, ks, live, _, Q = _validate_modal(d, alpha, p)
     dvals = np.zeros_like(b)
     dvals[live] = modal_coefficient(n, ks[live], xi)
     E_modal = float(np.sum(b[live] ** 2 * dvals[live]) / (alpha * n ** 2))
 
-    mu = ks / R
-    c = np.zeros_like(b)
-    c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
-    Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
     S_dd = _surface_second(n, R, b, ks)
     b_sq = float(np.sum(b[live] ** 2))
     E_radial = -2.0 * Q + (2.0 * R / n ** 2) * (1.0 - xi) * b_sq \
         - (R ** 2 / (alpha * n ** 2)) * S_dd
     report = VariationReport(alpha, xi, E_modal, E_radial,
-                             abs(E_modal - E_radial), S_dd, 0.0,
+                             abs(E_modal - E_radial), S_dd,
                              dvals, ks.astype(int), b)
     if not report.agreement_ok():
         raise SolverError(
@@ -236,9 +236,7 @@ class SignReport:
     definite_negative: bool
     bound: float                 # theorem bound on Edd when a zone bound applies
     bound_satisfied: bool | None
-    E_ddot: float
-    d_values: np.ndarray
-    degrees: np.ndarray
+    variation: VariationReport   # the second variation classified
 
 
 def classify_sign(d: Domain, alpha: float, p: PerturbationField) -> SignReport:
@@ -268,8 +266,7 @@ def classify_sign(d: Domain, alpha: float, p: PerturbationField) -> SignReport:
         pos = rep.d_values[live] > 1e-12
         zone = "positive-window" if np.any(pos) and np.all(pos) else "mixed"
     negative = bool(np.all(rep.d_values[live] < 1e-12)) and vn_sq > 0
-    return SignReport(zone, negative, bound, satisfied, rep.E_ddot,
-                      rep.d_values, rep.degrees)
+    return SignReport(zone, negative, bound, satisfied, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +296,7 @@ class ShapeDerivativeSolution:
 def solve_u_prime(d: Domain, alpha: float,
                   p: PerturbationField) -> ShapeDerivativeSolution:
     """Boundary expansion of u' plus the modal data built from it."""
-    n, R, xi, b, ks = _validate_modal(d, alpha, p)
-    live = ks >= 2.0
-    mu = ks / R
-    c = np.zeros_like(b)
-    c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
-    Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
+    n, R, xi, b, ks, live, c, Q = _validate_modal(d, alpha, p)
     t = (R / n) * b
     Mv = np.zeros_like(b)
     Mv[live] = (ks[live] - 1.0) * (2.0 / R - (ks[live] + n - 1.0) / (alpha * R ** 2))

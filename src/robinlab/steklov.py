@@ -67,7 +67,8 @@ class SteklovBasis:
     c1 + c2 * g(r) with g the degree-0 second radial solution; traces of
     degree k >= 1 modes integrate to zero against radial functions and
     are never evaluated pointwise.  Star bases carry nodal traces on the
-    operator's theta grid.
+    grid of `operator`, whose `thetas` and `weights` are the nodes and
+    quadrature weights.
     """
 
     domain: Domain
@@ -76,8 +77,6 @@ class SteklovBasis:
     parity: tuple[str, ...]
     kind: str                                   # "ball" | "annulus" | "star"
     traces: np.ndarray | None = None            # (N, M) star nodal values
-    thetas: np.ndarray | None = None
-    weights: np.ndarray | None = None
     residuals: np.ndarray | None = None
     densities: np.ndarray | None = None
     operator: object | None = None
@@ -96,7 +95,7 @@ class SteklovBasis:
     def trace_matrix(self, thetas: np.ndarray | None = None) -> np.ndarray:
         """Nodal trace values (N, M); analytic bases synthesize on demand (n=2)."""
         if self.kind == "star":
-            if thetas is None or thetas is self.thetas:
+            if thetas is None or thetas is self.operator.thetas:
                 return self.traces
             return np.stack([geo.trig_interp(row, thetas) for row in self.traces])
         if self.kind == "ball" and self.domain.dim == 2:
@@ -108,7 +107,7 @@ class SteklovBasis:
 
     def boundary_quadrature(self):
         if self.kind == "star":
-            return self.thetas, self.weights
+            return self.operator.thetas, self.operator.weights
         if self.kind == "ball" and self.domain.dim == 2:
             M = DEFAULT_BOUNDARY_NODES
             t = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
@@ -165,12 +164,7 @@ class SteklovBasis:
             r = np.hypot(pts[:, 0], pts[:, 1])
             th = np.arctan2(pts[:, 1], pts[:, 0])
             R = self.domain.R
-            i = index + 1
-            if i == 1:
-                return np.full(r.shape, 1.0 / math.sqrt(2.0 * math.pi * R))
-            kk = i // 2
-            scale = (r / R) ** kk / math.sqrt(math.pi * R)
-            return scale * (np.cos(kk * th) if i % 2 == 0 else np.sin(kk * th))
+            return (r / R) ** ((index + 1) // 2) * geo.ball_trace_values(2, R, index + 1, th)
         raise ValueError("interior evaluation unavailable for this basis")
 
     def export_rows(self) -> list[dict]:
@@ -230,6 +224,21 @@ def _radial_profile(n: int, r, c1: float, c2: float):
     """-r^2/(2n) + c1 + c2 g(r) solves Delta u + 1 = 0; no g term when c2 = 0 (balls)."""
     u = -r ** 2 / (2.0 * n) + c1
     return u + c2 * _radial_g(n, r) if c2 else u
+
+
+def _shell_energy(n: int, R: float, a: float, c1: float, c2: float) -> float:
+    """-int of the radial profile over the shell a < |x| < R, exactly.
+
+    -n omega_n int_a^R (-r^2/(2n) + c1 + c2 g(r)) r^{n-1} dr, term by term.
+    """
+    wn = geo.unit_ball_volume(n)
+    i_pow = (R ** (n + 2) - a ** (n + 2)) / (n + 2)
+    i_one = (R ** n - a ** n) / n
+    if n == 2:
+        i_g = (R ** 2 * (2 * math.log(R) - 1) - a ** 2 * (2 * math.log(a) - 1)) / 4.0
+    else:
+        i_g = (R ** 2 - a ** 2) / 2.0
+    return -n * wn * (-i_pow / (2.0 * n) + c1 * i_one + c2 * i_g)
 
 
 def annulus_radial_eigenvalue(n: int, R: float, kappa: float) -> float:
@@ -345,7 +354,6 @@ def spectrum_star2d(d: Domain, n_modes: int = 32,
     ks = dominant_degree(traces)
     parity = tuple("num" for _ in range(n_modes))
     return SteklovBasis(d, mu, ks, parity, "star", traces=traces,
-                        thetas=op.thetas, weights=op.weights,
                         residuals=resid, densities=dens, operator=op)
 
 

@@ -9,7 +9,6 @@ near-boundary layer potential).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from . import geometry as geo
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
-from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_profile
+from .steklov import (SteklovBasis, _radial_g, _radial_g_prime, _radial_profile,
+                      _shell_energy)
 
 __all__ = [
     "TorsionSolution",
@@ -67,13 +67,9 @@ class TorsionSolution:
 
     def s_radial(self, r):
         """Radial profile s(r) for balls and shells."""
-        d = self.domain
-        r = np.asarray(r, dtype=float)
-        if d.kind == "ball":
-            return (d.R ** 2 - r ** 2) / (2.0 * d.dim)
-        if d.kind == "annulus":
-            return _radial_profile(d.dim, r, *self.radial)
-        raise ValueError("no radial profile for star domains")
+        if self.radial is None:
+            raise ValueError("no radial profile for star domains")
+        return _radial_profile(self.domain.dim, np.asarray(r, dtype=float), *self.radial)
 
     def interior_values(self, pts: np.ndarray) -> np.ndarray:
         """s at interior points (planar star solves)."""
@@ -89,18 +85,6 @@ def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
     c2 = (R ** 2 - a ** 2) / (2.0 * n * (gR - ga))
     c1 = R ** 2 / (2.0 * n) - c2 * gR
     return c1, c2
-
-
-def _annulus_T(n: int, R: float, a: float, c1: float, c2: float) -> float:
-    # -n omega_n * int_a^R s(r) r^{n-1} dr, term by term
-    wn = geo.unit_ball_volume(n)
-    i_pow = (R ** (n + 2) - a ** (n + 2)) / (n + 2)
-    i_one = (R ** n - a ** n) / n
-    if n == 2:
-        i_g = (R ** 2 * (2 * math.log(R) - 1) - a ** 2 * (2 * math.log(a) - 1)) / 4.0
-    else:
-        i_g = (R ** 2 - a ** 2) / 2.0
-    return -n * wn * (-i_pow / (2.0 * n) + c1 * i_one + c2 * i_g)
 
 
 def _solve_star(op: StarLayerOperator) -> tuple[float, np.ndarray, np.ndarray]:
@@ -132,12 +116,12 @@ def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
     """
     n, R = d.dim, d.R
     if d.kind == "ball":
-        T = -geo.unit_ball_volume(n) * R ** n * R ** 2 / (n * (n + 2))
-        return TorsionSolution(d, T, -R / n)
+        T = -geo.unit_ball_volume(n) * R ** (n + 2) / (n * (n + 2))
+        return TorsionSolution(d, T, -R / n, radial=(R ** 2 / (2.0 * n), 0.0))
     if d.kind == "annulus":
         a = d.kappa * R
         c1, c2 = _annulus_coefficients(n, R, a)
-        T = _annulus_T(n, R, a, c1, c2)
+        T = _shell_energy(n, R, a, c1, c2)
         sp = lambda r: -r / n + c2 * _radial_g_prime(n, r)
         return TorsionSolution(d, T, (sp(R), -sp(a)), radial=(c1, c2))
     op = operator_for(d.rho, M, operator)
@@ -164,10 +148,9 @@ def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
         return basis.moments((float(ts.flux[0]), float(ts.flux[1])))
     if basis.kind != "star":
         raise ValueError("star torsion needs a star basis")
-    thetas = ts.operator.thetas
-    if basis.thetas.size == thetas.size and np.allclose(basis.thetas, thetas):
+    if basis.operator.M == ts.operator.M:     # equispaced grids with equal M coincide
         return basis.moments(ts.flux)
-    return basis.moments(geo.trig_interp(ts.flux, basis.thetas))
+    return basis.moments(geo.trig_interp(ts.flux, basis.operator.thetas))
 
 
 def gauss_identity_residual(ts: TorsionSolution) -> float:

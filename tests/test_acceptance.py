@@ -155,8 +155,8 @@ def test_c06_low_alpha_quantitative_bound(capsys):
                     rep = classify_sign(Domain.ball(n, 1.0), xi, p)
                     assert rep.zone == "stable-low" and rep.bound < 0
                     assert rep.bound_satisfied
-                    slack = 1e-12 * max(1.0, abs(rep.E_ddot))
-                    assert rep.E_ddot <= rep.bound + slack
+                    slack = 1e-12 * max(1.0, abs(rep.variation.E_ddot))
+                    assert rep.variation.E_ddot <= rep.bound + slack
 
 
 def test_c07_pw_bound_random_domains(capsys):

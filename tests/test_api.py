@@ -1,6 +1,10 @@
-"""Public names: every module's `__all__` resolves; the CLI import stays lean."""
+"""Public names: every module's `__all__` resolves; the CLI import stays lean;
+the README's library quickstart runs."""
 
+import contextlib
 import importlib
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +41,20 @@ def test_cli_import_skips_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    # the README calls the shell's series and direct energies "same"
+    shell = namespace["shell"]
+    series = robinlab.energy_series(shell, alpha=2.0).E_total
+    direct = robinlab.energy_direct(shell, 2.0)
+    assert abs(series - direct) <= 1e-12 * abs(direct)

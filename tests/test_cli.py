@@ -3,6 +3,7 @@
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,15 @@ class TestVariations:
                            "--modes", "k2=1")
         assert code == 3
         assert "solver failure" in err
+
+    def test_translation_warning_once_per_alpha(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, "second-variation", "--alpha", "0.5",
+                             "--alpha", "0.7", "--modes", "k1=1,k2=1")
+        assert code == 0
+        texts = [str(w.message) for w in caught]
+        assert texts.count("degree-1 components are translations; zeroing them") == 2
 
     def test_fd_check_columns(self, capsys):
         code, out, _ = run(capsys, "second-variation", "--alpha", "0.5",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from robinlab import StarLayerOperator, ellipse_domain, random_star_domain
+from robinlab import StarLayerOperator, TrigPoly, ellipse_domain, random_star_domain
 from robinlab.layerpot import _trace_sign, dominant_degree, kress_log_weights
 
 
@@ -132,3 +132,12 @@ def test_batched_sign_and_degree_match_per_row(name):
                            1e-9 * rng.standard_normal((8, 256))])
     assert _trace_sign(rows).tolist() == [row_trace_sign(r) for r in rows]
     assert dominant_degree(rows).tolist() == [row_dominant_degree(r) for r in rows]
+
+
+@pytest.mark.parametrize("rho", [TrigPoly(0.2, (0.5,)),            # negative at theta = pi
+                                 TrigPoly(1.0, (0.1, math.nan)),
+                                 TrigPoly(1.0, (), (math.inf,))],
+                         ids=["negative", "nan", "inf"])
+def test_operator_rejects_bad_rho_samples(rho):
+    with pytest.raises(ValueError, match="rho"):
+        StarLayerOperator(rho, 64)

@@ -27,6 +27,8 @@ from robinlab import (
     solve_robin,
     unit_ball_volume,
 )
+from robinlab import robin_energy
+from robinlab.steklov import _radial_profile
 
 
 def ball_energy(n, R, alpha):
@@ -69,6 +71,47 @@ class TestBallClosedForm:
         assert solve_robin(disc, 0.0).status == STATUS_NO_SOLUTION
         with pytest.raises(SolverError):
             energy_direct(disc, 0.0)
+
+
+def frozen_disc_energy(R, alpha):
+    """The disc energy as the planar module once wrote it."""
+    return math.pi * R ** 2 * (-R ** 2 / 8.0 + R / (2.0 * alpha))
+
+
+def frozen_gauss_legendre_energy(d, c1, c2):
+    """-int_Omega of the radial profile by 96-node Gauss-Legendre in r."""
+    n, R = d.dim, d.R
+    r0 = d.kappa * R if d.kind == "annulus" else 0.0
+    x, w = np.polynomial.legendre.leggauss(96)
+    r = 0.5 * (R - r0) * (x + 1.0) + r0
+    profile = _radial_profile(n, r, c1, c2)
+    return -float(n * unit_ball_volume(n) * np.sum(w * profile * r ** (n - 1))
+                  * 0.5 * (R - r0))
+
+
+class TestOneClosedForm:
+    @given(R=hst.floats(min_value=1e-3, max_value=1e3),
+           alpha=hst.floats(min_value=1e-3, max_value=1e3),
+           sign=hst.sampled_from([1.0, -1.0]))
+    def test_ball_energy_is_the_disc_expression(self, R, alpha, sign):
+        assert robin_energy.ball_energy(2, R, sign * alpha) \
+            == frozen_disc_energy(R, sign * alpha)
+
+    @pytest.mark.parametrize("d", [Domain.ball(2, 1.0), Domain.ball(2, 0.7),
+                                   Domain.ball(3, 1.3), Domain.annulus(2, 1.0, 0.3),
+                                   Domain.annulus(3, 1.0, 0.5),
+                                   Domain.annulus(3, 1.7, 0.2)],
+                             ids=lambda d: f"{d.kind}{d.dim}-R{d.R}")
+    @pytest.mark.parametrize("alpha", [-2.5, -0.4, 0.3, 1.7, 3.3])
+    def test_direct_energy_matches_quadrature(self, d, alpha):
+        sol = solve_robin(d, alpha)
+        ref = frozen_gauss_legendre_energy(d, *sol.radial)
+        assert abs(sol.energy - ref) <= 1e-13 * abs(ref)
+
+    def test_alpha0_of_a_ball_has_no_deficit(self):
+        rep = alpha0(Domain.ball(3, 0.8))
+        assert rep.T_omega == rep.T_ball
+        assert math.isinf(rep.alpha0) and rep.epsilon0 == 0.0
 
 
 class TestShellSeries:

@@ -125,7 +125,7 @@ class TestSignZones:
         rep = classify_sign(Domain.ball(2, 1.0), 0.5, mode(2))
         assert rep.zone == "stable-low"
         assert rep.bound == pytest.approx(-0.75)
-        assert rep.E_ddot == pytest.approx(-4.0 / 3.0)
+        assert rep.variation.E_ddot == pytest.approx(-4.0 / 3.0)
         assert rep.bound_satisfied is True
         assert rep.definite_negative
 
@@ -133,7 +133,7 @@ class TestSignZones:
         rep = classify_sign(Domain.ball(2, 1.0), 1.5, mode(2))
         assert rep.zone == "stable-mid"
         assert rep.bound == 0.0
-        assert rep.E_ddot == pytest.approx(-1.0)
+        assert rep.variation.E_ddot == pytest.approx(-1.0)
         assert rep.bound_satisfied is True
 
     def test_stable_mid_near_upper_edge(self):
@@ -143,13 +143,13 @@ class TestSignZones:
         rep = classify_sign(Domain.ball(2, 1.0), 1.875, p)
         assert rep.zone == "stable-mid"
         assert rep.bound_satisfied is True
-        assert rep.E_ddot < 0
+        assert rep.variation.E_ddot < 0
 
     def test_positive_window(self):
         rep = classify_sign(Domain.ball(2, 1.0), 2.5, mode(2))
         assert rep.zone == "positive-window"
         assert math.isnan(rep.bound) and rep.bound_satisfied is None
-        assert rep.E_ddot > 0 and not rep.definite_negative
+        assert rep.variation.E_ddot > 0 and not rep.definite_negative
 
     def test_mixed_zone(self):
         p = PerturbationField.from_modes(2, {2: 1.0, 5: 1.0})

@@ -236,9 +236,9 @@ class TestInteriorValues:
         assert k == 1
         # the numeric eigenvector fixes its own sign and phase; compare
         # against the best-matching phase of the analytic pair
-        proj_c = np.cos(k * b.thetas) / math.sqrt(math.pi)
-        proj_s = np.sin(k * b.thetas) / math.sqrt(math.pi)
-        w = b.weights
+        proj_c = np.cos(k * b.operator.thetas) / math.sqrt(math.pi)
+        proj_s = np.sin(k * b.operator.thetas) / math.sqrt(math.pi)
+        w = b.operator.weights
         cc = float(np.sum(b.traces[1] * proj_c * w))
         cs = float(np.sum(b.traces[1] * proj_s * w))
         expect = 0.5 ** k * (cc * np.cos(k * t) + cs * np.sin(k * t)) / math.sqrt(math.pi)
