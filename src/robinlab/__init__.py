@@ -19,9 +19,7 @@ from .geometry import (
     boundary_grid,
     check_volume_preserving,
     domain_from_dict,
-    domain_from_json,
     domain_to_dict,
-    domain_to_json,
     ellipse_domain,
     ellipse_perturbation,
     interior_integral,
@@ -40,7 +38,6 @@ from .layerpot import StarLayerOperator
 from .oracle import fem_dirichlet_T, fem_robin_energy, steklov_residual
 from .planar_optimality import (
     corollary_disc_max,
-    epsilon0_upper,
     g,
     low_alpha,
     pw_upper_bound,
@@ -97,14 +94,14 @@ __all__ = [
     "DEFAULT_BOUNDARY_NODES", "Domain", "PerturbationField", "TrigPoly",
     "ball_mode_degrees", "ball_mode_multiplicity", "ball_trace_values",
     "boundary_grid", "check_volume_preserving", "domain_from_dict",
-    "domain_from_json", "domain_to_dict", "domain_to_json", "ellipse_domain",
+    "domain_to_dict", "ellipse_domain",
     "ellipse_perturbation", "interior_integral", "mean_curvature",
     "random_perturbation", "random_star_domain", "surface_area",
     "surface_components", "surface_defect", "trig_interp",
     "unit_ball_volume", "unit_sphere_area", "volume",
     "StarLayerOperator",
     "fem_dirichlet_T", "fem_robin_energy", "steklov_residual",
-    "corollary_disc_max", "epsilon0_upper", "g", "low_alpha", "pw_upper_bound",
+    "corollary_disc_max", "g", "low_alpha", "pw_upper_bound",
     "theorem_J_check", "threshold_alpha",
     "ENERGY_COLUMNS", "alpha0", "energy_direct", "energy_series",
     "energy_series_grid", "energy_split_variational", "j_functional",

@@ -35,18 +35,6 @@ __all__ = ["main"]
 
 # -- output plumbing ---------------------------------------------------------
 
-def _fmt(v) -> str:
-    if type(v) is float:             # most cells of an alpha-grid table
-        return f"{v:.17g}"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
 def _native(v):
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
@@ -55,6 +43,17 @@ def _native(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     return v
+
+
+def _fmt(v) -> str:
+    if type(v) is float:             # most cells of an alpha-grid table
+        return f"{v:.17g}"
+    v = _native(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
 
 
 def _emit(args, columns, rows) -> None:
@@ -178,7 +177,10 @@ def _modes_spec(n: int, text: str) -> PerturbationField:
         body = key[1:]
         if body and body[-1] in "cs":
             parity, body = body[-1], body[:-1]
-        entries.append((int(body), parity, float(val)))
+        value = float(val)
+        if not math.isfinite(value):
+            raise ValueError(f"--modes values must be finite, got {item!r}")
+        entries.append((int(body), parity, value))
     if not entries:
         raise ValueError("empty --modes spec")
     if any(k < 1 for k, _, _ in entries):
@@ -263,6 +265,11 @@ def _cmd_first_variation(args) -> int:
     d = _domain_from_args(args)
     cos = _floats(args.vn_cos) if args.vn_cos else []
     sin = _floats(args.vn_sin) if args.vn_sin else []
+    for flag, text, values in (("--vn-const", args.vn_const, [args.vn_const]),
+                               ("--vn-cos", args.vn_cos, cos),
+                               ("--vn-sin", args.vn_sin, sin)):
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{flag} must be finite, got {text}")
     if cos or sin:
         if d.dim != 2:
             raise ValueError("trigonometric speeds are planar; use --vn-const")
@@ -388,12 +395,11 @@ def _cmd_corpus(args) -> int:
 
     def run(item):
         idx, d = item
-        pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+        pack = pw.corollary_pack(d, args.n_modes, args.nodes)
         mu2 = float(pack.mu[1])
         a = pw.low_alpha(d, mu2)
-        row, = energy.energy_series_grid(pack, [a])
-        E_dom = row[energy.ENERGY_COLUMNS.index("E_total")]
-        E_ball = energy.ball_energy(2, d.R, a)
+        rep = pw.corollary_disc_max(d, a, pack=pack)
+        E_dom, E_ball = rep.E_domain, rep.E_ball
         J_dom = energy.j_functional(d, a, T_omega=pack.T, M=args.nodes)
         tol = 1e-9 * max(1.0, abs(E_ball))
         return (idx, d.R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,

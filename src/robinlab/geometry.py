@@ -18,7 +18,6 @@ multiplicity, cosine before sine within an angular degree in 2-D.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -155,9 +154,6 @@ class TrigPoly:
 
     def min_value(self) -> float:
         return float(np.min(self._on_grid(4096)))
-
-    def mean(self) -> float:
-        return self.a0
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +322,16 @@ def _curve_from_radii(thetas: np.ndarray, r: np.ndarray, r1: np.ndarray,
     return BoundaryGrid(thetas, x, q, q * (2.0 * np.pi / thetas.size), normals, curv)
 
 
+def _planar_rho(d: Domain) -> TrigPoly:
+    """Boundary radius of a planar simply connected domain; a disc is the constant-rho star."""
+    if d.dim != 2 or d.kind == "annulus":
+        raise ValueError(f"need a planar simply connected domain, got a {d.dim}-D {d.kind}")
+    return TrigPoly.constant(d.R) if d.kind == "ball" else d.rho
+
+
 def boundary_grid(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
     """Boundary nodes/weights for a planar ball or Star2D domain."""
-    if d.dim != 2 or d.kind == "annulus":
-        raise ValueError("boundary_grid covers planar simply connected domains")
-    rho = TrigPoly.constant(d.R) if d.kind == "ball" else d.rho
+    rho = _planar_rho(d)
     return _curve_from_radii(np.linspace(0.0, 2.0 * np.pi, M, endpoint=False),
                              *(rho._on_grid(M, order) for order in range(3)))
 
@@ -343,14 +344,12 @@ def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray]) -> float
     to values.  Accuracy degrades for integrands that are rough near the
     boundary (the outermost radial node sits within ~1e-4 of it).
     """
-    if d.dim != 2 or d.kind == "annulus":
-        raise ValueError("interior_integral covers planar simply connected domains")
     nr, ntheta = 64, DEFAULT_BOUNDARY_NODES
+    r_b = _planar_rho(d)._on_grid(ntheta)
     u, wu = np.polynomial.legendre.leggauss(nr)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     t = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    r_b = np.full(ntheta, d.R) if d.kind == "ball" else d.rho._on_grid(ntheta)
     uu, tt = np.meshgrid(u, t, indexing="ij")
     rr = uu * r_b[None, :]
     pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
@@ -432,17 +431,15 @@ class PerturbationField:
     w_normal: object = W_COMPENSATING
 
     @staticmethod
-    def from_modes(n: int, amplitudes: dict[int, float], count: int | None = None,
-                   w_normal: object = W_COMPENSATING) -> "PerturbationField":
+    def from_modes(n: int, amplitudes: dict[int, float]) -> "PerturbationField":
         """Place amplitude on the cosine mode (first slot) of each angular degree k."""
         degrees = ball_mode_degrees(n, 4 * (max(amplitudes) + n + 2))
         b = np.zeros(len(degrees))
         for k, amp in amplitudes.items():
             first = int(np.argmax(degrees == k))
             b[first] = amp
-        if count is None:
-            count = int(np.max(np.nonzero(b)[0])) + 1 if np.any(b) else 1
-        return PerturbationField(tuple(b[:count]), w_normal=w_normal)
+        count = int(np.max(np.nonzero(b)[0])) + 1 if np.any(b) else 1
+        return PerturbationField(tuple(b[:count]))
 
     @property
     def b_array(self) -> np.ndarray:
@@ -467,7 +464,6 @@ class VolumePreservationReport:
     passed: bool
     residual: float
     tolerance: float
-    detail: str = ""
 
 
 def check_volume_preserving(p: PerturbationField, d: Domain,
@@ -511,58 +507,61 @@ def check_volume_preserving(p: PerturbationField, d: Domain,
 # canned families and random corpora
 
 
-def ellipse_domain(R: float = 1.0, t: float = 0.1, n_modes: int = 24) -> Domain:
-    """Area-preserving ellipse with semi-axes R/(1+t), R(1+t) as a Star2D domain.
+def ellipse_domain() -> Domain:
+    """Area-preserving ellipse with semi-axes 1/1.1 and 1.1 as a Star2D domain.
 
     The polar radius of an ellipse is analytic with geometrically decaying
-    Fourier coefficients, so a short cosine series represents it to
-    machine precision for moderate t.
+    Fourier coefficients, so 24 cosine modes represent it to machine
+    precision.
     """
-    if t <= -1.0:
-        raise ValueError("t must exceed -1")
-    a, b = R / (1.0 + t), R * (1.0 + t)
+    a, b = 1.0 / 1.1, 1.1
     th = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     r = a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
-    return Domain.star2d(TrigPoly.from_samples(r, n_modes=n_modes, tol=1e-16))
+    return Domain.star2d(TrigPoly.from_samples(r, n_modes=24, tol=1e-16))
 
 
-def ellipse_perturbation(R: float = 1.0) -> PerturbationField:
-    """The field v = (-x1, x2), w = (x1, 0) on the disc of radius R.
+def ellipse_perturbation() -> PerturbationField:
+    """The field v = (-x1, x2), w = (x1, 0) on the unit disc.
 
-    v.nu = -R cos(2 theta), i.e. b_4 = -sqrt(pi R^3); the second-order
-    part is tangential-laden, so the order-2 surface check reports a
-    residual (2 pi R^2) rather than passing.
+    v.nu = -cos(2 theta), i.e. b_4 = -sqrt(pi); the second-order part is
+    tangential-laden, so the order-2 surface check reports a residual
+    (2 pi) rather than passing.
     """
-    b4 = -math.sqrt(math.pi * R ** 3)
-    return PerturbationField((0.0, 0.0, 0.0, b4),
-                             w_normal=lambda th: R * np.cos(th) ** 2)
+    return PerturbationField((0.0, 0.0, 0.0, -math.sqrt(math.pi)),
+                             w_normal=lambda th: np.cos(th) ** 2)
 
 
-def random_star_domain(rng: np.random.Generator, R: float = 1.0,
-                       max_degree: int = 5, amplitude: float = 0.1,
-                       min_degree: int = 2) -> Domain:
-    """Random smooth star domain rho = R (1 + sum of low-degree modes)."""
-    cos = np.zeros(max_degree)
-    sin = np.zeros(max_degree)
-    for k in range(min_degree, max_degree + 1):
-        cos[k - 1] = rng.uniform(-amplitude, amplitude) / k
-        sin[k - 1] = rng.uniform(-amplitude, amplitude) / k
-    rho = TrigPoly(R, tuple(R * c for c in cos), tuple(R * s for s in sin))
-    if rho.min_value() <= 0.3 * R:   # keep the polar map well conditioned
-        return random_star_domain(rng, R, max_degree, amplitude * 0.5, min_degree)
-    return Domain.star2d(rho)
+def random_star_domain(rng: np.random.Generator) -> Domain:
+    """Random smooth star domain: rho = 1 plus cos/sin modes of degree k = 2..5.
+
+    Each coefficient is uniform in [-0.1/k, 0.1/k].  A draw whose minimum
+    radius is at most 0.3 is redrawn at half the amplitude, which keeps
+    the polar map well conditioned.
+    """
+    amplitude = 0.1
+    while True:
+        cos = np.zeros(5)
+        sin = np.zeros(5)
+        for k in range(2, 6):
+            cos[k - 1] = rng.uniform(-amplitude, amplitude) / k
+            sin[k - 1] = rng.uniform(-amplitude, amplitude) / k
+        rho = TrigPoly(1.0, tuple(cos), tuple(sin))
+        if rho.min_value() > 0.3:
+            return Domain.star2d(rho)
+        amplitude *= 0.5
 
 
-def random_perturbation(rng: np.random.Generator, n: int, max_degree: int = 6,
-                        amplitude: float = 1.0, min_degree: int = 2,
-                        count: int | None = None) -> PerturbationField:
-    """Random volume-preserving perturbation (b_1 = 0, barycenter modes zeroed)."""
+def random_perturbation(rng: np.random.Generator, n: int,
+                        max_degree: int = 6) -> PerturbationField:
+    """Random volume-preserving perturbation up to max_degree.
+
+    Each b_i is uniform in [-1, 1]; degrees 0 (volume) and 1
+    (translations) are zeroed.
+    """
     degrees = ball_mode_degrees(n, 256)
     upto = int(np.argmax(degrees > max_degree))
-    b = rng.uniform(-amplitude, amplitude, size=upto)
-    b[degrees[:upto] < min_degree] = 0.0
-    if count is not None:
-        b = b[:count]
+    b = rng.uniform(-1.0, 1.0, size=upto)
+    b[degrees[:upto] < 2] = 0.0
     return PerturbationField(tuple(b))
 
 
@@ -607,11 +606,3 @@ def perturbation_to_dict(p: PerturbationField) -> dict:
 def perturbation_from_dict(obj: dict) -> PerturbationField:
     return PerturbationField(tuple(float(v) for v in obj["b"]),
                              w_normal=obj.get("w_mode", W_COMPENSATING))
-
-
-def domain_to_json(d: Domain) -> str:
-    return json.dumps(domain_to_dict(d))
-
-
-def domain_from_json(s: str) -> Domain:
-    return domain_from_dict(json.loads(s))

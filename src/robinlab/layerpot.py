@@ -83,7 +83,7 @@ class StarLayerOperator:
     kernels below then skip scipy's NaN scan of each matrix.
     """
 
-    def __init__(self, rho: TrigPoly, M: int = 256):
+    def __init__(self, rho: TrigPoly, M: int):
         if not isinstance(M, (int, np.integer)) or M < 8 or M % 2:
             raise ValueError(f"node count must be an even integer >= 8, got {M}")
         with np.errstate(invalid="ignore", over="ignore"):    # checked just below

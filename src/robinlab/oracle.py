@@ -37,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .geometry import Domain, trig_interp
+from .geometry import Domain, _planar_rho, trig_interp
 
 __all__ = [
     "FemRobin",
@@ -60,19 +60,13 @@ _SLOT_ANGLE = np.array([-1, 0, -1, 0, 1, 0, 1])
 
 
 def _rho_callable(d) -> tuple:
-    """(rho(theta), drho(theta)) callables from a Domain or a plain callable.
+    """(rho(theta), drho(theta)) callables from a planar Domain or a plain callable.
 
     A plain callable gets a central-difference derivative.
     """
     if isinstance(d, Domain):
-        if d.kind == "ball" and d.dim == 2:
-            R = d.R
-            return (lambda t: np.full_like(np.asarray(t, float), R),
-                    lambda t: np.zeros_like(np.asarray(t, float)))
-        if d.kind == "star2d":
-            rho = d.rho
-            return (lambda t: rho(t), lambda t: rho(t, order=1))
-        raise ValueError("the oracle handles planar domains only")
+        rho = _planar_rho(d)
+        return rho, lambda t: rho(t, order=1)
     return d, lambda t: (np.asarray(d(t + 1e-6), float)
                          - np.asarray(d(t - 1e-6), float)) / 2e-6
 
@@ -117,7 +111,6 @@ class _Mesh:
     """
 
     def __init__(self, rho, n_t: int, n_r: int):
-        n_t = int(math.ceil(n_t / 4.0)) * 4
         thetas = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
         r_b = np.asarray(rho(thetas), dtype=float)
         if np.any(r_b <= 0):
@@ -351,17 +344,31 @@ def _check_mesh_args(h_max: float, levels: int) -> None:
         raise ValueError(f"Richardson extrapolation needs levels >= 2, got {levels}")
 
 
-def _mesh_levels(rho, h_max: float, levels: int):
-    rmax = float(np.asarray(rho(np.linspace(0, 2 * np.pi, 720)), float).max())
-    n_t0 = max(32, int(math.ceil(2.0 * np.pi * rmax / (4.0 * h_max))) * 4)
+def _doubled_meshes(rho, n_t0: int, levels: int):
+    """`levels` meshes from about n_t0 boundary nodes, doubling both counts per level.
+
+    The angular count is rounded up to a multiple of 4 and the ring count
+    is max(4, n_t0 // 6) of the unrounded one.  Exact doubling keeps the
+    family self-similar, which Richardson needs, and puts every boundary
+    node of a mesh on the next one.
+    """
     n_r0 = max(4, n_t0 // 6)
-    # exact doubling keeps the mesh family self-similar, which Richardson needs
+    n_t0 = int(math.ceil(n_t0 / 4.0)) * 4
     for lv in range(levels):
         yield _Mesh(rho, n_t0 * 2 ** lv, n_r0 * 2 ** lv)
 
 
-def _richardson(values: list[float]) -> tuple[float, float]:
-    """Extrapolate an h^2 sequence from doubled meshes; (value, indicator)."""
+def _mesh_levels(rho, h_max: float, levels: int):
+    rmax = float(np.asarray(rho(np.linspace(0, 2 * np.pi, 720)), float).max())
+    n_t0 = max(32, int(math.ceil(2.0 * np.pi * rmax / (4.0 * h_max))) * 4)
+    return _doubled_meshes(rho, n_t0, levels)
+
+
+def _richardson(values: list) -> tuple:
+    """Extrapolate an h^2 sequence from doubled meshes; (value, indicator).
+
+    The values may be arrays, extrapolated pointwise.
+    """
     ex = [(4.0 * values[i + 1] - values[i]) / 3.0 for i in range(len(values) - 1)]
     if len(ex) == 1:
         return ex[0], abs(values[-1] - ex[0])
@@ -482,17 +489,6 @@ def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):
     return sols[0] if np.ndim(alpha) == 0 else sols
 
 
-def _steklov_meshes(rho, sample_density: int) -> tuple[_Mesh, _Mesh]:
-    """A mesh with about sample_density boundary nodes and its doubling.
-
-    The fine mesh doubles the coarse one's rounded node count, so its
-    even boundary nodes are the coarse ones.
-    """
-    n_r0 = max(4, sample_density // 6)
-    coarse = _Mesh(rho, sample_density, n_r0)
-    return coarse, _Mesh(rho, 2 * coarse.n_t, 2 * n_r0)
-
-
 def steklov_residual(basis, sample_density: int = 256,
                      n_modes: int | None = None) -> float:
     """Audit eigenpairs of a planar Steklov basis: max |flux(phi_i) - mu_i phi_i|.
@@ -518,7 +514,7 @@ def steklov_residual(basis, sample_density: int = 256,
 
     rho, drho = _rho_callable(basis.domain)
     fluxes, traces = [], []
-    for mesh in _steklov_meshes(rho, sample_density):
+    for mesh in _doubled_meshes(rho, sample_density, 2):
         K, _ = mesh.assemble()
         Mb = mesh.boundary_mass(rho, drho)
         nf, n_r = mesh.n_free, mesh.n_r
@@ -532,5 +528,5 @@ def steklov_residual(basis, sample_density: int = 256,
         v[:nf] = free.solve(K[free.gather], -full.apply(Kfull, v)[:nf])
         fluxes.append(outer.solve(Mb[outer.gather], full.apply(Kfull, v)[nf:]).T)
         traces.append(g)
-    coarse_flux = (4.0 * fluxes[1][:, ::2] - fluxes[0]) / 3.0
+    coarse_flux, _ = _richardson([fluxes[0], fluxes[1][:, ::2]])
     return float(np.abs(coarse_flux - basis.mu[:n, None] * traces[0]).max())

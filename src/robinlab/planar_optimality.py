@@ -21,7 +21,6 @@ __all__ = [
     "JThresholdReport",
     "DiscMaxReport",
     "pw_upper_bound",
-    "epsilon0_upper",
     "g",
     "threshold_alpha",
     "theorem_J_check",
@@ -68,11 +67,6 @@ def pw_upper_bound(A: float, L: float) -> PWBound:
         0.5 * _xlogy(y2 ** 2, y2) - 0.75 * y2 ** 2 + y2 - 0.25)
     eps_up = 0.25 * math.pi * rt ** 4 * y2 * (1.0 + _xlogy(y2, y2) - y2)
     return PWBound(A, L, y2, rt, t_star, eps_up)
-
-
-def epsilon0_upper(A: float, L: float) -> float:
-    """Upper bound on the torsion deficit epsilon0 = T(Omega) - T(B)."""
-    return pw_upper_bound(A, L).epsilon0_upper
 
 
 def g(t: float) -> float:
@@ -123,7 +117,7 @@ def theorem_J_check(d: Domain, *, T_omega: float | None = None,
     rep = energy.alpha0(d, T_omega=T_omega, M=M)
     thr = threshold_alpha(d)
     ok = rep.alpha0 >= thr * (1.0 - 1e-9)
-    eps_up = epsilon0_upper(geo.volume(d), geo.surface_area(d))
+    eps_up = pw_upper_bound(geo.volume(d), geo.surface_area(d)).epsilon0_upper
     return JThresholdReport(rep.alpha0, thr, bool(ok), geo.surface_defect(d),
                             rep.epsilon0, eps_up)
 
@@ -146,10 +140,8 @@ def corollary_pack(d: Domain, n_modes: int, M: int) -> energy._SeriesPack:
     d must be simply connected and planar; a disc enters as the star
     domain of constant radius, so its energy takes the Nystrom route.
     """
-    if d.dim != 2 or d.kind == "annulus":
-        raise ValueError("simply connected planar domains only")
-    if d.kind == "ball":
-        d = Domain.star2d(geo.TrigPoly.constant(d.R))
+    if d.kind != "star2d":
+        d = Domain.star2d(geo._planar_rho(d))
     return energy.series_pack(d, n_modes=n_modes, M=M)
 
 

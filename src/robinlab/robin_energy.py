@@ -23,8 +23,8 @@ from .errors import SolverError
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
-from .steklov import (SteklovBasis, _radial_g, _radial_g_prime, _radial_profile,
-                      _shell_energy, tol_res)
+from .steklov import (SteklovBasis, _interior_values, _radial_g, _radial_g_prime,
+                      _radial_values, _shell_energy, tol_res)
 from .torsion import solve_torsion, flux_coefficients
 
 __all__ = [
@@ -69,17 +69,12 @@ class RobinSolution:
     boundary_values: np.ndarray | None = None
 
     def u_radial(self, r):
-        d = self.domain
-        r = np.asarray(r, dtype=float)
-        if self.radial is None:
-            raise ValueError("no radial profile for this solve")
-        return _radial_profile(d.dim, r, *self.radial)
+        """Radial profile u(r) for balls and shells."""
+        return _radial_values(self, r)
 
     def interior_values(self, pts: np.ndarray) -> np.ndarray:
-        if self.operator is not None:
-            return self.operator.poisson_interior(self.density, pts)
-        pts = np.atleast_2d(pts)
-        return self.u_radial(np.hypot(pts[:, 0], pts[:, 1]))
+        """u at interior points; ValueError for a NoSolution solve."""
+        return _interior_values(self, pts)
 
 
 @dataclass(frozen=True)

@@ -331,10 +331,9 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
     """
     sol = solve_u_prime(d, alpha, p)
     n, R = d.dim, d.R
-    b = np.asarray(sol.t) * n / R
     # Jdot from its two pieces (not by fiat): both scale with b_1 = 0
     area = geo.surface_area(d)
-    oint_vn = float(b[0]) * math.sqrt(area)
+    oint_vn = float(p.b[0]) * math.sqrt(area)
     T_dot = -(R / n) ** 2 * oint_vn
     S_dot = ((n - 1.0) / R) * oint_vn
     V = geo.volume(d)
@@ -391,7 +390,7 @@ class NormalSpeedFamily:
     automatically.
     """
 
-    def __init__(self, eta: TrigPoly, R: float = 1.0):
+    def __init__(self, eta: TrigPoly, R: float):
         if abs(eta.a0) > 1e-14:
             raise ValueError("eta must have zero mean")
         self.eta = eta
@@ -423,11 +422,8 @@ class NormalSpeedFamily:
         return PerturbationField(tuple(b))
 
 
-def normal_speed_family(eta, R: float = 1.0) -> NormalSpeedFamily:
+def normal_speed_family(eta: TrigPoly, R: float = 1.0) -> NormalSpeedFamily:
     """Build the exactly area-preserving family from zero-mean eta."""
-    if not isinstance(eta, TrigPoly):
-        thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-        eta = TrigPoly.from_samples(np.asarray(eta(thetas), dtype=float), 64)
     return NormalSpeedFamily(eta, R)
 
 
@@ -449,7 +445,10 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
 
     route: "series" (spectral), "direct" (boundary solve), or "fem"
     (the independent finite-element oracle).  The polynomial degree
-    should exceed 2 when third-order contamination matters.
+    must be at least 2, and should exceed 2 when third-order
+    contamination matters; t_grid must be finite with at least
+    degree + 1 distinct steps (ValueError otherwise), so the fit
+    determines E''.
 
     `alpha` is a number, giving one FiniteDifferenceReport, or a
     sequence of numbers, giving a list of reports in the same order.
@@ -465,6 +464,14 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
     for a in alphas:
         energy._check_alpha(a)
     t_grid = np.asarray(t_grid, dtype=float)
+    if degree < 2:
+        raise ValueError(f"the fit degree must be at least 2 to determine E'', got {degree}")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"finite-difference steps must be finite, got {t_grid.tolist()}")
+    distinct = np.unique(t_grid).size
+    if distinct <= degree:
+        raise ValueError(f"a degree-{degree} fit needs at least {degree + 1} distinct "
+                         f"steps, got {distinct}")
     vals = np.empty((len(alphas), t_grid.size))
     for j, t in enumerate(t_grid):
         dom = family.domain(float(t))
@@ -486,10 +493,7 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
 def _fit_derivatives(t_grid: np.ndarray, vals: np.ndarray, degree: int,
                      route: str) -> FiniteDifferenceReport:
     V = np.vander(t_grid, degree + 1, increasing=True)
-    coef, res, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    fit = V @ coef
-    resid = float(np.max(np.abs(fit - vals)))
-    E0 = float(coef[0])
-    E_dot = float(coef[1]) if degree >= 1 else 0.0
-    E_ddot = 2.0 * float(coef[2]) if degree >= 2 else 0.0
-    return FiniteDifferenceReport(t_grid, vals, E0, E_dot, E_ddot, resid, route)
+    coef = np.linalg.lstsq(V, vals, rcond=None)[0]
+    resid = float(np.max(np.abs(V @ coef - vals)))
+    return FiniteDifferenceReport(t_grid, vals, float(coef[0]), float(coef[1]),
+                                  2.0 * float(coef[2]), resid, route)

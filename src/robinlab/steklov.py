@@ -86,18 +86,18 @@ class SteklovBasis:
     def count(self) -> int:
         return int(self.mu.size)
 
-    def mu2(self) -> float:
-        """First nontrivial eigenvalue."""
-        return float(self.mu[1])
-
     # -- boundary work -------------------------------------------------------
 
     def trace_matrix(self, thetas: np.ndarray | None = None) -> np.ndarray:
-        """Nodal trace values (N, M); analytic bases synthesize on demand (n=2)."""
+        """Nodal trace values (N, M); analytic bases synthesize on demand (n=2).
+
+        A star basis has traces at its operator's nodes only: `thetas`
+        must be None or `operator.thetas` itself (ValueError otherwise).
+        """
         if self.kind == "star":
-            if thetas is None or thetas is self.operator.thetas:
-                return self.traces
-            return np.stack([geo.trig_interp(row, thetas) for row in self.traces])
+            if thetas is not None and thetas is not self.operator.thetas:
+                raise ValueError("star traces exist only at the operator's nodes")
+            return self.traces
         if self.kind == "ball" and self.domain.dim == 2:
             if thetas is None:
                 thetas = self.boundary_quadrature()[0]
@@ -226,6 +226,28 @@ def _radial_profile(n: int, r, c1: float, c2: float):
     return u + c2 * _radial_g(n, r) if c2 else u
 
 
+def _radial_values(sol, r):
+    """The radial profile `sol.radial` = (c1, c2) of a ball or shell solve at radii r.
+
+    A solve without one (star domains, NoSolution) raises ValueError.
+    """
+    if sol.radial is None:
+        raise ValueError("no radial profile for this solve")
+    return _radial_profile(sol.domain.dim, np.asarray(r, dtype=float), *sol.radial)
+
+
+def _interior_values(sol, pts: np.ndarray) -> np.ndarray:
+    """A solution of Delta u + 1 = 0 at interior points.
+
+    Star solves evaluate -|x|^2/4 + S[sol.density] on `sol.operator`;
+    balls and shells read `_radial_values`.
+    """
+    if sol.operator is not None:
+        return sol.operator.poisson_interior(sol.density, pts)
+    pts = np.atleast_2d(pts)
+    return _radial_values(sol, np.hypot(pts[:, 0], pts[:, 1]))
+
+
 def _shell_energy(n: int, R: float, a: float, c1: float, c2: float) -> float:
     """-int of the radial profile over the shell a < |x| < R, exactly.
 
@@ -335,16 +357,14 @@ def spectrum_star2d(d: Domain, n_modes: int = 32,
                     M_nodes: int = DEFAULT_BOUNDARY_NODES) -> SteklovBasis:
     """Nystrom DtN spectrum of a planar star domain.
 
-    Builds the single-layer DtN matrix at M_nodes equispaced boundary
-    nodes and solves the symmetric eigenproblem against the boundary
-    mass.  Requires M_nodes >= 8 * n_modes; n_modes < 1 raises
-    ValueError.  Residuals report
-    || d_nu phi - mu phi || in boundary L^2 per mode.
+    A disc enters as the star of constant radius.  Builds the
+    single-layer DtN matrix at M_nodes equispaced boundary nodes and
+    solves the symmetric eigenproblem against the boundary mass.
+    Requires M_nodes >= 8 * n_modes; n_modes < 1 raises ValueError.
+    Residuals report || d_nu phi - mu phi || in boundary L^2 per mode.
     """
-    if d.kind == "ball" and d.dim == 2:
-        d = Domain.star2d(geo.TrigPoly.constant(d.R))
     if d.kind != "star2d":
-        raise ValueError("spectrum_star2d needs a planar star domain")
+        d = Domain.star2d(geo._planar_rho(d))
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     op = StarLayerOperator(d.rho, M_nodes)

@@ -16,8 +16,8 @@ import numpy as np
 from . import geometry as geo
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, operator_for
-from .steklov import (SteklovBasis, _radial_g, _radial_g_prime, _radial_profile,
-                      _shell_energy)
+from .steklov import (SteklovBasis, _interior_values, _radial_g, _radial_g_prime,
+                      _radial_values, _shell_energy)
 
 __all__ = [
     "TorsionSolution",
@@ -67,16 +67,11 @@ class TorsionSolution:
 
     def s_radial(self, r):
         """Radial profile s(r) for balls and shells."""
-        if self.radial is None:
-            raise ValueError("no radial profile for star domains")
-        return _radial_profile(self.domain.dim, np.asarray(r, dtype=float), *self.radial)
+        return _radial_values(self, r)
 
     def interior_values(self, pts: np.ndarray) -> np.ndarray:
-        """s at interior points (planar star solves)."""
-        if self.operator is None:
-            pts = np.atleast_2d(pts)
-            return self.s_radial(np.hypot(pts[:, 0], pts[:, 1]))
-        return self.operator.poisson_interior(self.density, pts)
+        """s at interior points."""
+        return _interior_values(self, pts)
 
 
 def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
@@ -137,15 +132,13 @@ def rigidity(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
 def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
     """a_i = boundary inner product of phi_i with d_nu s.
 
-    Constant flux per boundary piece makes balls and shells exact; star
-    domains integrate nodal flux against the basis traces (resampling by
-    trigonometric interpolation when the grids differ).
+    Constant flux per boundary piece (a float, or an (outer, inner) pair)
+    makes balls and shells exact; star domains integrate nodal flux
+    against the basis traces (resampling by trigonometric interpolation
+    when the grids differ).
     """
-    d = ts.domain
-    if d.kind == "ball":
-        return basis.moments(float(ts.flux))
-    if d.kind == "annulus":
-        return basis.moments((float(ts.flux[0]), float(ts.flux[1])))
+    if ts.domain.kind != "star2d":
+        return basis.moments(ts.flux)
     if basis.kind != "star":
         raise ValueError("star torsion needs a star basis")
     if basis.operator.M == ts.operator.M:     # equispaced grids with equal M coincide

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robinlab import domain_to_json, ellipse_domain
+from robinlab import domain_to_dict, ellipse_domain
 from robinlab.cli import main
 
 
@@ -89,7 +89,7 @@ class TestSplitAndAlpha0:
 
     def test_alpha0_ellipse_threshold_column(self, capsys, tmp_path):
         path = tmp_path / "dom.json"
-        path.write_text(domain_to_json(ellipse_domain()))
+        path.write_text(json.dumps(domain_to_dict(ellipse_domain())))
         code, out, _ = run(capsys, "alpha0", "--domain-json", str(path))
         assert code == 0
         header, row = out.strip().split("\n")
@@ -320,6 +320,35 @@ class TestBadInputs:
         code, out, err = run(capsys, "spectrum", "--domain", "star", *flags)
         assert code == 2 and out == ""
         assert "rho" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("first-variation", "--alpha", "0.5", "--vn-const", "nan"), "--vn-const"),
+        (("first-variation", "--alpha", "0.5", "--vn-const", "inf"), "--vn-const"),
+        (("first-variation", "--alpha", "0.5", "--domain", "star", "--rho-cos", "0,0.1",
+          "--vn-cos", "0,nan"), "--vn-cos"),
+        (("first-variation", "--alpha", "0.5", "--vn-sin", "0,-inf"), "--vn-sin"),
+        (("j-variations", "--alpha", "0.5", "--modes", "k2=nan"), "--modes"),
+        (("j-variations", "--alpha", "0.5", "--dim", "3", "--modes", "k2=inf"), "--modes"),
+        (("second-variation", "--alpha", "0.5", "--modes", "k2=nan"), "--modes"),
+    ])
+    def test_non_finite_speed_or_mode_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err and flag in err
+
+    @pytest.mark.parametrize("fd", [
+        ("--fd-degree", "-1"),
+        ("--fd-degree", "1"),
+        ("--fd-steps", "0.01"),
+        ("--fd-steps", "0.01,0.01"),
+        ("--fd-steps", "0,0.01"),
+        ("--fd-steps", "0.01,0.02,nan"),
+    ])
+    def test_unfittable_fd_check_rejected(self, capsys, fd):
+        code, out, err = run(capsys, "second-variation", "--alpha", "0.5",
+                             "--modes", "k2=1", "--fd-check", *fd)
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err
 
     @pytest.mark.parametrize("argv", [
         ("energy", "--domain", "star", "--rho-cos", "0,0.05", "--alpha", "0.5"),

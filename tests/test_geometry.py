@@ -15,9 +15,7 @@ from robinlab import (
     boundary_grid,
     check_volume_preserving,
     domain_from_dict,
-    domain_from_json,
     domain_to_dict,
-    domain_to_json,
     ellipse_domain,
     ellipse_perturbation,
     interior_integral,
@@ -70,7 +68,7 @@ class TestTrigPoly:
     def test_min_value_and_mean(self):
         p = TrigPoly(1.0, (-0.3,))
         assert p.min_value() == pytest.approx(0.7, abs=1e-6)
-        assert p.mean() == pytest.approx(1.0)
+        assert p.a0 == pytest.approx(1.0)
 
 
 # The grid evaluator sums by one inverse FFT, __call__ term by term at each
@@ -230,8 +228,6 @@ class TestSerialization:
         back = domain_from_dict(domain_to_dict(d))
         assert back.kind == d.kind and back.dim == d.dim
         assert volume(back) == pytest.approx(volume(d), rel=1e-14)
-        again = domain_from_json(domain_to_json(d))
-        assert again.kind == d.kind
 
     def test_perturbation_round_trip(self):
         p = PerturbationField((0.0, 0.2, -0.1))

@@ -257,7 +257,7 @@ def oracle_meshes():
     yield from oracle._mesh_levels(ellipse, 0.2, 2)
     yield from oracle._mesh_levels(square, 0.05, 3)
     for density in (128, 256, 512):
-        yield from oracle._steklov_meshes(ellipse, density)
+        yield from oracle._doubled_meshes(ellipse, density, 2)
 
 
 class TestOrdering:

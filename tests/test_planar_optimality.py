@@ -10,7 +10,6 @@ from robinlab import (
     Domain,
     corollary_disc_max,
     ellipse_domain,
-    epsilon0_upper,
     g,
     pw_upper_bound,
     random_star_domain,

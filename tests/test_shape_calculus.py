@@ -302,3 +302,24 @@ class TestFiniteDifference:
         fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
         with pytest.raises(ValueError):
             finite_difference_check(fam, 0.5, [0.01], route="magic")
+
+    @pytest.mark.parametrize("grid, degree", [
+        ([-0.01, 0.01, 0.02, 0.03], -1),
+        ([-0.01, 0.01, 0.02, 0.03], 1),
+        ([-0.01, 0.01], 3),
+        ([-0.01, -0.01, 0.01, 0.01], 3),
+        ([-0.01, -0.0, 0.0, 0.01], 3),
+        ([-0.01, 0.01, 0.02, math.nan], 3),
+        ([-0.01, 0.01, 0.02, math.inf], 2),
+        ([], 2),
+    ])
+    def test_unfittable_grid_rejected(self, grid, degree):
+        # E'' needs degree >= 2 and degree + 1 distinct finite steps
+        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        with pytest.raises(ValueError):
+            finite_difference_check(fam, 0.5, grid, degree=degree)
+
+    def test_smallest_fittable_grid(self):
+        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        rep = finite_difference_check(fam, 0.5, [-0.01, 0.0, 0.01], degree=2)
+        assert rep.E_ddot == pytest.approx(-4.0 * math.pi / 3.0, rel=1e-2)

@@ -33,11 +33,11 @@ class TestBallSpectrum:
         # mu = k/R with multiplicity 2 per positive degree
         assert np.array_equal(b.k[:7], [0, 1, 1, 2, 2, 3, 3])
         assert np.allclose(b.mu, b.k / 1.0)
-        assert b.mu2() == pytest.approx(1.0)
+        assert b.mu[1] == pytest.approx(1.0)
 
     def test_radius_scaling(self):
         b = spectrum_ball(2, 2.0, k_max=4)
-        assert b.mu2() == pytest.approx(0.5)
+        assert b.mu[1] == pytest.approx(0.5)
         assert np.allclose(b.mu, b.k / 2.0)
 
     def test_ball3_multiplicities(self):
@@ -152,7 +152,7 @@ class TestStarSpectrum:
         b = spectrum_star2d(d, n_modes=8, M_nodes=192)
         assert abs(b.mu[0]) < 1e-8
         assert np.all(np.diff(b.mu) > -1e-10)
-        assert b.mu2() > 0.0
+        assert b.mu[1] > 0.0
         assert float(b.residuals.max()) < 1e-4
 
 
