@@ -180,6 +180,8 @@ def _modes_spec(n: int, text: str) -> PerturbationField:
         value = float(val)
         if not math.isfinite(value):
             raise ValueError(f"--modes values must be finite, got {item!r}")
+        if (int(body), parity) in [e[:2] for e in entries]:
+            raise ValueError(f"--modes sets k{int(body)}{parity} twice: {item!r}")
         entries.append((int(body), parity, value))
     if not entries:
         raise ValueError("empty --modes spec")
@@ -216,13 +218,13 @@ def _cmd_energy(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
     pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
-    poles = energy.pole_scan(d, pack=pack)
-    near = np.abs(alphas[:, None] - np.array(poles)) < sk.tol_res(alphas)[:, None]
+    # every pole carries flux, so the rule excludes each alpha it resonates with
+    near = sk._resonance(np.array(pack.poles), alphas, True)[0]
     excluded = near.any(axis=1)
     for i in np.flatnonzero(excluded):
-        pole = poles[int(np.argmax(near[i]))]
+        pole = pack.poles[int(np.argmax(near[i]))]
         _log(f"excluded alpha={alphas[i]:.17g}: within tolerance of pole {pole:.17g}")
-    _log(f"poles: {{{', '.join(f'{p:.12g}' for p in poles)}}}")
+    _log(f"poles: {{{', '.join(f'{p:.12g}' for p in pack.poles)}}}")
     rows = energy.energy_series_grid(pack, alphas[~excluded])
     _emit(args, energy.ENERGY_COLUMNS, rows)
     return 0
@@ -302,10 +304,7 @@ def _cmd_second_variation(args) -> int:
         if d.dim != 2:
             raise ValueError("--fd-check needs a planar ball")
         cols += ["fd_E_ddot", "fd_rel_err", "fd_E_dot"]
-        scale = math.sqrt(math.pi * d.R ** 3)
-        b = p.b_array
-        eta = TrigPoly(0.0, tuple(b[1::2] / scale), tuple(b[2::2] / scale))
-        fam = sc.normal_speed_family(eta, d.R)
+        fam = sc.NormalSpeedFamily.from_perturbation(p, d.R)
         steps = np.asarray(_floats(args.fd_steps))
         t_grid = np.concatenate([-steps[::-1], steps])
         fds = sc.finite_difference_check(fam, alphas, t_grid,
@@ -337,8 +336,6 @@ def _cmd_j_variations(args) -> int:
 
 def _cmd_pw_check(args) -> int:
     d = _domain_from_args(args)
-    if d.dim != 2 or d.kind == "annulus":
-        raise ValueError("the area-perimeter bound covers simply connected planar domains")
     area, per = geo.volume(d), geo.surface_area(d)
     bound = pw.pw_upper_bound(area, per)
     T_fem = oracle.fem_dirichlet_T(d, h_max=args.h_max)

@@ -83,8 +83,8 @@ class EnergyReport:
 
     The first seven fields are the CSV contract (ENERGY_COLUMNS order).
     `tail_bound` majorizes the truncated part of the series; `poles`
-    are the eigenvalues carrying nonzero flux components, and
-    `pole_distance` is the gap from alpha to the nearest of them.
+    are the series pack's poles (`pole_scan`), and `pole_distance` is
+    the gap from alpha to the nearest of them.
     """
 
     alpha: float
@@ -137,8 +137,9 @@ class _SeriesPack:
 
     Built once per domain; every alpha of a grid reads it.
     `use` marks the modes summed (a star basis keeps its last pair for
-    the tail bound), `nonzero` the modes carrying torsion flux, and
-    `poles` their distinct eigenvalues.  `live_a2` and `live_mu` are
+    the tail bound), `nonzero` the modes carrying torsion flux
+    (`steklov._carrying`), and `poles` their distinct eigenvalues,
+    rounded to 12 decimals.  `live_a2` and `live_mu` are
     a_i^2 and mu_i over `use & nonzero`, in eigenvalue order.
     """
 
@@ -189,9 +190,8 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES
         tail_mu_next = float(mu[-1])
         missing = max(0.0, ts.boundary_integral(lambda v: v ** 2)
                       - float(np.sum(a[use] ** 2)))
-    a_scale = math.sqrt(float(np.sum(a * a)))
-    nonzero = np.abs(a) > 1e-10 * max(1.0, a_scale)
-    poles = tuple(sorted(set(float(m) for m in mu[nonzero])))
+    nonzero = sk._carrying(a)
+    poles = tuple(sorted(set(round(float(m), 12) for m in mu[nonzero])))
     live = use & nonzero
     return _SeriesPack(d, M, a, mu, use, nonzero, poles,
                        tail_mu_next, missing, ts.T, a[live] ** 2, mu[live])
@@ -331,8 +331,7 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
         pack, np.array([alpha], dtype=float))
     return EnergyReport(alpha, pack.T, float(E_plus[0]), float(E_minus[0]),
                         float(E_total[0]), float(tail[0]), str(status[0]),
-                        pack.poles,
-                        min((abs(alpha - p) for p in pack.poles), default=math.inf),
+                        pack.poles, min((abs(alpha - p) for p in pack.poles), default=math.inf),
                         tuple(int(i) + 1 for i in np.flatnonzero(resonant[0])),
                         int(np.sum(pack.use)))
 
@@ -371,6 +370,7 @@ def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
                 operator: StarLayerOperator | None = None) -> RobinSolution:
     """Solve the Robin problem directly; the energy is -int u dx.
 
+    The status comes from the steklov rule (`steklov._direct_status`).
     Balls and shells use radial closed forms (Family representatives at
     nonradial resonances, where the energy is still single-valued).
     Star domains solve a single-layer boundary system; near a Steklov
@@ -380,29 +380,16 @@ def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
     one domain share it.  A NaN or infinite alpha raises ValueError.
     """
     _check_alpha(alpha)
+    status = sk._direct_status(d, alpha)
+    if status == sk.STATUS_NO_SOLUTION:
+        return RobinSolution(d, alpha, status, math.nan)
     n, R = d.dim, d.R
-    if abs(alpha) < tol_res(alpha):
-        return RobinSolution(d, alpha, sk.STATUS_NO_SOLUTION, math.nan)
     if d.kind == "ball":
         c1 = R ** 2 / (2 * n) - R / (alpha * n)
-        status = sk.STATUS_UNIQUE
-        k_hit = round(alpha * R)
-        if k_hit >= 1 and abs(alpha - k_hit / R) < tol_res(alpha):
-            status = sk.STATUS_FAMILY
         return RobinSolution(d, alpha, status, ball_energy(n, R, alpha), radial=(c1, 0.0))
     if d.kind == "annulus":
-        if abs(alpha - sk.annulus_radial_eigenvalue(n, R, d.kappa)) < tol_res(alpha):
-            return RobinSolution(d, alpha, sk.STATUS_NO_SOLUTION, math.nan)
         c1, c2 = _radial_robin_coefficients(d, alpha)
         E = _shell_energy(n, R, d.kappa * R, c1, c2)
-        status = sk.STATUS_UNIQUE
-        for k in range(1, 40):
-            mus, _ = sk._annulus_pencil(n, R, d.kappa * R, k)
-            if any(abs(alpha - m) < tol_res(alpha) for m in mus):
-                status = sk.STATUS_FAMILY
-                break
-            if min(mus) > alpha + 1.0:
-                break
         return RobinSolution(d, alpha, status, E, radial=(c1, c2))
     return _solve_robin_star(d, alpha, operator_for(d.rho, M, operator))
 
@@ -423,16 +410,26 @@ def _solve_robin_star(d: Domain, alpha: float, op: StarLayerOperator) -> RobinSo
                          density=sigma, operator=op, boundary_values=u_b)
 
 
-def energy_direct(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
-                  operator: StarLayerOperator | None = None) -> float:
-    """E by direct solve, independent of the spectral series.
+def _solve_or_raise(d: Domain, alpha: float, M: int,
+                    operator: StarLayerOperator | None) -> RobinSolution:
+    """`solve_robin`, raising SolverError where its status is NoSolution.
 
-    `operator` is passed on to `solve_robin`.
+    Every consumer of a direct solve reads it through here.
     """
     sol = solve_robin(d, alpha, M, operator=operator)
     if sol.status == sk.STATUS_NO_SOLUTION:
         raise SolverError(f"no Robin solution at alpha={alpha}")
-    return sol.energy
+    return sol
+
+
+def energy_direct(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
+                  operator: StarLayerOperator | None = None) -> float:
+    """E by direct solve, independent of the spectral series.
+
+    `operator` is passed on to `solve_robin`; a NoSolution alpha raises
+    SolverError.
+    """
+    return _solve_or_raise(d, alpha, M, operator).energy
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +564,7 @@ def pole_scan(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES,
               pack: _SeriesPack | None = None) -> tuple[float, ...]:
     """Eigenvalues that are true energy poles (nonzero flux component).
 
-    Reads the flux mask of `pack` (see `series_pack`), or of one built
-    from d, n_modes and M.  Poles are rounded to 12 decimals.
+    Returns the poles of `pack` (see `series_pack`), or of one built
+    from d, n_modes and M, rounded to 12 decimals.
     """
-    if pack is None:
-        pack = series_pack(d, n_modes=n_modes, M=M)
-    return tuple(sorted(set(round(float(m), 12) for m in pack.mu[pack.nonzero])))
+    return (pack or series_pack(d, n_modes=n_modes, M=M)).poles

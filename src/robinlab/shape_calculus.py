@@ -60,11 +60,12 @@ def first_variation_general(d: Domain, alpha: float, vn,
     with H the mean curvature (1/R on a sphere).  `vn` is a callable of
     theta, nodal values, a constant, or a PerturbationField (balls and
     star domains; shells are excluded since their perturbations move two
-    boundaries).
+    boundaries).  A NoSolution alpha raises SolverError.
     """
     n = d.dim
     if d.kind == "annulus":
         raise ValueError("first variation on shells is not supported")
+    sol = energy._solve_or_raise(d, alpha, M, None)
     if d.kind == "ball":
         R = d.R
         u_b = -R / (alpha * n)
@@ -72,7 +73,6 @@ def first_variation_general(d: Domain, alpha: float, vn,
             - alpha * (n - 1) * u_b ** 2 / R
         total_vn = _integrated_vn(d, vn, M)
         return density * total_vn
-    sol = energy.solve_robin(d, alpha, M)
     op = sol.operator
     u_b = sol.boundary_values
     du_t = _tangential_derivative(u_b, op.speed)
@@ -358,18 +358,18 @@ def overdetermined_residual(d: Domain, alpha: float,
     """L2 deviation of the Robin trace from its boundary mean.
 
     Zero exactly when the solution also solves the constant-trace
-    overdetermined problem, which characterizes balls.
+    overdetermined problem, which characterizes balls.  A NoSolution
+    alpha raises SolverError.
     """
+    sol = energy._solve_or_raise(d, alpha, M, None)
     if d.kind == "ball":
         return 0.0
     if d.kind == "annulus":
-        sol = energy.solve_robin(d, alpha)
         uo = float(sol.u_radial(d.R))
         ui = float(sol.u_radial(d.kappa * d.R))
         s_out, s_in = geo.surface_components(d)
         mean = (uo * s_out + ui * s_in) / (s_out + s_in)
         return math.sqrt((uo - mean) ** 2 * s_out + (ui - mean) ** 2 * s_in)
-    sol = energy.solve_robin(d, alpha, M)
     op = sol.operator
     u_b = sol.boundary_values
     mean = float(np.sum(u_b * op.weights)) / float(np.sum(op.weights))
@@ -386,8 +386,9 @@ class NormalSpeedFamily:
     eta is a zero-mean trigonometric polynomial; the initial normal
     speed is vn = R eta, so the induced perturbation components are
     b_i = R eta_i sqrt(pi R) in the orthonormal trace basis (planar).
-    Exact area preservation makes every order of volume correction hold
-    automatically.
+    `from_perturbation` and `perturbation` are the two directions of
+    that map.  Exact area preservation makes every order of volume
+    correction hold automatically.
     """
 
     def __init__(self, eta: TrigPoly, R: float):
@@ -412,14 +413,20 @@ class NormalSpeedFamily:
     def vdotnu(self, thetas: np.ndarray) -> np.ndarray:
         return self.R * self.eta(thetas)
 
+    @classmethod
+    def from_perturbation(cls, p: PerturbationField, R: float) -> NormalSpeedFamily:
+        """The family of the planar ball field p: eta_i = b_i / sqrt(pi R^3), b_1 dropped."""
+        scale = math.sqrt(math.pi * R ** 3)
+        b = p.b_array
+        return cls(TrigPoly(0.0, tuple(b[1::2] / scale), tuple(b[2::2] / scale)), R)
+
     def perturbation(self) -> PerturbationField:
+        """The planar ball field of the family: b_i = R sqrt(pi R) eta_i, b_1 = 0."""
         norm = self.R * math.sqrt(math.pi * self.R)
-        b = [0.0]
-        for k in range(1, self.eta.degree + 1):
-            ck = self.eta.cos[k - 1] if k <= len(self.eta.cos) else 0.0
-            sk_ = self.eta.sin[k - 1] if k <= len(self.eta.sin) else 0.0
-            b.extend([norm * ck, norm * sk_])
-        return PerturbationField(tuple(b))
+        b = np.zeros(1 + 2 * self.eta.degree)
+        b[1:2 * len(self.eta.cos):2] = np.multiply(norm, self.eta.cos)
+        b[2:2 * len(self.eta.sin) + 1:2] = np.multiply(norm, self.eta.sin)
+        return PerturbationField(tuple(b.tolist()))
 
 
 def normal_speed_family(eta: TrigPoly, R: float = 1.0) -> NormalSpeedFamily:

@@ -7,6 +7,7 @@ phi_1 = |dOmega|^{-1/2} always comes first (mu_1 = 0).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,18 +44,60 @@ def tol_res(alpha):
     return 1e-9 * np.maximum(1.0, np.abs(alpha))
 
 
-def _resonance(mu: np.ndarray, alphas: np.ndarray, carries: np.ndarray):
+# A flux or moment component below this fraction of max(1, ||c||) carries nothing
+CARRY_FRACTION = 1e-10
+
+
+def _carrying(c: np.ndarray) -> np.ndarray:
+    """Which components carry data: |c_i| > CARRY_FRACTION * max(1, ||c||)."""
+    return np.abs(c) > CARRY_FRACTION * max(1.0, math.sqrt(float(np.sum(c * c))))
+
+
+def _resonance(mu: np.ndarray, alphas: np.ndarray, carries):
     """(resonant, blocked, status) over a 1-D array of alphas.
 
-    Mode j is resonant at alpha_i when |mu_j - alpha_i| < tol_res(alpha_i).
-    An alpha is NoSolution (`blocked`) when a resonant mode `carries`
-    data, Family when no resonant mode does, and Unique off resonance.
+    The one Unique / Family / NoSolution rule.  Mode j is resonant at
+    alpha_i when |mu_j - alpha_i| < tol_res(alpha_i).  An alpha is
+    NoSolution (`blocked`) when a resonant mode `carries` data (a bool
+    per mode, or True for all), Family when no resonant mode does, and
+    Unique off resonance.
     """
     resonant = np.abs(mu - alphas[:, None]) < tol_res(alphas)[:, None]
     blocked = np.any(resonant & carries, axis=1)
     status = np.where(blocked, STATUS_NO_SOLUTION,
                       np.where(resonant.any(axis=1), STATUS_FAMILY, STATUS_UNIQUE))
     return resonant, blocked, status
+
+
+def _direct_status(d: Domain, alpha: float) -> str:
+    """The `_resonance` status of the Robin problem on d at alpha, without a basis.
+
+    The constant mode mu_1 = 0 carries the flux of every domain.  Balls
+    and shells add their closed-form eigenvalues (k/R, or the roots of
+    the degree-k shell pencil, as their spectra list them) degree by
+    degree, up to the first degree whose eigenvalues all lie past alpha.
+    Degree 0 carries the constant torsion flux; no other degree carries
+    any, so a later degree, whose eigenvalues lie past that one's, can
+    only add non-carrying modes and leaves the status as it is.  A ball
+    lists degrees k0 = max(1, floor(alpha R)) and k0 + 1 only: if any
+    degree lies in alpha's window, one of these two does.  A shell whose
+    pencil overflows before it passes alpha (at degree 501 for R = 1,
+    kappa = 0.5) raises FloatingPointError.  A star lists mu_1 only: its
+    boundary system flags its other resonances.
+    """
+    mu, carries = [0.0], [True]
+    if d.kind != "star2d":
+        k0 = max(1, math.floor(alpha * d.R))
+        degrees = itertools.count() if d.kind == "annulus" else (k0, k0 + 1)
+        with np.errstate(over="raise", invalid="raise"):
+            for k in degrees:
+                mus = [k / d.R] if d.kind == "ball" else \
+                    _annulus_pencil(d.dim, d.R, d.kappa * d.R, k)[0]
+                mu += mus
+                carries += [k == 0] * len(mus)
+                if min(mus) > alpha:
+                    break
+    return str(_resonance(np.array(mu), np.array([alpha], float), np.array(carries))[2][0])
 
 
 @dataclass(frozen=True)
@@ -397,14 +440,12 @@ def expand_harmonic(basis: SteklovBasis, alpha: float, g) -> HarmonicExpansion:
 
     h_i = m_i / (mu_i - alpha) with m_i the boundary moments of g.
     Indices with mu_i within tol_res(alpha) of alpha are resonant: if
-    every resonant moment vanishes (to quadrature accuracy) the solution
-    exists as a family (coefficients zeroed on the resonant subspace,
-    minimal-norm representative); otherwise there is no solution.
+    no resonant moment carries data (`_carrying`, the series' threshold)
+    the solution exists as a family (coefficients zeroed on the resonant
+    subspace, minimal-norm representative); otherwise there is none.
     """
     m = basis.moments(g)
-    scale = math.sqrt(float(np.sum(m * m)))
-    resonant, _, status = _resonance(basis.mu, np.array([alpha], dtype=float),
-                                     np.abs(m) > 1e-8 * max(1.0, scale))
+    resonant, _, status = _resonance(basis.mu, np.array([alpha], float), _carrying(m))
     ok = ~resonant[0]
     coeff = np.zeros_like(m)
     coeff[ok] = m[ok] / (basis.mu[ok] - alpha)

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from robinlab import (
     Domain,

@@ -1,6 +1,7 @@
 """Public names: every module's `__all__` resolves; the CLI import stays lean;
-the README's library quickstart runs."""
+the README's library quickstart runs; no module imports a name it never uses."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -58,3 +59,29 @@ def test_readme_python_blocks_run():
     series = robinlab.energy_series(shell, alpha=2.0).E_total
     direct = robinlab.energy_direct(shell, 2.0)
     assert abs(series - direct) <= 1e-12 * abs(direct)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "robinlab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds that the module never reads (nor lists in `__all__`)."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names} - {"*"}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

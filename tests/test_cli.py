@@ -6,7 +6,6 @@ import shlex
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from robinlab import domain_to_dict, ellipse_domain
@@ -163,6 +162,16 @@ class TestVariations:
         assert cols["bounds_ok"] == "true"
         assert float(cols["lower_bound"]) <= float(cols["J_ddot"]) \
             <= float(cols["upper_bound"])
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "0", "--vn-const", "1"),
+        ("--alpha", "1e-12", "--vn-const", "1"),
+        ("--alpha", "0", "--domain", "star", "--rho-cos", "0,0.1"),
+    ])
+    def test_first_variation_at_a_pole_exit3(self, capsys, argv):
+        code, out, err = run(capsys, "first-variation", *argv)
+        assert code == 3 and out == ""
+        assert "solver failure: no Robin solution" in err
 
     def test_bad_modes_spec(self, capsys):
         code, _, err = run(capsys, "second-variation", "--alpha", "0.5",
@@ -335,6 +344,30 @@ class TestBadInputs:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "invalid configuration" in err and flag in err
+
+    @pytest.mark.parametrize("argv, entry", [
+        (("j-variations", "--alpha", "0.5", "--modes", "k2=1,k2=3"), "'k2=3'"),
+        (("j-variations", "--alpha", "0.5", "--modes", "k2s=1,k3=1,k2s=3"), "'k2s=3'"),
+        (("j-variations", "--alpha", "0.5", "--dim", "3", "--modes", "k2=1,k2c=3"),
+         "'k2c=3'"),
+        (("second-variation", "--alpha", "0.5", "--modes", "k3=1,k3=1"), "'k3=1'"),
+    ])
+    def test_repeated_mode_rejected(self, capsys, argv, entry):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "twice" in err and entry in err
+
+    def test_cos_and_sin_of_one_degree_accepted(self, capsys):
+        code, out, _ = run(capsys, "j-variations", "--alpha", "0.5",
+                           "--modes", "k2=1,k2s=3")
+        assert code == 0 and out.count("\n") == 2
+
+    @pytest.mark.parametrize("domain", [("--domain", "annulus", "--kappa", "0.5"),
+                                        ("--dim", "3")])
+    def test_pw_check_needs_a_planar_star(self, capsys, domain):
+        code, out, err = run(capsys, "pw-check", *domain)
+        assert code == 2 and out == ""
+        assert "need a planar simply connected domain" in err
 
     @pytest.mark.parametrize("fd", [
         ("--fd-degree", "-1"),

@@ -16,7 +16,6 @@ from robinlab import (
     check_volume_preserving,
     domain_from_dict,
     domain_to_dict,
-    ellipse_domain,
     ellipse_perturbation,
     interior_integral,
     mean_curvature,

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as hst
 from robinlab import (
     Domain,
     corollary_disc_max,
-    ellipse_domain,
     g,
     pw_upper_bound,
     random_star_domain,

@@ -15,7 +15,6 @@ from robinlab import (
     SolverError,
     TrigPoly,
     alpha0,
-    ellipse_domain,
     energy_direct,
     energy_series,
     energy_split_variational,
@@ -25,6 +24,8 @@ from robinlab import (
     pole_scan,
     random_star_domain,
     solve_robin,
+    spectrum_annulus,
+    spectrum_ball,
     unit_ball_volume,
 )
 from robinlab import robin_energy
@@ -150,6 +151,31 @@ class TestShellSeries:
         assert rep.status == STATUS_FAMILY
         assert math.isfinite(rep.E_total)
         assert solve_robin(shell, mus[1]).status == STATUS_FAMILY
+
+
+class TestOneStatusRule:
+    """The direct route reads the series' Unique / Family / NoSolution rule."""
+
+    @pytest.mark.parametrize("d", [Domain.ball(2, 1.0), Domain.ball(3, 1.0),
+                                   Domain.annulus(2, 1.0, 0.5),
+                                   Domain.annulus(3, 1.0, 0.5)],
+                             ids=lambda d: f"{d.kind}{d.dim}")
+    def test_direct_status_is_series_status(self, d):
+        def spectrum(k_max):
+            if d.kind == "ball":
+                return spectrum_ball(d.dim, d.R, k_max=k_max)
+            return spectrum_annulus(d.dim, d.R, d.kappa, k_max=k_max)
+
+        mu = np.unique(spectrum(60).mu)            # every eigenvalue up to degree 60
+        alphas = np.concatenate([mu, (mu[:-1] + mu[1:]) / 2])
+        basis = spectrum(int(mu[-1] * d.R) + 2)
+        assert basis.mu[basis.k == basis.k.max()].min() > mu[-1]   # k_max past alpha
+        statuses = set()
+        for a in alphas.tolist():
+            series = energy_series(d, a, basis=basis).status
+            assert solve_robin(d, a).status == series, a
+            statuses.add(series)
+        assert statuses == {STATUS_UNIQUE, STATUS_FAMILY, STATUS_NO_SOLUTION}
 
 
 class TestStarSeries:

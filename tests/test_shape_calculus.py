@@ -12,7 +12,6 @@ from robinlab import (
     SolverError,
     TrigPoly,
     classify_sign,
-    ellipse_domain,
     energy_direct,
     finite_difference_check,
     first_variation_general,
@@ -25,6 +24,7 @@ from robinlab import (
     surface_second_variation,
     volume,
 )
+from robinlab.shape_calculus import NormalSpeedFamily
 
 
 def mode(k, amp=1.0, n=2):
@@ -202,6 +202,12 @@ class TestFirstVariation:
         with pytest.raises(ValueError):
             first_variation_general(shell, 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-12, -1e-10])
+    def test_no_solution_raises(self, disc, ball3, ellipse, alpha):
+        for d in (disc, ball3, ellipse):
+            with pytest.raises(SolverError, match="no Robin solution"):
+                first_variation_general(d, alpha, 1.0, M=64)
+
 
 class TestJVariations:
     def test_jdot_vanishes_volume_preserving(self, disc):
@@ -243,6 +249,13 @@ class TestOverdetermined:
         assert overdetermined_residual(shell, 1.0) == pytest.approx(
             0.0495415912, rel=1e-6)
 
+    def test_no_solution_raises(self, disc, shell, ellipse):
+        for d in (disc, Domain.annulus(2, 1.0, 0.5), shell, ellipse):
+            with pytest.raises(SolverError, match="no Robin solution"):
+                overdetermined_residual(d, 0.0, M=64)
+        with pytest.raises(SolverError, match="no Robin solution"):
+            overdetermined_residual(shell, 5.0)       # the radial pole
+
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_positive_off_balls(self, seed):
         from robinlab import random_star_domain
@@ -272,6 +285,25 @@ class TestNormalSpeedFamily:
         assert b[3] == pytest.approx(0.5 * norm)     # cos 2t slot
         assert b[6] == pytest.approx(0.25 * norm)    # sin 3t slot
         assert b[0] == 0.0
+
+    def test_perturbation_matches_slot_loop(self):
+        eta = TrigPoly(0.0, (0.3, -0.5), (0.0, 0.2, 0.7))
+        R = 1.7
+        norm = R * math.sqrt(math.pi * R)
+        ref = [0.0]
+        for k in range(1, eta.degree + 1):
+            ref += [norm * (eta.cos[k - 1] if k <= len(eta.cos) else 0.0),
+                    norm * (eta.sin[k - 1] if k <= len(eta.sin) else 0.0)]
+        assert normal_speed_family(eta, R).perturbation().b == tuple(ref)
+
+    @pytest.mark.parametrize("R", [1.0, 0.7, 2.3])
+    def test_perturbation_round_trip(self, R):
+        b = np.random.default_rng(7).standard_normal(13)
+        b[0] = 0.0
+        fam = NormalSpeedFamily.from_perturbation(PerturbationField(tuple(b)), R)
+        back = fam.perturbation().b_array
+        assert back.shape == b.shape
+        assert np.max(np.abs(back - b)) <= 1e-15 * np.max(np.abs(b))
 
     def test_initial_speed(self):
         fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)), R=2.0)

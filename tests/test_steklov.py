@@ -8,12 +8,10 @@ from hypothesis import given, strategies as hst
 
 from robinlab import (
     Domain,
-    HarmonicExpansion,
     STATUS_FAMILY,
     STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
     annulus_radial_eigenvalue,
-    ball_trace_values,
     expand_harmonic,
     random_star_domain,
     spectrum_annulus,

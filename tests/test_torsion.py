@@ -9,7 +9,6 @@ from hypothesis import given, strategies as hst
 from robinlab import (
     Domain,
     TrigPoly,
-    ellipse_domain,
     flux_coefficients,
     gauss_identity_residual,
     random_star_domain,
