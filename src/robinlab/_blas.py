@@ -8,6 +8,7 @@ of dense results depend on the thread count.  Only `cli.main` calls
 from __future__ import annotations
 
 import ctypes
+import functools
 from pathlib import Path
 
 _SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -29,13 +30,25 @@ def openblas_libraries(dirs=None) -> list[ctypes.CDLL]:
             for p in sorted(Path(d).glob("libscipy_openblas*.so"))]
 
 
-def pin_single_thread(dirs=None) -> int:
-    """Set every OpenBLAS build found to one thread; returns how many were set."""
-    pinned = 0
+@functools.cache
+def _setters(dirs) -> tuple:
+    """The thread-count setters of the builds in `dirs`, looked up once."""
+    found = []
     for lib in openblas_libraries(dirs):
         setter = next((getattr(lib, s) for s in _SETTERS if hasattr(lib, s)), None)
         if setter is not None:
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            pinned += 1
-    return pinned
+            found.append(setter)
+    return tuple(found)
+
+
+def pin_single_thread(dirs=None) -> int:
+    """Set every OpenBLAS build found to one thread; returns how many were set.
+
+    The builds are found once per process, but each call sets them
+    again, so a thread count changed since the last call is undone.
+    """
+    setters = _setters(None if dirs is None else tuple(dirs))
+    for setter in setters:
+        setter(1)
+    return len(setters)

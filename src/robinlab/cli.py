@@ -12,9 +12,11 @@ pole; each exclusion is logged to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,15 +47,35 @@ def _native(v):
     return v
 
 
+_FLOAT = "%.17g"
+
+
 def _fmt(v) -> str:
-    if type(v) is float:             # most cells of an alpha-grid table
-        return f"{v:.17g}"
     v = _native(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return _FLOAT % v
     return str(v)
+
+
+def _csv(columns, rows) -> str:
+    """The CSV table: one %-format per row type signature, one join.
+
+    Plain float, int and str cells (every cell of an alpha-grid or
+    spectrum table) go straight into the format; other cells (bools,
+    numpy scalars) go through `_fmt` first.
+    """
+    direct = {float: _FLOAT, int: "%d", str: "%s"}
+    lines, sig = [",".join(columns)], None
+    for r in rows:
+        if (s := tuple(map(type, r))) != sig:
+            sig, form = s, ",".join(direct.get(t, "%s") for t in s)
+            other = [i for i, t in enumerate(s) if t not in direct]
+        if other:
+            r = [_fmt(v) if i in other else v for i, v in enumerate(r)]
+        lines.append(form % tuple(r))
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, columns, rows) -> None:
@@ -62,9 +84,7 @@ def _emit(args, columns, rows) -> None:
                    "rows": [dict(zip(columns, map(_native, r))) for r in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in r) for r in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv(columns, rows)
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -234,15 +254,13 @@ def _cmd_split(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
     pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
-    series = energy.energy_series_grid(pack, alphas)
-    e_plus, e_minus_bound = energy.split_variational_grid(pack, alphas)
-    rows = []
-    for (a, _, E_plus, E_minus, *_), ep, em_bound in zip(
-            series, e_plus.tolist(), e_minus_bound.tolist()):
-        # the trial bound only applies below mu_2; NaN means not applicable
-        ok = math.isnan(em_bound) or \
-            E_minus <= em_bound + 1e-9 * max(1.0, abs(E_minus))
-        rows.append((a, E_plus, E_minus, ep, em_bound, ok))
+    a, _, E_plus, E_minus, *_ = zip(*energy.energy_series_grid(pack, alphas))
+    e_plus, em_bound = energy.split_variational_grid(pack, alphas)
+    em = np.array(E_minus)
+    # the trial bound only applies below mu_2; NaN means not applicable
+    ok = np.isnan(em_bound) | (em <= em_bound + 1e-9 * np.maximum(1.0, np.abs(em)))
+    rows = list(zip(a, E_plus, E_minus, e_plus.tolist(), em_bound.tolist(),
+                    ok.tolist()))
     _emit(args, ("alpha", "E_plus", "E_minus", "E_plus_series",
                  "E_minus_bound", "bound_ok"), rows)
     return 0
@@ -538,25 +556,44 @@ def _config_value(act: argparse.Action, value):
     return convert(value)
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config, built once per process."""
+    return build_parser()
+
+
+def _preparse(argv) -> tuple[list[str], str | None]:
+    """(argv, config path): the first --config taken out of argv.
+
+    `--alpha-grid` is joined to a following value that starts with a
+    minus sign and a digit or point, which argparse would read as an
+    option.
+    """
+    out, path, toks = [], None, iter(argv)
+    for tok in toks:
+        if path is None and tok == "--config":
+            path = next(toks, None)
+            if path is None:
+                raise ValueError("--config needs a path")
+        elif path is None and tok.startswith("--config="):
+            path = tok.split("=", 1)[1]
+        elif out[-1:] == ["--alpha-grid"] and re.match(r"-[0-9.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out, path
+
+
 def main(argv=None) -> int:
     # the domain pool is the only parallelism; BLAS threads would oversubscribe
     pin_single_thread()
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    path = None
-    for at, tok in enumerate(argv):
-        if tok == "--config":
-            if at + 1 >= len(argv):
-                print("invalid configuration: --config needs a path",
-                      file=sys.stderr)
-                return 2
-            path = argv[at + 1]
-            argv = argv[:at] + argv[at + 2:]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            argv = argv[:at] + argv[at + 1:]
-            break
+    try:
+        argv, path = _preparse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    # a config sets defaults on the subparsers, so it gets a parser of its own
+    parser = _shared_parser() if path is None else build_parser()
     appended = {}
     if path is not None:
         try:

@@ -228,6 +228,29 @@ class _Mesh:
         return gx * nx + gy * ny, q
 
 
+def _nd_block(h: int, w: int, memo: dict) -> np.ndarray:
+    """(ring, angle) offsets within an h x w rectangle, in dissection order.
+
+    `memo` maps each shape already ordered to its order.  A module-level
+    function rather than a closure: a recursive closure is a reference
+    cycle, which would keep the memo's arrays until the next full
+    garbage collection.
+    """
+    if (h, w) not in memo:
+        if h * w <= 1:
+            out = np.zeros((2, h * w), dtype=int)
+        elif h > w:
+            out = _nd_block(w, h, memo)[::-1]
+        else:
+            k = w // 2
+            sep = np.stack([np.arange(h), np.full(h, k)])
+            out = np.concatenate([_nd_block(h, k, memo),
+                                  _nd_block(h, w - k - 1, memo) + [[0], [k + 1]],
+                                  sep], axis=1)
+        memo[h, w] = out
+    return memo[h, w]
+
+
 def _nd_order(n_t: int, m: int, center: bool) -> np.ndarray:
     """Nested-dissection order of the centre (if any) and m rings of n_t nodes.
 
@@ -239,25 +262,8 @@ def _nd_order(n_t: int, m: int, center: bool) -> np.ndarray:
     shape share one order, so the work is a few array operations per
     distinct shape, O(log^2 n) shapes in all.
     """
-    memo = {}
-
-    def block(h, w):
-        """(ring, angle) offsets within an h x w rectangle, in order."""
-        if (h, w) not in memo:
-            if h * w <= 1:
-                out = np.zeros((2, h * w), dtype=int)
-            elif h > w:
-                out = block(w, h)[::-1]
-            else:
-                k = w // 2
-                sep = np.stack([np.arange(h), np.full(h, k)])
-                out = np.concatenate([block(h, k), block(h, w - k - 1) + [[0], [k + 1]],
-                                      sep], axis=1)
-            memo[h, w] = out
-        return memo[h, w]
-
     half = n_t // 2
-    ring, angle = block(m, half - 1)
+    ring, angle = _nd_block(m, half - 1, {})
     c = int(center)
     first = c + ring * n_t + angle + 1
     rays = c + np.arange(m)[:, None] * n_t + [0, half]

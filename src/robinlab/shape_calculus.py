@@ -27,6 +27,7 @@ from .errors import SolverError
 from .geometry import Domain, PerturbationField, TrigPoly, DEFAULT_BOUNDARY_NODES
 from . import robin_energy as energy
 from .layerpot import StarLayerOperator
+from .steklov import tol_res
 
 __all__ = [
     "VariationReport",
@@ -137,7 +138,7 @@ def _validate_modal(d: Domain, alpha: float, p: PerturbationField):
     n, R = d.dim, d.R
     xi = alpha * R
     near_int = round(xi)
-    if near_int >= 2 and abs(xi - near_int) < 1e-12:
+    if near_int >= 2 and abs(near_int / R - alpha) < tol_res(alpha):
         raise SolverError(
             f"xi = alpha R = {xi} sits on the integer resonance k = {near_int}")
     b = np.asarray(p.b_array, dtype=float)
@@ -191,8 +192,9 @@ def second_variation_ball(d: Domain, alpha: float,
 
     The two must agree to 1e-10 relative; their gap is reported.
     Degree-1 (translation) components are zeroed with a warning; a
-    nonzero mean component (b_1) is a ValueError; integer xi >= 2 is a
-    SolverError (state derivative blows up), xi = 1 is fine.
+    nonzero mean component (b_1) is a ValueError; alpha within
+    tol_res(alpha) of an eigenvalue k/R with k >= 2 is a SolverError
+    (state derivative blows up), xi = 1 is fine.
     """
     n, R, xi, b, ks, live, _, Q = _validate_modal(d, alpha, p)
     dvals = np.zeros_like(b)

@@ -81,7 +81,7 @@ def _direct_status(d: Domain, alpha: float) -> str:
     only add non-carrying modes and leaves the status as it is.  A ball
     lists degrees k0 = max(1, floor(alpha R)) and k0 + 1 only: if any
     degree lies in alpha's window, one of these two does.  A shell whose
-    pencil overflows before it passes alpha (at degree 501 for R = 1,
+    pencil overflows before it passes alpha (at degree 1013 for R = 1,
     kappa = 0.5) raises FloatingPointError.  A star lists mu_1 only: its
     boundary system flags its other resonances.
     """
@@ -317,7 +317,12 @@ def _annulus_pencil(n: int, R: float, a: float, k: int):
     """2x2 generalized pencil for degree-k shell modes; returns (mus, vecs).
 
     Radial solutions r^k and r^{2-n-k} (1 and g(r) for degree 0).
-    Rows are the Steklov conditions at the outer/inner spheres.
+    Rows are the Steklov conditions at the outer/inner spheres.  `vecs`
+    holds the null vectors that the radial profiles read, and is None
+    for k >= 1.  There each column is scaled by the power of two that
+    brings its largest entry into [1/2, 1), so the quadratic's
+    coefficients stay finite at high degree; the scaling is exact, so
+    every root that is finite without it keeps its bits.
     """
     if k == 0:
         f = lambda r: np.array([1.0, _radial_g(n, r)])
@@ -328,12 +333,17 @@ def _annulus_pencil(n: int, R: float, a: float, k: int):
         fp = lambda r: np.array([e1 * r ** (e1 - 1), e2 * r ** (e2 - 1)])
     P = np.array([fp(R), -fp(a)])
     Q = np.array([f(R), f(a)])
+    if k:
+        shift = -np.frexp(np.maximum(abs(P).max(axis=0), abs(Q).max(axis=0)))[1]
+        P, Q = np.ldexp(P, shift), np.ldexp(Q, shift)
     # det(P - mu Q) = c2 mu^2 + c1 mu + c0
     c2 = Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
     c1 = -(P[0, 0] * Q[1, 1] + P[1, 1] * Q[0, 0] - P[0, 1] * Q[1, 0] - P[1, 0] * Q[0, 1])
     c0 = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
     disc = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
     mus = sorted(((-c1 - disc) / (2.0 * c2), (-c1 + disc) / (2.0 * c2)))
+    if k:
+        return mus, None
     vecs = []
     for mu in mus:
         Mm = P - mu * Q

@@ -1,15 +1,17 @@
 """End-to-end CLI behavior: tables, exit codes, config, determinism."""
 
+import argparse
 import json
 import math
 import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robinlab import domain_to_dict, ellipse_domain
-from robinlab.cli import main
+from robinlab.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -86,6 +88,21 @@ class TestSplitAndAlpha0:
         assert header.split(",")[-1] == "bound_ok"
         assert row.split(",")[-1] == "true"
 
+
+    def test_split_bound_ok_matches_row_rule(self, capsys):
+        # the per-row rule that the column's array expression replaced
+        code, out, _ = run(capsys, "split", "--alpha-grid=-6:1.5:300",
+                           "--domain", "star", "--rho-cos", "0,0.08,-0.05",
+                           "--rho-sin", "0,0.03")
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+        for row in rows:
+            E_minus, bound = float(row[2]), float(row[4])
+            ok = math.isnan(bound) or \
+                E_minus <= bound + 1e-9 * max(1.0, abs(E_minus))
+            assert row[5] == ("true" if ok else "false")
+        assert {r[4] == "nan" for r in rows} == {True, False}
+
     def test_alpha0_ellipse_threshold_column(self, capsys, tmp_path):
         path = tmp_path / "dom.json"
         path.write_text(json.dumps(domain_to_dict(ellipse_domain())))
@@ -118,10 +135,12 @@ class TestVariations:
         assert float(cols["route_gap"]) < 1e-12
 
     def test_second_variation_resonance_exit3(self, capsys):
-        code, _, err = run(capsys, "second-variation", "--alpha", "2.0",
-                           "--modes", "k2=1")
-        assert code == 3
-        assert "solver failure" in err
+        # 2.000000001 lies in the resonance window tol_res of mu_2 = 2
+        for alpha in ("2.0", "2.000000001"):
+            code, _, err = run(capsys, "second-variation", "--alpha", alpha,
+                               "--modes", "k2=1")
+            assert code == 3
+            assert "solver failure" in err
 
     def test_translation_warning_once_per_alpha(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -215,6 +234,47 @@ class TestChecks:
         assert all(r[6] == "true" and r[9] == "true" for r in rows)
 
 
+def _reference_cell(v) -> str:
+    """A CSV cell as the per-cell formatter wrote it: the reference for _emit."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+class TestEmit:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308,
+               -1e308, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0]
+
+    def check(self, capsys, columns, rows):
+        _emit(argparse.Namespace(json=False, output="-"), columns, rows)
+        lines = [",".join(columns)] + [",".join(map(_reference_cell, r))
+                                       for r in rows]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_mixed_cell_types(self, capsys):
+        # the row types change partway through, and back
+        rows = [(v, "Unique", -v) for v in self.SPECIAL]
+        rows += [(np.float64(v), 7, np.int64(-3)) for v in self.SPECIAL]
+        rows += [(True, np.bool_(False), "x"), (False, np.bool_(True), "")]
+        rows += [(v, "Family", v) for v in self.SPECIAL]
+        rows += [[1, np.float64(2.5), 0.25], (-(2 ** 70), "x", 0)]
+        self.check(capsys, ("a", "b", "c"), rows)
+
+    def test_float_bit_patterns(self, capsys):
+        bits = np.random.default_rng(5).integers(0, 2 ** 64, size=3000,
+                                                 dtype=np.uint64)
+        cells = bits.view(np.float64).tolist()
+        self.check(capsys, ("a", "b", "c", "s"),
+                   [(*cells[i:i + 3], "Unique") for i in range(0, 3000, 3)])
+
+    def test_empty_table(self, capsys):
+        self.check(capsys, ("alpha", "E"), [])
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, monkeypatch):
         args = ("corpus", "--count", "2", "--seed", "7",
@@ -277,6 +337,17 @@ class TestConfig:
         _, ref, _ = run(capsys, "energy", "--alpha", "1.5")
         assert out == ref
 
+
+    def test_config_does_not_reach_the_next_call(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nodes": 128, "n_modes": 16, "alpha": [0.5]}))
+        base = ("energy", "--domain", "star", "--rho-cos", "0,0.1")
+        for argv in (base, base + ("--alpha", "1.5")):
+            before = run(capsys, *argv)
+            configured = run(capsys, "--config", str(cfg), *argv)
+            assert configured[0] == 0 and configured != before
+            assert run(capsys, *argv) == before
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"radius": 2.0, "bogus": 1}))
@@ -299,6 +370,14 @@ class TestBadInputs:
     def test_bad_grid_syntax(self, capsys):
         code, _, _ = run(capsys, "energy", "--alpha-grid", "1:2")
         assert code == 2
+
+
+    @pytest.mark.parametrize("grid", ["-1:8:40", "-.5:0.5:7"])
+    def test_negative_grid_start_as_separate_token(self, capsys, grid):
+        flags = ("--domain", "star", "--rho-cos", "0,0.1")
+        joined = run(capsys, "energy", f"--alpha-grid={grid}", *flags)
+        assert joined[0] == 0
+        assert run(capsys, "energy", "--alpha-grid", grid, *flags) == joined
 
     def test_star_is_planar(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--domain", "star",

@@ -1,5 +1,6 @@
 """Finite-element cross-checks: energies, torsion, eigenpair residuals."""
 
+import gc
 import json
 import math
 
@@ -267,3 +268,14 @@ class TestOrdering:
                 perm = oracle._System(mesh, lo, hi).perm
                 size = int(lo == 1) + (hi - lo + 1) * mesh.n_t
                 assert np.array_equal(np.sort(perm), np.arange(size))
+
+    def test_order_leaves_no_reference_cycle(self):
+        # a cycle would keep the order's index arrays alive until the next
+        # full garbage collection
+        gc.collect()
+        gc.disable()
+        try:
+            oracle._nd_order(256, 60, True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

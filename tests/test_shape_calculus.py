@@ -9,6 +9,7 @@ from hypothesis import given, strategies as hst
 from robinlab import (
     Domain,
     PerturbationField,
+    STATUS_FAMILY,
     SolverError,
     TrigPoly,
     classify_sign,
@@ -20,6 +21,7 @@ from robinlab import (
     normal_speed_family,
     overdetermined_residual,
     second_variation_ball,
+    solve_robin,
     solve_u_prime,
     surface_second_variation,
     volume,
@@ -101,6 +103,20 @@ class TestSecondVariation:
         # xi = 1 is regular: the (k-1) factor cancels the pole
         rep = second_variation_ball(Domain.ball(2, 1.0), 1.0, mode(2))
         assert math.isfinite(rep.E_ddot)
+
+
+    @pytest.mark.parametrize("R, alpha, resonant", [
+        (1.0, 2.000000001, True), (0.5, 6.0 - 5e-9, True),
+        (2.0, 1.5 + 1e-9, True), (1.0, 2.000000002, False)])
+    def test_resonance_window_is_the_steklov_rule(self, R, alpha, resonant):
+        # alpha within tol_res of mu_k = k/R, where solve_robin reports Family
+        d = Domain.ball(2, R)
+        assert (solve_robin(d, alpha).status == STATUS_FAMILY) == resonant
+        if resonant:
+            with pytest.raises(SolverError):
+                second_variation_ball(d, alpha, mode(2))
+        else:
+            assert math.isfinite(second_variation_ball(d, alpha, mode(2)).E_ddot)
 
     def test_translation_warns_and_drops(self):
         p = PerturbationField((0.0, 1.0, 0.0, 0.8))

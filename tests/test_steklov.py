@@ -14,6 +14,7 @@ from robinlab import (
     annulus_radial_eigenvalue,
     expand_harmonic,
     random_star_domain,
+    solve_robin,
     spectrum_annulus,
     spectrum_ball,
     spectrum_star2d,
@@ -121,6 +122,36 @@ class TestAnnulusSpectrum:
         assert m[ir] ** 2 == pytest.approx(math.pi / 80.0, rel=1e-12)
         others = [i for i in range(b.count) if i not in (i0, ir)]
         assert np.allclose(m[others], 0.0)
+
+
+    def test_high_degree_pencil_finite(self, shell):
+        # the unscaled quadratic overflowed from degree 501 on this shell
+        b = spectrum_annulus(3, 1.0, 0.5, k_max=600)
+        assert np.all(np.isfinite(b.mu))
+        assert np.all(np.diff(b.mu) >= 0)
+        sol = solve_robin(shell, 800.0)
+        assert sol.status in (STATUS_UNIQUE, STATUS_FAMILY)
+        assert math.isfinite(sol.energy)
+
+    @pytest.mark.parametrize("n, R, kappa", [
+        (3, 1.0, 0.5), (2, 1.0, 0.5), (4, 2.3, 0.25), (3, 0.7, 0.9)])
+    def test_scaled_pencil_keeps_root_bits(self, n, R, kappa):
+        # the column scaling is by powers of two, so the roots of the
+        # unscaled quadratic come back bit for bit
+        a = kappa * R
+        b = spectrum_annulus(n, R, kappa, k_max=12)
+        for k in range(1, 13):
+            e1, e2 = k, 2 - n - k
+            P = ((e1 * R ** (e1 - 1), e2 * R ** (e2 - 1)),
+                 (-e1 * a ** (e1 - 1), -e2 * a ** (e2 - 1)))
+            Q = ((R ** e1, R ** e2), (a ** e1, a ** e2))
+            c2 = Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0]
+            c1 = -(P[0][0] * Q[1][1] + P[1][1] * Q[0][0]
+                   - P[0][1] * Q[1][0] - P[1][0] * Q[0][1])
+            c0 = P[0][0] * P[1][1] - P[0][1] * P[1][0]
+            disc = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
+            ref = sorted(((-c1 - disc) / (2.0 * c2), (-c1 + disc) / (2.0 * c2)))
+            assert np.unique(b.mu[b.k == k]).tolist() == ref
 
 
 class TestStarSpectrum:
