@@ -132,19 +132,23 @@ def _grid(text: str) -> np.ndarray:
 
 
 def _check_args(args) -> None:
-    """Reject values that parse but that no solve can use."""
-    if args.nodes < 8 or args.nodes % 2:
+    """Reject values that parse but that no solve can use.
+
+    `args` holds exactly the options of its subcommand.
+    """
+    given = vars(args)
+    if "nodes" in given and (args.nodes < 8 or args.nodes % 2):
         raise ValueError(f"--nodes must be even and at least 8, got {args.nodes}")
-    if getattr(args, "count", 0) < 0:
-        raise ValueError(f"--count must be nonnegative, got {args.count}")
-    if getattr(args, "kmax", 0) < 0:
-        raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
-    _alpha_values(args)
+    for dest in {"count", "kmax"} & given.keys():
+        if given[dest] < 0:
+            raise ValueError(f"--{dest} must be nonnegative, got {given[dest]}")
+    if "alpha" in given:
+        _alpha_values(args)
 
 
 def _alpha_values(args) -> np.ndarray | None:
     """--alpha as a 1-D float array, None when not given."""
-    raw = getattr(args, "alpha", None)
+    raw = args.alpha
     if not raw:
         return None
     alphas = np.asarray(raw, dtype=float)
@@ -154,7 +158,7 @@ def _alpha_values(args) -> np.ndarray | None:
 
 
 def _domain_from_args(args) -> Domain:
-    if getattr(args, "domain_json", None):
+    if args.domain_json:
         with open(args.domain_json, encoding="utf-8") as fh:
             return geo.domain_from_dict(json.load(fh))
     kind = args.domain
@@ -175,7 +179,7 @@ def _domain_from_args(args) -> Domain:
 
 
 def _alphas_from_args(args) -> np.ndarray:
-    if getattr(args, "alpha_grid", None):
+    if args.alpha_grid:
         return _grid(args.alpha_grid)
     alphas = _alpha_values(args)
     if alphas is not None:
@@ -225,12 +229,16 @@ def _cmd_spectrum(args) -> int:
     if d.kind == "ball":
         basis = sk.spectrum_ball(d.dim, d.R, k_max=args.kmax)
     elif d.kind == "annulus":
-        basis = sk.spectrum_annulus(d.dim, d.R, d.kappa, k_max=args.kmax)
+        try:
+            basis = sk.spectrum_annulus(d.dim, d.R, d.kappa, k_max=args.kmax)
+        except SolverError as exc:
+            raise SolverError(f"{exc}; lower --kmax (got {args.kmax})") from exc
     else:
         basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=args.nodes)
-    cols = ("i", "k", "parity", "mu", "residual")
-    rows = [tuple(r[c] for c in cols) for r in basis.export_rows()]
-    _emit(args, cols, rows)
+    res = basis.residuals if basis.residuals is not None else np.zeros(basis.count)
+    _emit(args, ("i", "k", "parity", "mu", "residual"),
+          zip(range(1, basis.count + 1), basis.k.tolist(), basis.parity,
+              basis.mu.tolist(), res.tolist()))
     return 0
 
 
@@ -432,134 +440,143 @@ def _cmd_corpus(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_domain_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", choices=("ball", "annulus", "star"),
-                   default="ball")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--rho-cos", default=None,
-                   help="comma-separated cosine coefficients of rho (star)")
-    p.add_argument("--rho-sin", default=None)
-    p.add_argument("--domain-json", default=None,
-                   help="JSON file with a serialized domain (overrides flags)")
+# Every option: dest -> (default, add_argument keywords); its flag is the
+# dest with dashes.  A call that neither passes a flag nor sets its dest
+# in --config reads the default.
+_OPTIONS = {
+    "domain": ("ball", dict(choices=("ball", "annulus", "star"))),
+    "dim": (2, dict(type=int)),
+    "radius": (1.0, dict(type=float)),
+    "kappa": (None, dict(type=float)),
+    "rho_cos": (None, dict(help="comma-separated cosine coefficients of rho (star)")),
+    "rho_sin": (None, {}),
+    "domain_json": (None, dict(help="JSON file with a serialized domain (overrides flags)")),
+    "output": ("-", {}),
+    "json": (False, dict(action="store_true",
+                         help="emit the table as JSON instead of CSV")),
+    "nodes": (geo.DEFAULT_BOUNDARY_NODES, dict(type=int)),
+    "n_modes": (32, dict(type=int)),
+    "alpha": (None, dict(type=float, action="append", help="repeatable single value")),
+    "alpha_grid": (None, dict(help="start:stop:count")),
+    "kmax": (12, dict(type=int)),
+    "modes": (None, dict(required=True, help="perturbation spec, e.g. k2=1,k3s=-0.5")),
+    "vn_const": (0.0, dict(type=float)),
+    "vn_cos": (None, {}),
+    "vn_sin": (None, {}),
+    "fd_check": (False, dict(action="store_true",
+                             help="cross-check by finite differences along the family")),
+    "fd_steps": ("0.01,0.02,0.03", {}),
+    "fd_route": ("series", dict(choices=("series", "direct", "fem"))),
+    "fd_degree": (3, dict(type=int)),
+    "h_max": (0.065, dict(type=float)),
+    "count": (20, dict(type=int)),
+    "seed": (0, dict(type=int)),
+}
+
+_DOMAIN = ("domain", "dim", "radius", "kappa", "rho_cos", "rho_sin", "domain_json")
+_TABLE = ("output", "json")
+_SERIES = ("nodes", "n_modes")
+_ALPHAS = ("alpha", "alpha_grid")
+
+# Every subcommand: (handler, help, the dests its handler reads).  Its
+# parser takes exactly these options, in this order.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "Steklov eigenvalues of a domain",
+                 _DOMAIN + _TABLE + _SERIES + ("kmax",)),
+    "energy": (_cmd_energy, "Robin energy over an alpha grid",
+               _DOMAIN + _TABLE + _SERIES + _ALPHAS),
+    "split": (_cmd_split, "signed series parts and the trial-space bound",
+              _DOMAIN + _TABLE + _SERIES + _ALPHAS),
+    "alpha0": (_cmd_alpha0, "crossover threshold against the equal-volume ball",
+               _DOMAIN + _TABLE + ("nodes",)),
+    "first-variation": (_cmd_first_variation, "Hadamard derivative of the energy",
+                        _DOMAIN + _TABLE + ("nodes",) + _ALPHAS
+                        + ("vn_const", "vn_cos", "vn_sin")),
+    "second-variation": (_cmd_second_variation, "modal second variation around a ball",
+                         _DOMAIN + _TABLE + _SERIES + _ALPHAS
+                         + ("modes", "fd_check", "fd_steps", "fd_route", "fd_degree")),
+    "j-variations": (_cmd_j_variations, "variations of the torsion-area functional",
+                     _DOMAIN + _TABLE + _ALPHAS + ("modes",)),
+    "pw-check": (_cmd_pw_check, "area-perimeter torsion bound versus the element oracle",
+                 _DOMAIN + _TABLE + ("h_max",)),
+    "corollary-check": (_cmd_corollary_check,
+                        "equal-area disc comparison in the low-alpha window",
+                        _DOMAIN + _TABLE + _SERIES + ("alpha",)),
+    "oracle-verify": (_cmd_oracle_verify, "series energies against the element oracle",
+                      _DOMAIN + _TABLE + _SERIES + _ALPHAS + ("h_max",)),
+    "corpus": (_cmd_corpus, "random-domain ball-comparison verdicts",
+               _TABLE + _SERIES + ("count", "seed")),
+}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default="-")
-    p.add_argument("--json", action="store_true",
-                   help="emit the table as JSON instead of CSV")
-    p.add_argument("--nodes", type=int, default=geo.DEFAULT_BOUNDARY_NODES)
-    p.add_argument("--n-modes", type=int, default=32)
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _add_alpha_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, action="append",
-                   help="repeatable single value")
-    p.add_argument("--alpha-grid", default=None, help="start:stop:count")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `robinlab` parser, built once per process and never changed.
+
+    Subcommand options parse to SUPPRESS, so the namespace holds only
+    what argv set; `_fill` adds the rest.
+    """
     parser = argparse.ArgumentParser(
         prog="robinlab",
         description="Robin torsion energies, Steklov series, and shape derivatives")
     parser.add_argument("--config", default=None,
                         help="JSON file of option defaults (CLI flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, alpha=False, kmax=False, modes=False):
-        p = sub.add_parser(name, help=help_text)
-        _add_domain_args(p)
-        _add_common(p)
-        if alpha:
-            _add_alpha_args(p)
-        if kmax:
-            p.add_argument("--kmax", type=int, default=12)
-        if modes:
-            p.add_argument("--modes", required=True,
-                           help="perturbation spec, e.g. k2=1,k3s=-0.5")
-        p.set_defaults(func=fn)
-        return p
-
-    add("spectrum", _cmd_spectrum, "Steklov eigenvalues of a domain", kmax=True)
-    add("energy", _cmd_energy, "Robin energy over an alpha grid", alpha=True)
-    add("split", _cmd_split, "signed series parts and the trial-space bound",
-        alpha=True)
-    add("alpha0", _cmd_alpha0, "crossover threshold against the equal-volume ball")
-    p = add("first-variation", _cmd_first_variation,
-            "Hadamard derivative of the energy", alpha=True)
-    p.add_argument("--vn-const", type=float, default=0.0)
-    p.add_argument("--vn-cos", default=None)
-    p.add_argument("--vn-sin", default=None)
-    p = add("second-variation", _cmd_second_variation,
-            "modal second variation around a ball", alpha=True, modes=True)
-    p.add_argument("--fd-check", action="store_true",
-                   help="cross-check by finite differences along the family")
-    p.add_argument("--fd-steps", default="0.01,0.02,0.03")
-    p.add_argument("--fd-route", choices=("series", "direct", "fem"),
-                   default="series")
-    p.add_argument("--fd-degree", type=int, default=3)
-    add("j-variations", _cmd_j_variations,
-        "variations of the torsion-area functional", alpha=True, modes=True)
-    p = add("pw-check", _cmd_pw_check,
-            "area-perimeter torsion bound versus the element oracle")
-    p.add_argument("--h-max", type=float, default=0.065)
-    add("corollary-check", _cmd_corollary_check,
-        "equal-area disc comparison in the low-alpha window", alpha=True)
-    p = add("oracle-verify", _cmd_oracle_verify,
-            "series energies against the element oracle", alpha=True)
-    p.add_argument("--h-max", type=float, default=0.065)
-    p = add("corpus", _cmd_corpus, "random-domain ball-comparison verdicts")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    for name, (_, help_text, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for dest in dests:
+            p.add_argument(_flag(dest), **_OPTIONS[dest][1])
     return parser
 
 
-def _all_parsers(parser) -> list:
-    out, stack = [], [parser]
-    while stack:
-        cur = stack.pop()
-        out.append(cur)
-        for act in cur._actions:
-            if isinstance(act, argparse._SubParsersAction):
-                stack.extend(act.choices.values())
-    return out
-
-
-def _all_dests(parser) -> set:
-    dests = set()
-    for cur in _all_parsers(parser):
-        for act in cur._actions:
-            if not isinstance(act, argparse._SubParsersAction) \
-                    and act.dest != "help":
-                dests.add(act.dest)
-    return dests
-
-
-def _config_value(act: argparse.Action, value):
+def _config_value(dest: str, value):
     """A config-file value converted as the option converts its flag text.
 
     Each element of a list is converted for an `append` option; a single
     value there stands for a one-element list.
     """
-    if act.type is None:
+    kw = _OPTIONS[dest][1]
+    if "type" not in kw:
         return value
 
     def convert(v):
         try:
-            return act.type(str(v))
+            return kw["type"](str(v))
         except ValueError as exc:
-            raise ValueError(f"{act.option_strings[0]}: {exc}") from exc
+            raise ValueError(f"{_flag(dest)}: {exc}") from exc
 
-    if isinstance(act, argparse._AppendAction):
+    if kw.get("action") == "append":
         return [convert(v) for v in (value if isinstance(value, list) else [value])]
     return convert(value)
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every call without --config, built once per process."""
-    return build_parser()
+def _read_config(path: str | None) -> dict:
+    """The converted values of a --config file by dest; {} without one.
+
+    A key must be the dest of some subcommand's option; one that the
+    chosen subcommand does not take has no effect.
+    """
+    if path is None:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("the config file must hold a JSON object")
+    bad = set(cfg) - _OPTIONS.keys()
+    if bad:
+        raise ValueError(f"unknown keys {sorted(bad)}")
+    return {dest: _config_value(dest, value) for dest, value in cfg.items()}
+
+
+def _fill(args, cfg: dict) -> None:
+    """Give each dest of the subcommand that argv left unset its config value, else its default."""
+    given = vars(args)
+    for dest in _COMMANDS[args.command][2]:
+        given.setdefault(dest, cfg.get(dest, _OPTIONS[dest][0]))
 
 
 def _preparse(argv) -> tuple[list[str], str | None]:
@@ -589,46 +606,15 @@ def main(argv=None) -> int:
     pin_single_thread()
     try:
         argv, path = _preparse(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
+        cfg = _read_config(path)
+    except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    # a config sets defaults on the subparsers, so it gets a parser of its own
-    parser = _shared_parser() if path is None else build_parser()
-    appended = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"invalid configuration: {exc}", file=sys.stderr)
-            return 2
-        known = _all_dests(parser)
-        bad = set(cfg) - known
-        if bad:
-            print(f"invalid configuration: unknown keys {sorted(bad)}",
-                  file=sys.stderr)
-            return 2
-        # subparsers parse into fresh namespaces, so push defaults into each;
-        # argparse appends flags to a list default, so keep those aside
-        try:
-            for sub in _all_parsers(parser):
-                for act in sub._actions:
-                    if act.dest in cfg:
-                        value = _config_value(act, cfg[act.dest])
-                        if isinstance(act, argparse._AppendAction):
-                            appended[act.dest] = value
-                        else:
-                            sub.set_defaults(**{act.dest: value})
-        except ValueError as exc:
-            print(f"invalid configuration: {exc}", file=sys.stderr)
-            return 2
     try:
-        args = parser.parse_args(argv)
-        for dest, value in appended.items():
-            if getattr(args, dest, value) is None:
-                setattr(args, dest, value)
+        args = build_parser().parse_args(argv)
+        _fill(args, cfg)
         _check_args(args)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (SolverError, ArithmeticError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

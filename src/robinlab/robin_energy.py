@@ -139,7 +139,10 @@ class _SeriesPack:
     `use` marks the modes summed (a star basis keeps its last pair for
     the tail bound), `nonzero` the modes carrying torsion flux
     (`steklov._carrying`), and `poles` their distinct eigenvalues,
-    rounded to 12 decimals.  `live_a2` and `live_mu` are
+    rounded to 12 decimals.  `next_degree_mu` is the basis's
+    (`SteklovBasis.next_degree_mu`): a row that reaches it takes its
+    status from `steklov._direct_status`, since a mode the basis omits
+    may resonate there.  `live_a2` and `live_mu` are
     a_i^2 and mu_i over `use & nonzero`, in eigenvalue order.
     """
 
@@ -151,6 +154,7 @@ class _SeriesPack:
     nonzero: np.ndarray
     poles: tuple[float, ...]
     tail_mu_next: float | None      # star bases only
+    next_degree_mu: float
     missing: float                  # flux norm^2 outside the summed modes
     T: float
     live_a2: np.ndarray
@@ -193,8 +197,8 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES
     nonzero = sk._carrying(a)
     poles = tuple(sorted(set(round(float(m), 12) for m in mu[nonzero])))
     live = use & nonzero
-    return _SeriesPack(d, M, a, mu, use, nonzero, poles,
-                       tail_mu_next, missing, ts.T, a[live] ** 2, mu[live])
+    return _SeriesPack(d, M, a, mu, use, nonzero, poles, tail_mu_next,
+                       basis.next_degree_mu, missing, ts.T, a[live] ** 2, mu[live])
 
 
 def _prefix_sums(block: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,6 +239,8 @@ def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
     checks run truncation, then tail, then sign.
     """
     resonant, blocked, status = sk._resonance(pack.mu, alphas, pack.nonzero)
+    for i in np.flatnonzero(pack.next_degree_mu - alphas < sk.tol_res(alphas)):
+        status[i] = sk._direct_status(pack.domain, float(alphas[i]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = pack.live_a2 / (alphas[:, None] - pack.live_mu)
         n_pos = np.count_nonzero(terms > 0, axis=1)

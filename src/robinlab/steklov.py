@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
+from .errors import SolverError
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
 from .layerpot import StarLayerOperator, dominant_degree
 
@@ -81,22 +82,21 @@ def _direct_status(d: Domain, alpha: float) -> str:
     only add non-carrying modes and leaves the status as it is.  A ball
     lists degrees k0 = max(1, floor(alpha R)) and k0 + 1 only: if any
     degree lies in alpha's window, one of these two does.  A shell whose
-    pencil overflows before it passes alpha (at degree 1013 for R = 1,
-    kappa = 0.5) raises FloatingPointError.  A star lists mu_1 only: its
-    boundary system flags its other resonances.
+    pencil leaves the double range before it passes alpha (at degree
+    1013 for R = 1, kappa = 0.5) raises SolverError.  A star lists mu_1
+    only: its boundary system flags its other resonances.
     """
     mu, carries = [0.0], [True]
     if d.kind != "star2d":
         k0 = max(1, math.floor(alpha * d.R))
         degrees = itertools.count() if d.kind == "annulus" else (k0, k0 + 1)
-        with np.errstate(over="raise", invalid="raise"):
-            for k in degrees:
-                mus = [k / d.R] if d.kind == "ball" else \
-                    _annulus_pencil(d.dim, d.R, d.kappa * d.R, k)[0]
-                mu += mus
-                carries += [k == 0] * len(mus)
-                if min(mus) > alpha:
-                    break
+        for k in degrees:
+            mus = [k / d.R] if d.kind == "ball" else \
+                _annulus_pencil(d.dim, d.R, d.kappa * d.R, k)[0]
+            mu += mus
+            carries += [k == 0] * len(mus)
+            if min(mus) > alpha:
+                break
     return str(_resonance(np.array(mu), np.array([alpha], float), np.array(carries))[2][0])
 
 
@@ -128,6 +128,20 @@ class SteklovBasis:
     @property
     def count(self) -> int:
         return int(self.mu.size)
+
+    @property
+    def next_degree_mu(self) -> float:
+        """The lowest eigenvalue of the first degree a ball or shell basis omits.
+
+        Every mode the basis leaves out lies at or above it.  A star
+        basis gives inf: its series audits its own truncation.
+        """
+        d, k = self.domain, int(self.k.max()) + 1
+        if self.kind == "ball":
+            return k / d.R
+        if self.kind == "annulus":
+            return min(_annulus_pencil(d.dim, d.R, d.kappa * d.R, k)[0])
+        return math.inf
 
     # -- boundary work -------------------------------------------------------
 
@@ -209,18 +223,6 @@ class SteklovBasis:
             R = self.domain.R
             return (r / R) ** ((index + 1) // 2) * geo.ball_trace_values(2, R, index + 1, th)
         raise ValueError("interior evaluation unavailable for this basis")
-
-    def export_rows(self) -> list[dict]:
-        rows = []
-        for i in range(self.count):
-            rows.append({
-                "i": i + 1,
-                "k": int(self.k[i]),
-                "parity": self.parity[i],
-                "mu": float(self.mu[i]),
-                "residual": float(self.residuals[i]) if self.residuals is not None else 0.0,
-            })
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,9 @@ def _annulus_pencil(n: int, R: float, a: float, k: int):
     for k >= 1.  There each column is scaled by the power of two that
     brings its largest entry into [1/2, 1), so the quadratic's
     coefficients stay finite at high degree; the scaling is exact, so
-    every root that is finite without it keeps its bits.
+    every root that is finite without it keeps its bits.  An entry that
+    itself leaves the double range (from degree 1013 on the unit 3-D
+    shell at kappa = 0.5) raises SolverError naming the degree.
     """
     if k == 0:
         f = lambda r: np.array([1.0, _radial_g(n, r)])
@@ -331,8 +335,14 @@ def _annulus_pencil(n: int, R: float, a: float, k: int):
         e1, e2 = k, 2 - n - k
         f = lambda r: np.array([r ** e1, r ** e2])
         fp = lambda r: np.array([e1 * r ** (e1 - 1), e2 * r ** (e2 - 1)])
-    P = np.array([fp(R), -fp(a)])
-    Q = np.array([f(R), f(a)])
+    try:
+        P = np.array([fp(R), -fp(a)])
+        Q = np.array([f(R), f(a)])
+        finite = np.isfinite(P).all() and np.isfinite(Q).all()
+    except OverflowError:          # r ** e itself out of range
+        finite = False
+    if not finite:
+        raise SolverError(f"the degree-{k} shell pencil leaves the double range")
     if k:
         shift = -np.frexp(np.maximum(abs(P).max(axis=0), abs(Q).max(axis=0)))[1]
         P, Q = np.ldexp(P, shift), np.ldexp(Q, shift)

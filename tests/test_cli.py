@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robinlab import domain_to_dict, ellipse_domain
-from robinlab.cli import _emit, main
+from robinlab import (Domain, TrigPoly, domain_to_dict, ellipse_domain,
+                      spectrum_annulus, spectrum_ball, spectrum_star2d)
+from robinlab.cli import _emit, build_parser, main
 
 
 def run(capsys, *argv):
@@ -46,6 +48,38 @@ class TestSpectrum:
         rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
         assert len(rows) == 8
         assert float(rows[0][3]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_rows_from_basis_arrays(self, capsys):
+        # one row per mode, i from 1; closed-form bases report residual 0
+        cases = [
+            (("--kmax", "2"), lambda: spectrum_ball(2, 1.0, k_max=2)),
+            (("--domain", "annulus", "--dim", "3", "--kappa", "0.5", "--kmax", "5"),
+             lambda: spectrum_annulus(3, 1.0, 0.5, k_max=5)),
+            (("--domain", "star", "--rho-cos", "0,0.1", "--n-modes", "8",
+              "--nodes", "128"),
+             lambda: spectrum_star2d(Domain.star2d(TrigPoly(1.0, (0.0, 0.1), ())),
+                                     n_modes=8, M_nodes=128)),
+        ]
+        for flags, basis in cases:
+            code, out, _ = run(capsys, "spectrum", *flags)
+            b = basis()
+            res = b.residuals if b.residuals is not None else [0.0] * b.count
+            want = ["i,k,parity,mu,residual"] + [
+                ",".join(map(_reference_cell, (i + 1, int(b.k[i]), b.parity[i],
+                                               float(b.mu[i]), float(res[i]))))
+                for i in range(b.count)]
+            assert code == 0 and out == "\n".join(want) + "\n"
+        _, out, _ = run(capsys, "spectrum", "--kmax", "2", "--json")
+        rows = json.loads(out)["rows"]
+        assert rows[0] == {"i": 1, "k": 0, "parity": "const", "mu": 0.0,
+                           "residual": 0.0}
+        assert [r["i"] for r in rows] == list(range(1, 6))
+
+    def test_shell_pencil_out_of_range_exit3(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--domain", "annulus", "--dim", "3",
+                             "--kappa", "0.5", "--radius", "1e10", "--kmax", "40")
+        assert code == 3 and out == ""
+        assert "degree-31 shell pencil" in err and "--kmax" in err
 
 
 class TestEnergy:
@@ -348,6 +382,39 @@ class TestConfig:
             assert configured[0] == 0 and configured != before
             assert run(capsys, *argv) == before
 
+    def test_one_parser_per_process(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radius": 2.0}))
+        argv = ("spectrum", "--kmax", "2")
+        build_parser.cache_clear()
+        plain = run(capsys, *argv)
+
+        def mutate(*args, **kwargs):
+            raise AssertionError("the parser changed after it was built")
+        for name in ("add_argument", "set_defaults", "add_subparsers"):
+            monkeypatch.setattr(argparse.ArgumentParser, name, mutate)
+        configured = run(capsys, "--config", str(cfg), *argv)
+        assert plain[0] == configured[0] == 0 and configured != plain
+        assert run(capsys, *argv) == plain
+        assert build_parser.cache_info().misses == 1
+
+    def test_key_of_another_command_has_no_effect(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h_max": 0.1, "kmax": -1, "count": 3}))
+        argv = ("energy", "--alpha", "0.5")
+        assert run(capsys, "--config", str(cfg), *argv) == run(capsys, *argv)
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"5", "JSON object"), (b'["nodes"]', "JSON object"),
+        (b"\xff\xfe{", "utf-8")])
+    def test_config_that_is_no_json_object(self, capsys, tmp_path, content, reason):
+        # each of these raised a TypeError or UnicodeDecodeError out of main
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, "--config", str(cfg), "spectrum")
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err and reason in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"radius": 2.0, "bogus": 1}))
@@ -544,6 +611,27 @@ class TestBadInputs:
             main(["spectrum", "--frobnicate"])
         assert exc.value.code == 2
 
+    # each subcommand takes only the options its handler reads
+    @pytest.mark.parametrize("argv", [
+        *[("corpus", "--count", "1", flag, value) for flag, value in [
+            ("--domain", "annulus"), ("--dim", "3"), ("--radius", "2"),
+            ("--kappa", "0.5"), ("--rho-cos", "0,0.1"), ("--rho-sin", "0,0.1"),
+            ("--domain-json", "domain.json")]],
+        ("j-variations", "--alpha", "0.5", "--modes", "k2=1", "--nodes", "128"),
+        ("j-variations", "--alpha", "0.5", "--modes", "k2=1", "--n-modes", "8"),
+        ("pw-check", "--nodes", "128"),
+        ("pw-check", "--n-modes", "8"),
+        ("alpha0", "--n-modes", "8"),
+        ("first-variation", "--alpha", "0.5", "--n-modes", "8"),
+        ("corollary-check", "--alpha-grid", "0.1:0.5:3"),
+    ])
+    def test_option_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in err
+
 
 def test_readme_quickstart_commands(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -557,3 +645,23 @@ def test_readme_quickstart_commands(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         assert out.startswith(("i,", "alpha,", "area,", "index,")), argv
+
+
+def test_readme_lists_each_subcommands_options(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| subcommand | options besides", 1)[1]
+    domain = {"--domain", "--dim", "--radius", "--kappa", "--rho-cos",
+              "--rho-sin", "--domain-json"}
+    listed = {}
+    for line in table.split("\n\n", 1)[0].splitlines()[2:]:
+        _, name, opts, _ = line.split("|")
+        flags = set(re.findall(r"--[a-z-]+", opts)) | {"--output", "--json"}
+        listed[name.strip(" `")] = flags | (domain if "domain," in opts else set())
+    assert len(listed) == 11
+    for name, flags in listed.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) \
+            == flags | {"--help"}, name

@@ -18,6 +18,7 @@ from robinlab import (
     finite_difference_check,
     flux_coefficients,
     normal_speed_family,
+    solve_robin,
     solve_torsion,
     spectrum_annulus,
     spectrum_ball,
@@ -221,6 +222,29 @@ class TestSameBits:
         ref = [reference_split(d, float(a), basis, ts) for a in alphas]
         assert [bits(r) for r in zip(e_plus.tolist(), e_minus.tolist())] \
             == [bits(r) for r in ref]
+
+
+class TestStatusPastTheBasis:
+    @pytest.mark.parametrize("name", ["disc", "ball3", "shell"])
+    def test_matches_the_direct_status(self, packs, name):
+        # the bases stop at a degree (16 on the disc, 8 otherwise); an alpha
+        # at an eigenvalue of a degree past it is Family, as solve_robin says
+        d, basis, _ = packs(name)
+        cut = basis.next_degree_mu
+        wide = spectrum_ball(d.dim, d.R, k_max=25) if d.kind == "ball" \
+            else spectrum_annulus(d.dim, d.R, d.kappa, k_max=14)
+        mus = np.unique(wide.mu[(wide.mu > cut - 3.0) & (wide.mu < cut + 4.0)])
+        alphas = np.sort(np.concatenate([
+            mus, (mus[1:] + mus[:-1]) / 2.0,
+            cut * np.array([1.0 - 2e-9, 1.0 - 5e-10, 1.0 + 5e-10])]))
+        rows = energy_series_grid(series_pack(d, M=M, basis=basis), alphas)
+        direct = [solve_robin(d, float(a)).status for a in alphas]
+        assert [r[6] for r in rows] == direct
+        assert [energy_series(d, float(a), M=M, basis=basis).status
+                for a in alphas] == direct
+        past = alphas > cut * (1.0 - 1e-9)
+        assert {direct[i] for i in np.flatnonzero(past)} == {"Family", "Unique"}
+        assert "Family" in [direct[i] for i in np.flatnonzero(~past)]
 
 
 class TestFailures:

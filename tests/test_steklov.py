@@ -11,6 +11,7 @@ from robinlab import (
     STATUS_FAMILY,
     STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
+    SolverError,
     annulus_radial_eigenvalue,
     expand_harmonic,
     random_star_domain,
@@ -132,6 +133,18 @@ class TestAnnulusSpectrum:
         sol = solve_robin(shell, 800.0)
         assert sol.status in (STATUS_UNIQUE, STATUS_FAMILY)
         assert math.isfinite(sol.energy)
+
+    @pytest.mark.parametrize("R, k_max, degree", [(1.0, 1100, 1013), (1e10, 40, 31)])
+    def test_pencil_out_of_range_names_its_degree(self, R, k_max, degree):
+        # at R = 1 a derivative entry overflows to inf; at R = 1e10 the
+        # power R ** k itself is out of range
+        with pytest.raises(SolverError, match=f"degree-{degree} shell pencil"):
+            spectrum_annulus(3, R, 0.5, k_max=k_max)
+
+    def test_direct_status_past_the_pencil_range(self, shell):
+        assert solve_robin(shell, 1011.5).status == STATUS_UNIQUE
+        with pytest.raises(SolverError, match="degree-1013 shell pencil"):
+            solve_robin(shell, 1012.5)
 
     @pytest.mark.parametrize("n, R, kappa", [
         (3, 1.0, 0.5), (2, 1.0, 0.5), (4, 2.3, 0.25), (3, 0.7, 0.9)])
@@ -272,10 +285,3 @@ class TestInteriorValues:
         cs = float(np.sum(b.traces[1] * proj_s * w))
         expect = 0.5 ** k * (cc * np.cos(k * t) + cs * np.sin(k * t)) / math.sqrt(math.pi)
         assert np.allclose(got, expect, atol=1e-8)
-
-    def test_export_rows_shape(self):
-        b = spectrum_ball(2, 1.0, k_max=2)
-        rows = b.export_rows()
-        assert rows[0] == {"i": 1, "k": 0, "parity": "const", "mu": 0.0,
-                           "residual": 0.0}
-        assert [r["i"] for r in rows] == list(range(1, b.count + 1))
