@@ -137,13 +137,18 @@ def _check_args(args) -> None:
     `args` holds exactly the options of its subcommand.
     """
     given = vars(args)
-    if "nodes" in given and (args.nodes < 8 or args.nodes % 2):
+    if given.get("nodes") is not None and (args.nodes < 8 or args.nodes % 2):
         raise ValueError(f"--nodes must be even and at least 8, got {args.nodes}")
     for dest in {"count", "kmax"} & given.keys():
         if given[dest] < 0:
             raise ValueError(f"--{dest} must be nonnegative, got {given[dest]}")
     if "alpha" in given:
         _alpha_values(args)
+
+
+def _series_nodes(args) -> int:
+    """--nodes of a series command: unset reads as DEFAULT_BOUNDARY_NODES."""
+    return geo.DEFAULT_BOUNDARY_NODES if args.nodes is None else args.nodes
 
 
 def _alpha_values(args) -> np.ndarray | None:
@@ -234,7 +239,7 @@ def _cmd_spectrum(args) -> int:
         except SolverError as exc:
             raise SolverError(f"{exc}; lower --kmax (got {args.kmax})") from exc
     else:
-        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=args.nodes)
+        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=_series_nodes(args))
     res = basis.residuals if basis.residuals is not None else np.zeros(basis.count)
     _emit(args, ("i", "k", "parity", "mu", "residual"),
           zip(range(1, basis.count + 1), basis.k.tolist(), basis.parity,
@@ -245,7 +250,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_energy(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=_series_nodes(args))
     # every pole carries flux, so the rule excludes each alpha it resonates with
     near = sk._resonance(np.array(pack.poles), alphas, True)[0]
     excluded = near.any(axis=1)
@@ -261,7 +266,7 @@ def _cmd_energy(args) -> int:
 def _cmd_split(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=_series_nodes(args))
     a, _, E_plus, E_minus, *_ = zip(*energy.energy_series_grid(pack, alphas))
     e_plus, em_bound = energy.split_variational_grid(pack, alphas)
     em = np.array(E_minus)
@@ -278,7 +283,7 @@ def _cmd_alpha0(args) -> int:
     d = _domain_from_args(args)
     rep = energy.alpha0(d, M=args.nodes)
     if d.dim == 2 and d.kind != "annulus":
-        thr = pw.theorem_J_check(d, T_omega=rep.T_omega, M=args.nodes)
+        thr = pw.theorem_J_check(d, T_omega=rep.T_omega)
         threshold, ok = thr.threshold, thr.satisfied
     else:
         threshold, ok = math.nan, True
@@ -376,7 +381,7 @@ def _cmd_pw_check(args) -> int:
 def _cmd_corollary_check(args) -> int:
     d = _domain_from_args(args)
     given = _alpha_values(args)
-    pack = pw.corollary_pack(d, args.n_modes, args.nodes)
+    pack = pw.corollary_pack(d, args.n_modes, _series_nodes(args))
     if given is not None:
         alphas = [float(a) for a in given]
     else:
@@ -394,7 +399,7 @@ def _cmd_corollary_check(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     d = _domain_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=_series_nodes(args))
     fem = oracle.FemRobin(d, h_max=args.h_max)
 
     def run(a):
@@ -418,12 +423,12 @@ def _cmd_corpus(args) -> int:
 
     def run(item):
         idx, d = item
-        pack = pw.corollary_pack(d, args.n_modes, args.nodes)
+        pack = pw.corollary_pack(d, args.n_modes, _series_nodes(args))
         mu2 = float(pack.mu[1])
         a = pw.low_alpha(d, mu2)
         rep = pw.corollary_disc_max(d, a, pack=pack)
         E_dom, E_ball = rep.E_domain, rep.E_ball
-        J_dom = energy.j_functional(d, a, T_omega=pack.T, M=args.nodes)
+        J_dom = energy.j_functional(d, a, T_omega=pack.T)
         tol = 1e-9 * max(1.0, abs(E_ball))
         return (idx, d.R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
                 J_dom, E_ball, J_dom <= E_ball + tol)
@@ -454,7 +459,8 @@ _OPTIONS = {
     "output": ("-", {}),
     "json": (False, dict(action="store_true",
                          help="emit the table as JSON instead of CSV")),
-    "nodes": (geo.DEFAULT_BOUNDARY_NODES, dict(type=int)),
+    "nodes": (None, dict(type=int, help="boundary nodes of star solves; unset: certified "
+                          "on direct and torsion solves, 256 on the series")),
     "n_modes": (32, dict(type=int)),
     "alpha": (None, dict(type=float, action="append", help="repeatable single value")),
     "alpha_grid": (None, dict(help="start:stop:count")),
@@ -537,10 +543,16 @@ def _config_value(dest: str, value):
     """A config-file value converted as the option converts its flag text.
 
     Each element of a list is converted for an `append` option; a single
-    value there stands for a one-element list.
+    value there stands for a one-element list.  A flag (`store_true`)
+    takes a JSON boolean, and an option without a type a JSON string,
+    as is: a list, number or null there raises ValueError.
     """
     kw = _OPTIONS[dest][1]
     if "type" not in kw:
+        want = bool if kw.get("action") == "store_true" else str
+        if not isinstance(value, want):
+            kind = "boolean" if want is bool else "string"
+            raise ValueError(f"{_flag(dest)}: expected a JSON {kind}, got {json.dumps(value)}")
         return value
 
     def convert(v):
@@ -580,7 +592,7 @@ def _fill(args, cfg: dict) -> None:
 
 
 def _preparse(argv) -> tuple[list[str], str | None]:
-    """(argv, config path): the first --config taken out of argv.
+    """(argv, config path): the --config taken out of argv; a second one raises ValueError.
 
     `--alpha-grid` is joined to a following value that starts with a
     minus sign and a digit or point, which argparse would read as an
@@ -588,12 +600,12 @@ def _preparse(argv) -> tuple[list[str], str | None]:
     """
     out, path, toks = [], None, iter(argv)
     for tok in toks:
-        if path is None and tok == "--config":
-            path = next(toks, None)
+        if tok == "--config" or tok.startswith("--config="):
+            if path is not None:
+                raise ValueError("--config given twice; merge the files into one")
+            path = tok.split("=", 1)[1] if "=" in tok else next(toks, None)
             if path is None:
                 raise ValueError("--config needs a path")
-        elif path is None and tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
         elif out[-1:] == ["--alpha-grid"] and re.match(r"-[0-9.]", tok):
             out[-1] += "=" + tok
         else:

@@ -107,7 +107,7 @@ class JThresholdReport:
 
 
 def theorem_J_check(d: Domain, *, T_omega: float | None = None,
-                    M: int = DEFAULT_BOUNDARY_NODES) -> JThresholdReport:
+                    M: int | None = None) -> JThresholdReport:
     """Verify alpha0(Omega) >= (2/R) g(y^2) for a planar domain.
 
     The crossover alpha0 uses the computed torsion deficit; the

@@ -372,18 +372,20 @@ def ball_energy(n: int, R: float, alpha: float) -> float:
     return geo.unit_ball_volume(n) * R ** n * (-R ** 2 / (n * (n + 2)) + R / (alpha * n))
 
 
-def solve_robin(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
+def solve_robin(d: Domain, alpha: float, M: int | None = None, *,
                 operator: StarLayerOperator | None = None) -> RobinSolution:
     """Solve the Robin problem directly; the energy is -int u dx.
 
     The status comes from the steklov rule (`steklov._direct_status`).
     Balls and shells use radial closed forms (Family representatives at
     nonradial resonances, where the energy is still single-valued).
-    Star domains solve a single-layer boundary system; near a Steklov
-    resonance that system degenerates and a SolverError is raised.
-    `operator`, the layer operator of d's boundary at M nodes, is used
-    for that system instead of building a new one, so several alphas on
-    one domain share it.  A NaN or infinite alpha raises ValueError.
+    Star domains solve a single-layer boundary system at M nodes, or at
+    the certified count when M is None (`layerpot.operator_for`); near a
+    Steklov resonance that system degenerates and a SolverError is
+    raised.  `operator`, the layer operator of d's boundary (at M nodes
+    when M is given), is used for that system instead of building a new
+    one, so several alphas on one domain share it.  A NaN or infinite
+    alpha raises ValueError.
     """
     _check_alpha(alpha)
     status = sk._direct_status(d, alpha)
@@ -416,7 +418,7 @@ def _solve_robin_star(d: Domain, alpha: float, op: StarLayerOperator) -> RobinSo
                          density=sigma, operator=op, boundary_values=u_b)
 
 
-def _solve_or_raise(d: Domain, alpha: float, M: int,
+def _solve_or_raise(d: Domain, alpha: float, M: int | None,
                     operator: StarLayerOperator | None) -> RobinSolution:
     """`solve_robin`, raising SolverError where its status is NoSolution.
 
@@ -428,12 +430,12 @@ def _solve_or_raise(d: Domain, alpha: float, M: int,
     return sol
 
 
-def energy_direct(d: Domain, alpha: float, M: int = DEFAULT_BOUNDARY_NODES, *,
+def energy_direct(d: Domain, alpha: float, M: int | None = None, *,
                   operator: StarLayerOperator | None = None) -> float:
     """E by direct solve, independent of the spectral series.
 
-    `operator` is passed on to `solve_robin`; a NoSolution alpha raises
-    SolverError.
+    M and `operator` are passed on to `solve_robin`; a NoSolution alpha
+    raises SolverError.
     """
     return _solve_or_raise(d, alpha, M, operator).energy
 
@@ -525,8 +527,11 @@ def energy_split_variational(d: Domain, alpha: float, *,
 
 
 def j_functional(d: Domain, alpha: float, *, T_omega: float | None = None,
-                 M: int = DEFAULT_BOUNDARY_NODES) -> float:
-    """J = T + |Omega|^2 / (alpha |dOmega|), the two-term energy surrogate."""
+                 M: int | None = None) -> float:
+    """J = T + |Omega|^2 / (alpha |dOmega|), the two-term energy surrogate.
+
+    T is `T_omega` when given, else `solve_torsion(d, M)`.
+    """
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
     T = solve_torsion(d, M).T if T_omega is None else T_omega
@@ -544,13 +549,14 @@ class Alpha0Report:
 
 
 def alpha0(d: Domain, *, T_omega: float | None = None,
-           M: int = DEFAULT_BOUNDARY_NODES) -> Alpha0Report:
+           M: int | None = None) -> Alpha0Report:
     """Crossover threshold where J(Omega) overtakes J of the equal-volume ball.
 
     alpha0 = |B|^2 (1/|dB| - 1/|dOmega|) / epsilon0 with
     epsilon0 = T(Omega) - T(B) >= 0 the torsion deficit.  Below alpha0
     the domain beats the ball on J; above, the ball wins.  Degenerate
-    (ball) input returns alpha0 = inf.
+    (ball) input returns alpha0 = inf.  T(Omega) is `T_omega` when
+    given, else `solve_torsion(d, M)`.
     """
     n = d.dim
     vol = geo.volume(d)

@@ -26,7 +26,7 @@ from . import geometry as geo
 from .errors import SolverError
 from .geometry import Domain, PerturbationField, TrigPoly, DEFAULT_BOUNDARY_NODES
 from . import robin_energy as energy
-from .layerpot import StarLayerOperator
+from .layerpot import operator_for
 from .steklov import tol_res
 
 __all__ = [
@@ -54,14 +54,17 @@ __all__ = [
 
 
 def first_variation_general(d: Domain, alpha: float, vn,
-                            M: int = DEFAULT_BOUNDARY_NODES) -> float:
+                            M: int | None = None) -> float:
     """Hadamard derivative of E under normal speed vn.
 
     Edot = oint vn [ |grad u|^2 - 2u - 2 alpha^2 u^2 - alpha(n-1) u^2 H ] dS
     with H the mean curvature (1/R on a sphere).  `vn` is a callable of
     theta, nodal values, a constant, or a PerturbationField (balls and
     star domains; shells are excluded since their perturbations move two
-    boundaries).  A NoSolution alpha raises SolverError.
+    boundaries).  A star solves at M nodes, or at the certified count
+    when M is None; a ball integrates a callable speed at M nodes
+    (DEFAULT_BOUNDARY_NODES when None).  A NoSolution alpha raises
+    SolverError.
     """
     n = d.dim
     if d.kind == "annulus":
@@ -72,7 +75,7 @@ def first_variation_general(d: Domain, alpha: float, vn,
         u_b = -R / (alpha * n)
         density = (alpha * u_b) ** 2 - 2 * u_b - 2 * alpha ** 2 * u_b ** 2 \
             - alpha * (n - 1) * u_b ** 2 / R
-        total_vn = _integrated_vn(d, vn, M)
+        total_vn = _integrated_vn(d, vn, DEFAULT_BOUNDARY_NODES if M is None else M)
         return density * total_vn
     op = sol.operator
     u_b = sol.boundary_values
@@ -356,12 +359,13 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
 
 
 def overdetermined_residual(d: Domain, alpha: float,
-                            M: int = DEFAULT_BOUNDARY_NODES) -> float:
+                            M: int | None = None) -> float:
     """L2 deviation of the Robin trace from its boundary mean.
 
     Zero exactly when the solution also solves the constant-trace
-    overdetermined problem, which characterizes balls.  A NoSolution
-    alpha raises SolverError.
+    overdetermined problem, which characterizes balls.  A star solves
+    as `solve_robin(d, alpha, M)`; a NoSolution alpha raises
+    SolverError.
     """
     sol = energy._solve_or_raise(d, alpha, M, None)
     if d.kind == "ball":
@@ -449,11 +453,13 @@ class FiniteDifferenceReport:
 
 def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
                             route: str = "series", degree: int = 2,
-                            n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES):
+                            n_modes: int = 32, M: int | None = None):
     """Fit E(t) on the family by least squares and read off derivatives.
 
-    route: "series" (spectral), "direct" (boundary solve), or "fem"
-    (the independent finite-element oracle).  The polynomial degree
+    route: "series" (spectral, at M nodes; DEFAULT_BOUNDARY_NODES when
+    M is None), "direct" (boundary solve at M nodes, or at each member's
+    certified count when M is None), or "fem" (the independent
+    finite-element oracle, which ignores M).  The polynomial degree
     must be at least 2, and should exceed 2 when third-order
     contamination matters; t_grid must be finite with at least
     degree + 1 distinct steps (ValueError otherwise), so the fit
@@ -485,13 +491,14 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
     for j, t in enumerate(t_grid):
         dom = family.domain(float(t))
         if route == "series":
-            pack = energy.series_pack(dom, n_modes=n_modes, M=M)
+            pack = energy.series_pack(dom, n_modes=n_modes,
+                                      M=DEFAULT_BOUNDARY_NODES if M is None else M)
             col = energy.ENERGY_COLUMNS.index("E_total")
             vals[:, j] = [row[col] for row in energy.energy_series_grid(pack, alphas)]
         elif route == "direct":
-            op = StarLayerOperator(dom.rho, M)
+            op = operator_for(dom.rho, M)
             for i, a in enumerate(alphas):
-                vals[i, j] = energy.energy_direct(dom, a, M, operator=op)
+                vals[i, j] = energy.energy_direct(dom, a, operator=op)
         else:
             from . import oracle
             vals[:, j] = [s.energy for s in oracle.fem_robin_energy(dom, alphas)]

@@ -372,15 +372,17 @@ def spectrum_annulus(n: int, R: float, kappa: float, k_max: int = 12) -> Steklov
     Degree 0 yields {0, mu_r}; every degree k >= 1 yields two
     eigenvalues, each carried with the spherical-harmonic multiplicity.
     The closed-form mu_r is cross-checked against the pencil root.  A
-    negative k_max raises ValueError.
+    negative k_max raises ValueError; a degree whose pencil leaves the
+    double range raises SolverError before any mode is listed.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     d = Domain.annulus(n, R, kappa)
     a = kappa * R
+    # every pencil first: a degree out of range fails before any entry is built
+    pencils = [_annulus_pencil(n, R, a, k) for k in range(k_max + 1)]
     entries = []   # (mu, k, parity, (c1, c2) or None)
-    for k in range(k_max + 1):
-        mus, vecs = _annulus_pencil(n, R, a, k)
+    for k, (mus, vecs) in enumerate(pencils):
         if k == 0:
             mu_closed = annulus_radial_eigenvalue(n, R, kappa)
             if abs(mus[1] - mu_closed) > 1e-8 * max(1.0, mu_closed):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .geometry import Domain, DEFAULT_BOUNDARY_NODES
+from .geometry import Domain
 from .layerpot import StarLayerOperator, operator_for
 from .steklov import (SteklovBasis, _interior_values, _radial_g, _radial_g_prime,
                       _radial_values, _shell_energy)
@@ -84,24 +84,26 @@ def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
 
 def _solve_star(op: StarLayerOperator) -> tuple[float, np.ndarray, np.ndarray]:
     rr = op.radius_sq
-    sigma = op.dirichlet_density(0.25 * rr)
+    sigma = op.torsion_density
     flux = -0.5 * (op.points * op.normals).sum(axis=1) + op.normal_derivative(sigma)
     # T = int |x|^2/4 dx + oint |x|^2/4 d_nu s dS
     T = op.quarter_r2_integral() + float(np.sum(0.25 * rr * flux * op.weights))
     return T, flux, sigma
 
 
-def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
+def solve_torsion(d: Domain, M: int | None = None, *,
                   operator: StarLayerOperator | None = None) -> TorsionSolution:
     """Solve the torsion problem on a ball, shell, or planar star domain.
 
     Parameters
     ----------
     d : Domain
-    M : boundary node count for star-domain solves (ignored otherwise).
-    operator : layer operator of d's boundary at M nodes (for example
-        `SteklovBasis.operator`), used for the solve instead of building
-        a new one.  Ignored for balls and shells.
+    M : boundary node count for star-domain solves (ignored otherwise);
+        None certifies it (`layerpot.operator_for`), and a star whose
+        boundary is unresolved at the cap raises SolverError.
+    operator : layer operator of d's boundary (at M nodes when M is
+        given; for example `SteklovBasis.operator`), used for the solve
+        instead of building a new one.  Ignored for balls and shells.
 
     Returns
     -------
@@ -124,7 +126,7 @@ def solve_torsion(d: Domain, M: int = DEFAULT_BOUNDARY_NODES, *,
     return TorsionSolution(d, T, flux, density=sigma, operator=op)
 
 
-def rigidity(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> float:
+def rigidity(d: Domain, M: int | None = None) -> float:
     """T(Omega) alone."""
     return solve_torsion(d, M).T
 

@@ -581,6 +581,38 @@ class TestBadInputs:
         assert code == 2 and out == ""
         assert f"invalid configuration: --{next(iter(cfg_value))}" in err
 
+    @pytest.mark.parametrize("argv, cfg_value", [
+        (("spectrum", "--domain", "star"), {"rho_cos": [0, 0.1]}),
+        (("second-variation", "--alpha", "0.5", "--modes", "k2=1", "--fd-check"),
+         {"fd_steps": 0.02}),
+        *[(("energy", "--alpha", "0.5"), {dest: value}) for dest in (
+            "rho_cos", "rho_sin", "vn_cos", "vn_sin", "fd_steps", "modes",
+            "alpha_grid", "output", "domain_json") for value in ([0, 0.1], 0.5, None)],
+        (("energy", "--alpha", "0.5"), {"json": "no"}),
+    ])
+    def test_config_value_of_the_wrong_json_type(self, capsys, tmp_path, monkeypatch,
+                                                 argv, cfg_value):
+        # such a value once reached a handler's .split: AttributeError, exit 1
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_value))
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        dest = next(iter(cfg_value))
+        assert code == 2 and out == ""
+        assert err.startswith(f"invalid configuration: --{dest.replace('_', '-')}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]   # no file "None"
+
+    def test_second_config_rejected(self, capsys, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps({"radius": 2.0}))
+        second.write_text(json.dumps({"alpha": [0.5]}))
+        for argv in (("--config", str(first), "--config", str(second), "energy"),
+                     (f"--config={first}", "energy", f"--config={second}")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "invalid configuration: --config given twice; " \
+                          "merge the files into one\n"
+
     def test_typed_config_values_match_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": ["0.5", 2], "nodes": "128",

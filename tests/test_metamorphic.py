@@ -6,8 +6,10 @@ The solution on s Omega at alpha / s is u_s(x) = s^2 u(x / s), so
     mu_i(s Omega) = mu_i(Omega) / s,
 
 and rotating or reflecting Omega changes none of E, T and mu.  Each law
-is checked on the series and the direct route (metamorphic testing:
-Chen et al., ACM Comput. Surv. 51(1), 2018).  The laws hold exactly, and
+is checked on the series and the direct route, and on the direct and
+torsion solves at the certified node count, which must pick the same M
+for every transformed domain (metamorphic testing: Chen et al., ACM
+Comput. Surv. 51(1), 2018).  The laws hold exactly, and
 the discretization of a random star is resolved far below rounding at
 the default node count, so each tolerance is a fixed multiple of machine
 epsilon, chosen before the first run: 2^9 eps for E and T relative to
@@ -25,6 +27,7 @@ from robinlab import (
     energy_series_grid,
     random_star_domain,
     series_pack,
+    solve_torsion,
     spectrum_star2d,
 )
 
@@ -53,14 +56,20 @@ def transformed(rho: TrigPoly, s: float = 1.0, phi: float = 0.0,
 
 
 def quantities(d: Domain, alphas: np.ndarray) -> dict:
-    """T, mu, and the series and direct energies at `alphas`, from one operator."""
+    """T, mu, and the series and direct energies at `alphas`, from one operator.
+
+    Plus the certified node count, and T and the direct energies at it.
+    """
     basis = spectrum_star2d(d, n_modes=N_MODES, M_nodes=M)
     pack = series_pack(d, M=M, basis=basis)
     col = ENERGY_COLUMNS.index("E_total")
     series = [row[col] for row in energy_series_grid(pack, alphas)]
     direct = [energy_direct(d, a, M, operator=basis.operator) for a in alphas]
+    ts = solve_torsion(d)
+    certified = [energy_direct(d, a, operator=ts.operator) for a in alphas]
     return {"T": pack.T, "mu": pack.mu, "series": np.array(series),
-            "direct": np.array(direct)}
+            "direct": np.array(direct), "certified_M": ts.operator.M,
+            "certified_T": ts.T, "certified": np.array(certified)}
 
 
 def assert_close(got, want, tol, scale=None):
@@ -80,9 +89,11 @@ def star(request):
 def test_scale_law(star, s):
     d, base = star
     got = quantities(transformed(d.rho, s=s), ALPHAS / s)
-    for route in ("series", "direct"):
+    assert got["certified_M"] == base["certified_M"]
+    for route in ("series", "direct", "certified"):
         assert_close(got[route], s ** 4 * base[route], TOL_E)
-    assert_close(got["T"], s ** 4 * base["T"], TOL_E)
+    for key in ("T", "certified_T"):
+        assert_close(got[key], s ** 4 * base[key], TOL_E)
     mu = base["mu"] / s
     assert_close(got["mu"], mu, TOL_MU, scale=np.max(np.abs(mu)))
 
@@ -92,7 +103,9 @@ def test_scale_law(star, s):
 def test_rigid_motion_invariance(star, phi, reflect):
     d, base = star
     got = quantities(transformed(d.rho, phi=phi, reflect=reflect), ALPHAS)
-    for route in ("series", "direct"):
+    assert got["certified_M"] == base["certified_M"]
+    for route in ("series", "direct", "certified"):
         assert_close(got[route], base[route], TOL_E)
-    assert_close(got["T"], base["T"], TOL_E)
+    for key in ("T", "certified_T"):
+        assert_close(got[key], base[key], TOL_E)
     assert_close(got["mu"], base["mu"], TOL_MU, scale=np.max(np.abs(base["mu"])))

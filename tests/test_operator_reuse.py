@@ -17,6 +17,7 @@ from robinlab import (
     spectrum_star2d,
 )
 from robinlab.cli import main
+from robinlab.layerpot import START_NODES
 
 M = 192
 N_MODES = 24
@@ -122,6 +123,11 @@ class TestBuildCounts:
         finite_difference_check(family, ALPHAS, T_GRID, route="direct",
                                 degree=3, M=M)
         assert builds == [M] * len(T_GRID)
+
+    def test_certified_direct_fd_check_one_per_member(self, builds, family):
+        # each member resolves at the first rung, so it costs one build
+        finite_difference_check(family, ALPHAS, T_GRID, route="direct", degree=3)
+        assert builds == [START_NODES] * len(T_GRID)
 
     def test_series_fd_check_one_per_member(self, builds, family):
         finite_difference_check(family, ALPHAS, T_GRID, route="series",

@@ -141,6 +141,17 @@ class TestAnnulusSpectrum:
         with pytest.raises(SolverError, match=f"degree-{degree} shell pencil"):
             spectrum_annulus(3, R, 0.5, k_max=k_max)
 
+    def test_out_of_range_pencil_fails_before_any_mode(self, monkeypatch):
+        # every pencil is solved first: no mode is listed for degrees 0..1012
+        import robinlab.steklov as steklov
+
+        def listed(*args):
+            raise AssertionError("a mode was listed before the failing pencil")
+        monkeypatch.setattr(steklov, "_normalize_radial", listed)
+        monkeypatch.setattr(steklov.geo, "ball_mode_multiplicity", listed)
+        with pytest.raises(SolverError, match="degree-1013 shell pencil"):
+            spectrum_annulus(3, 1.0, 0.5, k_max=1100)
+
     def test_direct_status_past_the_pencil_range(self, shell):
         assert solve_robin(shell, 1011.5).status == STATUS_UNIQUE
         with pytest.raises(SolverError, match="degree-1013 shell pencil"):
