@@ -1,12 +1,11 @@
 """Compare the command-line output of two robinlab source trees.
 
-Usage: python3 scripts/output_diff.py --base DIR --head DIR
-           [--commands FILE] [--strict]
+Usage: python3 scripts/output_diff.py --base DIR --head DIR [--strict]
 
-Each tree runs every command of the list (by default
-`output_commands.txt` next to this script) in one interpreter of its
-own, with OPENBLAS_NUM_THREADS=1 and ROBINLAB_THREADS=1, in a fresh
-working directory that holds the list's fixture files.  A list line is
+Each tree runs every command of `output_commands.txt` (next to this
+script) in one interpreter of its own, with OPENBLAS_NUM_THREADS=1 and
+ROBINLAB_THREADS=1, in a fresh working directory that holds the list's
+fixture files.  A list line is
 
     robinlab ARGS...      robinlab.cli.main(ARGS), as the console script runs it
     script PATH ARGS...   PATH (relative to the tree's root) run as __main__
@@ -260,11 +259,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, type=Path, help="root of the base tree")
     ap.add_argument("--head", required=True, type=Path, help="root of the head tree")
-    ap.add_argument("--commands", type=Path, default=DEFAULT_COMMANDS)
     ap.add_argument("--strict", action="store_true",
                     help="fail on any difference, not only on exit codes, shapes and text")
     args = ap.parse_args(argv)
-    commands, fixtures = read_commands(args.commands)
+    commands, fixtures = read_commands(DEFAULT_COMMANDS)
     with tempfile.TemporaryDirectory(prefix="output_diff_") as tmp:
         dirs = [Path(tmp) / "base", Path(tmp) / "head"]
         procs = [start(tree.resolve(), commands, fixtures, d)

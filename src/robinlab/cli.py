@@ -146,11 +146,6 @@ def _check_args(args) -> None:
         _alpha_values(args)
 
 
-def _series_nodes(args) -> int:
-    """--nodes of a series command: unset reads as DEFAULT_BOUNDARY_NODES."""
-    return geo.DEFAULT_BOUNDARY_NODES if args.nodes is None else args.nodes
-
-
 def _alpha_values(args) -> np.ndarray | None:
     """--alpha as a 1-D float array, None when not given."""
     raw = args.alpha
@@ -239,7 +234,7 @@ def _cmd_spectrum(args) -> int:
         except SolverError as exc:
             raise SolverError(f"{exc}; lower --kmax (got {args.kmax})") from exc
     else:
-        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=_series_nodes(args))
+        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=args.nodes)
     res = basis.residuals if basis.residuals is not None else np.zeros(basis.count)
     _emit(args, ("i", "k", "parity", "mu", "residual"),
           zip(range(1, basis.count + 1), basis.k.tolist(), basis.parity,
@@ -250,7 +245,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_energy(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=_series_nodes(args))
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
     # every pole carries flux, so the rule excludes each alpha it resonates with
     near = sk._resonance(np.array(pack.poles), alphas, True)[0]
     excluded = near.any(axis=1)
@@ -266,7 +261,7 @@ def _cmd_energy(args) -> int:
 def _cmd_split(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=_series_nodes(args))
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
     a, _, E_plus, E_minus, *_ = zip(*energy.energy_series_grid(pack, alphas))
     e_plus, em_bound = energy.split_variational_grid(pack, alphas)
     em = np.array(E_minus)
@@ -381,7 +376,7 @@ def _cmd_pw_check(args) -> int:
 def _cmd_corollary_check(args) -> int:
     d = _domain_from_args(args)
     given = _alpha_values(args)
-    pack = pw.corollary_pack(d, args.n_modes, _series_nodes(args))
+    pack = pw.corollary_pack(d, args.n_modes, args.nodes)
     if given is not None:
         alphas = [float(a) for a in given]
     else:
@@ -399,7 +394,7 @@ def _cmd_corollary_check(args) -> int:
 
 def _cmd_oracle_verify(args) -> int:
     d = _domain_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=_series_nodes(args))
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
     fem = oracle.FemRobin(d, h_max=args.h_max)
 
     def run(a):
@@ -423,7 +418,7 @@ def _cmd_corpus(args) -> int:
 
     def run(item):
         idx, d = item
-        pack = pw.corollary_pack(d, args.n_modes, _series_nodes(args))
+        pack = pw.corollary_pack(d, args.n_modes, args.nodes)
         mu2 = float(pack.mu[1])
         a = pw.low_alpha(d, mu2)
         rep = pw.corollary_disc_max(d, a, pack=pack)

@@ -134,7 +134,7 @@ class DiscMaxReport:
     chain_ok: bool        # mu2 <= 2 pi / L <= 1/R
 
 
-def corollary_pack(d: Domain, n_modes: int, M: int) -> energy._SeriesPack:
+def corollary_pack(d: Domain, n_modes: int, M: int | None) -> energy._SeriesPack:
     """The series pack `corollary_disc_max` reads, built once per domain.
 
     d must be simply connected and planar; a disc enters as the star

@@ -161,13 +161,14 @@ class _SeriesPack:
     live_mu: np.ndarray
 
 
-def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES,
+def series_pack(d: Domain, *, n_modes: int = 32, M: int | None = None,
                 basis: SteklovBasis | None = None) -> _SeriesPack:
     """Everything the series needs that does not depend on alpha.
 
     Builds the default basis of d (n_modes, M) unless given, and solves
     the torsion of d at M nodes, on `basis.operator` when that operator
-    is d's at M nodes.  `flux_coefficients` runs here, once.  Pass the
+    is d's at M nodes.  The series reads M = None as the fixed
+    DEFAULT_BOUNDARY_NODES, not as a certified count.  `flux_coefficients` runs here, once.  Pass the
     result to `energy_series_grid`, `split_variational_grid` or
     `pole_scan(pack=)`.
 
@@ -177,6 +178,8 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES
         If a star basis has fewer than 2 modes (the last one only bounds
         the series tail).
     """
+    if M is None:
+        M = DEFAULT_BOUNDARY_NODES
     if basis is None:
         basis = _default_basis(d, n_modes, M)
     if basis.kind == "star" and basis.count < 2:

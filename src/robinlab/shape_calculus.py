@@ -75,7 +75,7 @@ def first_variation_general(d: Domain, alpha: float, vn,
         u_b = -R / (alpha * n)
         density = (alpha * u_b) ** 2 - 2 * u_b - 2 * alpha ** 2 * u_b ** 2 \
             - alpha * (n - 1) * u_b ** 2 / R
-        total_vn = _integrated_vn(d, vn, DEFAULT_BOUNDARY_NODES if M is None else M)
+        total_vn = _integrated_vn(d, vn, M)
         return density * total_vn
     op = sol.operator
     u_b = sol.boundary_values
@@ -108,8 +108,8 @@ def _nodal_vn(d: Domain, vn, thetas: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _integrated_vn(d: Domain, vn, M: int) -> float:
-    """oint vn dS on a ball in any dimension."""
+def _integrated_vn(d: Domain, vn, M: int | None) -> float:
+    """oint vn dS on a ball in any dimension; a callable at M nodes (None: the default)."""
     area = geo.surface_area(d)
     if isinstance(vn, PerturbationField):
         return float(vn.b_array[0]) * math.sqrt(area)
@@ -117,7 +117,8 @@ def _integrated_vn(d: Domain, vn, M: int) -> float:
         return float(vn) * area
     if d.dim != 2:
         raise ValueError("callable speeds on balls need dim 2")
-    thetas = np.linspace(0, 2 * np.pi, M, endpoint=False)
+    thetas = np.linspace(0, 2 * np.pi, DEFAULT_BOUNDARY_NODES if M is None else M,
+                         endpoint=False)
     vals = _nodal_vn(d, vn, thetas)
     return float(np.mean(vals) * area)
 
@@ -491,8 +492,7 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
     for j, t in enumerate(t_grid):
         dom = family.domain(float(t))
         if route == "series":
-            pack = energy.series_pack(dom, n_modes=n_modes,
-                                      M=DEFAULT_BOUNDARY_NODES if M is None else M)
+            pack = energy.series_pack(dom, n_modes=n_modes, M=M)
             col = energy.ENERGY_COLUMNS.index("E_total")
             vals[:, j] = [row[col] for row in energy.energy_series_grid(pack, alphas)]
         elif route == "direct":

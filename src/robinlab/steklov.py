@@ -419,12 +419,13 @@ def _normalize_radial(d: Domain, vec: np.ndarray) -> tuple[float, float]:
 
 
 def spectrum_star2d(d: Domain, n_modes: int = 32,
-                    M_nodes: int = DEFAULT_BOUNDARY_NODES) -> SteklovBasis:
+                    M_nodes: int | None = None) -> SteklovBasis:
     """Nystrom DtN spectrum of a planar star domain.
 
     A disc enters as the star of constant radius.  Builds the
-    single-layer DtN matrix at M_nodes equispaced boundary nodes and
-    solves the symmetric eigenproblem against the boundary mass.
+    single-layer DtN matrix at M_nodes equispaced boundary nodes
+    (DEFAULT_BOUNDARY_NODES when None) and solves the symmetric
+    eigenproblem against the boundary mass.
     Requires M_nodes >= 8 * n_modes; n_modes < 1 raises ValueError.
     Residuals report || d_nu phi - mu phi || in boundary L^2 per mode.
     """
@@ -432,7 +433,7 @@ def spectrum_star2d(d: Domain, n_modes: int = 32,
         d = Domain.star2d(geo._planar_rho(d))
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    op = StarLayerOperator(d.rho, M_nodes)
+    op = StarLayerOperator(d.rho, DEFAULT_BOUNDARY_NODES if M_nodes is None else M_nodes)
     mu, traces, dens, resid = op.steklov_eigensystem(n_modes)
     mu = mu.copy()
     mu[0] = max(mu[0], 0.0) if abs(mu[0]) < 1e-9 else mu[0]
