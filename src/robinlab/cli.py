@@ -234,7 +234,7 @@ def _cmd_spectrum(args) -> int:
         except SolverError as exc:
             raise SolverError(f"{exc}; lower --kmax (got {args.kmax})") from exc
     else:
-        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M_nodes=args.nodes)
+        basis = sk.spectrum_star2d(d, n_modes=args.n_modes, M=args.nodes)
     res = basis.residuals if basis.residuals is not None else np.zeros(basis.count)
     _emit(args, ("i", "k", "parity", "mu", "residual"),
           zip(range(1, basis.count + 1), basis.k.tolist(), basis.parity,
@@ -454,8 +454,9 @@ _OPTIONS = {
     "output": ("-", {}),
     "json": (False, dict(action="store_true",
                          help="emit the table as JSON instead of CSV")),
-    "nodes": (None, dict(type=int, help="boundary nodes of star solves; unset: certified "
-                          "on direct and torsion solves, 256 on the series")),
+    "nodes": (None, dict(type=int, help="boundary nodes of star solves, exit 3 if unresolved; "
+                          "unset: 64 (series and spectrum: the first 64 * 2^k >= max(256, "
+                          "8 n_modes)), doubled until resolved, exit 3 past 2048")),
     "n_modes": (32, dict(type=int)),
     "alpha": (None, dict(type=float, action="append", help="repeatable single value")),
     "alpha_grid": (None, dict(help="start:stop:count")),

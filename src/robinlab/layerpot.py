@@ -19,12 +19,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import SolverError
-from .geometry import BoundaryGrid, TrigPoly, _curve_from_radii
+from .geometry import DEFAULT_BOUNDARY_NODES, BoundaryGrid, TrigPoly, _curve_from_radii
 
 TWO_PI = 2.0 * np.pi
 
 # The certified node count (`operator_for` without M) starts at START_NODES
-# and doubles until `StarLayerOperator.resolution` is at most RESOLVED_TOL.
+# (a Steklov basis: at its floor) and doubles until
+# `StarLayerOperator.resolution` is at most RESOLVED_TOL.
 # At 64 nodes the indicator reads at most 5.6e-9 on 400 members of the
 # benchmark's fd-check families, and at most 1.0e-5 on 300
 # `random_star_domain`s, 242 of which go on to 128 nodes (at most
@@ -246,34 +247,43 @@ class StarLayerOperator:
 
 
 def operator_for(rho: TrigPoly, M: int | None = None,
-                 operator: StarLayerOperator | None = None) -> StarLayerOperator:
-    """The layer operator of rho's curve at M nodes, or at the certified count.
+                 operator: StarLayerOperator | None = None,
+                 n_modes: int = 0) -> StarLayerOperator:
+    """The layer operator of rho's curve, at a node count that resolves it.
 
-    Returns `operator` when one is given, so solves on one boundary can
-    share a single build; it must have been built from rho (at M nodes
-    when M is given).  Without M the count is certified: START_NODES,
-    doubled until the operator's `resolution` is at most RESOLVED_TOL.
-    Each rung costs one build and one torsion solve, which the returned
-    operator keeps.  A boundary still unresolved at CAP_NODES raises
-    SolverError.
+    This is the one place that picks a star's node count.  Without M the
+    count climbs a ladder: it starts at START_NODES, or for a Steklov
+    basis of n_modes modes at the first rung START_NODES * 2^k of at
+    least max(DEFAULT_BOUNDARY_NODES, 8 n_modes) (256 up to 32 modes),
+    and doubles while the operator's `resolution` is above RESOLVED_TOL.
+    A boundary still unresolved at CAP_NODES raises SolverError, and a
+    basis whose first rung lies past the cap raises ValueError.  An
+    explicit M is a one-rung ladder under the same check: SolverError
+    when M nodes do not resolve the boundary.  Each rung costs one build
+    and one torsion solve, which the returned operator keeps.
+
+    Returns `operator` when one is given, unchecked, so solves on one
+    boundary can share a single build; it must have been built from rho
+    (at M nodes when M is given).
     """
     if operator is not None:
         if (M is not None and operator.M != M) or operator.rho != rho:
             raise ValueError("operator does not match the domain and node count")
         return operator
-    if M is not None:
-        return StarLayerOperator(rho, M)
-    M = START_NODES
-    while True:
-        op = StarLayerOperator(rho, M)
+    if M is None and 8 * n_modes > CAP_NODES:
+        raise ValueError(f"{n_modes} modes need {8 * n_modes} nodes, past the cap of "
+                         f"{CAP_NODES}; lower --n-modes")
+    floor = max(DEFAULT_BOUNDARY_NODES, 8 * n_modes) if n_modes else START_NODES
+    ladder = [START_NODES << k for k in range((CAP_NODES // START_NODES).bit_length())]
+    rungs = [M] if M is not None else [m for m in ladder if m >= floor]
+    for m in rungs:
+        op = StarLayerOperator(rho, m)
         if op.resolution <= RESOLVED_TOL:
             return op
-        if 2 * M > CAP_NODES:
-            raise SolverError(
-                f"the boundary is not resolved at the cap of {M} nodes: torsion-density "
-                f"indicator {op.resolution:.2e} above {RESOLVED_TOL:.0e}; "
-                "fix the node count with --nodes")
-        M *= 2
+    where, fix = ((f"at {M} nodes", "raise --nodes or leave it unset") if M is not None else
+                  (f"at the cap of {CAP_NODES} nodes", "set a larger count with --nodes"))
+    raise SolverError(f"the boundary is not resolved {where}: torsion-density indicator "
+                      f"{op.resolution:.2e} above {RESOLVED_TOL:.0e}; {fix}")
 
 
 def _trace_sign(traces: np.ndarray) -> np.ndarray:

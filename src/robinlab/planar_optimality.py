@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from . import robin_energy as energy
-from .geometry import Domain, DEFAULT_BOUNDARY_NODES
+from .geometry import Domain
 
 __all__ = [
     "PWBound",
@@ -151,7 +151,7 @@ def low_alpha(d: Domain, mu2: float) -> float:
 
 
 def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
-                       M: int = DEFAULT_BOUNDARY_NODES,
+                       M: int | None = None,
                        pack: energy._SeriesPack | None = None) -> DiscMaxReport:
     """Energy comparison with the equal-area disc for 0 < alpha < mu_2(Omega).
 
@@ -159,6 +159,10 @@ def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
     domains; the report carries both energies and the Weinstock chain
     mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  Pass
     `corollary_pack(d, n_modes, M)` as `pack` to reuse it across alphas.
+    The node count is the series pack's (`robin_energy.series_pack`):
+    without M it starts at the first rung of at least max(256,
+    8 n_modes) and doubles until the boundary is resolved, raising
+    SolverError past 2048 nodes; an explicit M is checked the same way.
     """
     if pack is None:
         pack = corollary_pack(d, n_modes, M)

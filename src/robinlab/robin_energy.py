@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import SolverError
-from .geometry import Domain, DEFAULT_BOUNDARY_NODES
+from .geometry import Domain
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
 from .steklov import (SteklovBasis, _interior_values, _radial_g, _radial_g_prime,
@@ -110,14 +110,14 @@ class EnergyReport:
         return out
 
 
-def _default_basis(d: Domain, n_modes: int, M: int) -> SteklovBasis:
+def _default_basis(d: Domain, n_modes: int, M: int | None) -> SteklovBasis:
     if d.kind == "ball":
         if d.dim == 2:
             return sk.spectrum_ball(2, d.R, k_max=max(4, n_modes // 2))
         return sk.spectrum_ball(d.dim, d.R, k_max=8)
     if d.kind == "annulus":
         return sk.spectrum_annulus(d.dim, d.R, d.kappa, k_max=8)
-    return sk.spectrum_star2d(d, n_modes=n_modes, M_nodes=M)
+    return sk.spectrum_star2d(d, n_modes=n_modes, M=M)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -147,7 +147,7 @@ class _SeriesPack:
     """
 
     domain: Domain
-    M: int                          # boundary nodes of the split's trial grid
+    M: int | None                   # a star's node count: the split's trial grid
     a: np.ndarray
     mu: np.ndarray
     use: np.ndarray
@@ -166,28 +166,26 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int | None = None,
     """Everything the series needs that does not depend on alpha.
 
     Builds the default basis of d (n_modes, M) unless given, and solves
-    the torsion of d at M nodes, on `basis.operator` when that operator
-    is d's at M nodes.  The series reads M = None as the fixed
-    DEFAULT_BOUNDARY_NODES, not as a certified count.  `flux_coefficients` runs here, once.  Pass the
-    result to `energy_series_grid`, `split_variational_grid` or
-    `pole_scan(pack=)`.
+    the torsion of d on the basis's operator.  A star's node count is
+    the basis's, and `layerpot.operator_for` picks it (see
+    `spectrum_star2d`): without M, the first rung of at least
+    max(256, 8 n_modes), doubled until the boundary is resolved; an
+    explicit M, checked.  An unresolved boundary raises SolverError.
+    `flux_coefficients` runs here, once.  Pass the result to
+    `energy_series_grid`, `split_variational_grid` or `pole_scan(pack=)`.
 
     Raises
     ------
     ValueError
         If a star basis has fewer than 2 modes (the last one only bounds
-        the series tail).
+        the series tail), or a given basis's operator is not d's at M
+        nodes.
     """
-    if M is None:
-        M = DEFAULT_BOUNDARY_NODES
     if basis is None:
         basis = _default_basis(d, n_modes, M)
     if basis.kind == "star" and basis.count < 2:
         raise ValueError(f"the series needs at least 2 star modes, got {basis.count}")
-    op = basis.operator
-    if op is not None and (op.M != M or op.rho != d.rho):
-        op = None
-    ts = solve_torsion(d, M, operator=op)
+    ts = solve_torsion(d, M, operator=basis.operator)
     a = flux_coefficients(ts, basis)
     mu = basis.mu
     use = np.ones(basis.count, dtype=bool)
@@ -200,6 +198,7 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int | None = None,
     nonzero = sk._carrying(a)
     poles = tuple(sorted(set(round(float(m), 12) for m in mu[nonzero])))
     live = use & nonzero
+    M = ts.operator.M if ts.operator is not None else None
     return _SeriesPack(d, M, a, mu, use, nonzero, poles, tail_mu_next,
                        basis.next_degree_mu, missing, ts.T, a[live] ** 2, mu[live])
 
@@ -304,16 +303,19 @@ def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
 
 
 def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
-                  M: int = DEFAULT_BOUNDARY_NODES,
+                  M: int | None = None,
                   basis: SteklovBasis | None = None) -> EnergyReport:
     """Spectral-series energy with sign split and truncation audit.
 
     Parameters
     ----------
     d, alpha : domain and Robin parameter (alpha != 0 for solvability).
-    n_modes, M : star-domain basis size and node count.
+    n_modes, M : star-domain basis size and node count.  Without M the
+        count starts at the first rung of at least max(256, 8 n_modes)
+        and doubles until the boundary is resolved; an explicit M is
+        checked (`series_pack`).
     basis : precomputed Steklov basis; the torsion is solved on
-        `basis.operator` when that operator is d's at M nodes.
+        `basis.operator`, which must be d's (at M nodes when M is given).
 
     Returns
     -------
@@ -329,7 +331,8 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
     Raises
     ------
     SolverError
-        If the truncation tail bound exceeds 1e-6 of |E|.
+        If the truncation tail bound exceeds 1e-6 of |E|, or the
+        boundary is not resolved (past 2048 nodes, or at an explicit M).
     ValueError
         If alpha is NaN or infinite, or a star basis has fewer than 2
         modes.
@@ -383,7 +386,8 @@ def solve_robin(d: Domain, alpha: float, M: int | None = None, *,
     Balls and shells use radial closed forms (Family representatives at
     nonradial resonances, where the energy is still single-valued).
     Star domains solve a single-layer boundary system at M nodes, or at
-    the certified count when M is None (`layerpot.operator_for`); near a
+    the certified count when M is None (`layerpot.operator_for`, which
+    raises SolverError when the boundary is not resolved); near a
     Steklov resonance that system degenerates and a SolverError is
     raised.  `operator`, the layer operator of d's boundary (at M nodes
     when M is given), is used for that system instead of building a new
@@ -507,7 +511,7 @@ def split_variational_grid(pack: _SeriesPack, alphas) -> tuple[np.ndarray, np.nd
 def energy_split_variational(d: Domain, alpha: float, *,
                              basis: SteklovBasis | None = None,
                              n_modes: int = 32,
-                             M: int = DEFAULT_BOUNDARY_NODES) -> tuple[float, float]:
+                             M: int | None = None) -> tuple[float, float]:
     """(E_plus via its maximizer, trial upper bound for E_minus).
 
     E_plus is re-derived by evaluating the saddle quadratic
@@ -575,11 +579,13 @@ def alpha0(d: Domain, *, T_omega: float | None = None,
     return Alpha0Report(vol ** 2 * gap / eps0, eps0, R, T_omega, T_ball, gap)
 
 
-def pole_scan(d: Domain, *, n_modes: int = 32, M: int = DEFAULT_BOUNDARY_NODES,
+def pole_scan(d: Domain, *, n_modes: int = 32, M: int | None = None,
               pack: _SeriesPack | None = None) -> tuple[float, ...]:
     """Eigenvalues that are true energy poles (nonzero flux component).
 
-    Returns the poles of `pack` (see `series_pack`), or of one built
-    from d, n_modes and M, rounded to 12 decimals.
+    Returns the poles of `pack`, or of `series_pack(d, n_modes=, M=)`,
+    whose star node count climbs from max(256, 8 n_modes) until the
+    boundary is resolved, or is an explicit M that resolves it; rounded
+    to 12 decimals.
     """
     return (pack or series_pack(d, n_modes=n_modes, M=M)).poles

@@ -457,14 +457,17 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
                             n_modes: int = 32, M: int | None = None):
     """Fit E(t) on the family by least squares and read off derivatives.
 
-    route: "series" (spectral, at M nodes; DEFAULT_BOUNDARY_NODES when
-    M is None), "direct" (boundary solve at M nodes, or at each member's
-    certified count when M is None), or "fem" (the independent
-    finite-element oracle, which ignores M).  The polynomial degree
-    must be at least 2, and should exceed 2 when third-order
-    contamination matters; t_grid must be finite with at least
-    degree + 1 distinct steps (ValueError otherwise), so the fit
-    determines E''.
+    route: "series" (spectral, `robin_energy.series_pack`), "direct"
+    (boundary solve), or "fem" (the independent finite-element oracle,
+    which ignores M).  Each member's node count comes from
+    `layerpot.operator_for`: without M it starts at 64 nodes on the
+    direct route and, on the series route, at the first rung 64 * 2^k of
+    at least max(256, 8 n_modes), and doubles until the boundary is
+    resolved, raising SolverError past 2048 nodes; an explicit M is
+    checked the same way.  The polynomial degree must be at least 2,
+    and should exceed 2 when third-order contamination matters; t_grid
+    must be finite with at least degree + 1 distinct steps (ValueError
+    otherwise), so the fit determines E''.
 
     `alpha` is a number, giving one FiniteDifferenceReport, or a
     sequence of numbers, giving a list of reports in the same order.

@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import SolverError
 from .geometry import Domain, DEFAULT_BOUNDARY_NODES
-from .layerpot import StarLayerOperator, dominant_degree
+from .layerpot import dominant_degree, operator_for
 
 __all__ = [
     "SteklovBasis",
@@ -418,22 +418,24 @@ def _normalize_radial(d: Domain, vec: np.ndarray) -> tuple[float, float]:
 # numeric planar spectra
 
 
-def spectrum_star2d(d: Domain, n_modes: int = 32,
-                    M_nodes: int | None = None) -> SteklovBasis:
+def spectrum_star2d(d: Domain, n_modes: int = 32, M: int | None = None) -> SteklovBasis:
     """Nystrom DtN spectrum of a planar star domain.
 
-    A disc enters as the star of constant radius.  Builds the
-    single-layer DtN matrix at M_nodes equispaced boundary nodes
-    (DEFAULT_BOUNDARY_NODES when None) and solves the symmetric
-    eigenproblem against the boundary mass.
-    Requires M_nodes >= 8 * n_modes; n_modes < 1 raises ValueError.
-    Residuals report || d_nu phi - mu phi || in boundary L^2 per mode.
+    A disc enters as the star of constant radius.  The single-layer DtN
+    matrix comes from `layerpot.operator_for(rho, M, n_modes=n_modes)`:
+    without M its node count starts at the first rung of at least
+    max(256, 8 n_modes) and doubles until the boundary is resolved
+    (SolverError past 2048 nodes, ValueError when n_modes > 256 puts the
+    first rung past them); an explicit M is checked the same way and
+    must be at least 8 n_modes (ValueError).  n_modes < 1 raises
+    ValueError.  Residuals report || d_nu phi - mu phi || in boundary
+    L^2 per mode.
     """
     if d.kind != "star2d":
         d = Domain.star2d(geo._planar_rho(d))
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    op = StarLayerOperator(d.rho, DEFAULT_BOUNDARY_NODES if M_nodes is None else M_nodes)
+    op = operator_for(d.rho, M, n_modes=n_modes)
     mu, traces, dens, resid = op.steklov_eigensystem(n_modes)
     mu = mu.copy()
     mu[0] = max(mu[0], 0.0) if abs(mu[0]) < 1e-9 else mu[0]

@@ -100,7 +100,8 @@ def solve_torsion(d: Domain, M: int | None = None, *,
     d : Domain
     M : boundary node count for star-domain solves (ignored otherwise);
         None certifies it (`layerpot.operator_for`), and a star whose
-        boundary is unresolved at the cap raises SolverError.
+        boundary is unresolved at the cap, or at a given M, raises
+        SolverError.
     operator : layer operator of d's boundary (at M nodes when M is
         given; for example `SteklovBasis.operator`), used for the solve
         instead of building a new one.  Ignored for balls and shells.

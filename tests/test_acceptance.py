@@ -93,8 +93,7 @@ def test_c02_annulus_series_vs_direct(capsys):
 def test_c03_disc_spectrum_numeric(capsys):
     with criterion(capsys, 3, 10.0, "disc Steklov spectrum at M=256, "
                                     "15 modes + orthonormality"):
-        b = spectrum_star2d(Domain.star2d(TrigPoly(1.0)), n_modes=15,
-                            M_nodes=256)
+        b = spectrum_star2d(Domain.star2d(TrigPoly(1.0)), n_modes=15, M=256)
         expected = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7],
                             dtype=float)
         assert np.abs(b.mu - expected).max() < 1e-6

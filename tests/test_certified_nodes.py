@@ -1,16 +1,20 @@
-"""The certified node count of direct and torsion solves (`layerpot.operator_for`).
+"""The certified node count of every star solve (`layerpot.operator_for`).
 
-Without M, a star's operator starts at START_NODES and doubles until the
-torsion density's resolution indicator is at most RESOLVED_TOL.  An
-explicit M keeps the fixed solve bit for bit.  Tolerances were fixed
-before the first run: certified answers agree with 1024 nodes within
-2^9 eps relative, the bound the metamorphic laws use.
+Without M, a star's operator starts at START_NODES (a Steklov basis of
+n modes: at the first rung of at least max(DEFAULT_BOUNDARY_NODES, 8 n))
+and doubles until the torsion density's resolution indicator is at most
+RESOLVED_TOL.  An explicit M is one rung under the same check: when it
+resolves the boundary it is the fixed solve bit for bit, and when it
+does not the solve raises SolverError.  Tolerances were fixed before the
+first run: certified answers agree with 1024 nodes within 2^9 eps
+relative, the bound the metamorphic laws use.
 """
 import numpy as np
 import pytest
 
 import robinlab.layerpot as lp
 from robinlab import (
+    DEFAULT_BOUNDARY_NODES,
     Domain,
     StarLayerOperator,
     TrigPoly,
@@ -20,8 +24,11 @@ from robinlab import (
     first_variation_general,
     overdetermined_residual,
     random_star_domain,
+    series_pack,
     solve_torsion,
+    spectrum_star2d,
 )
+from robinlab.errors import SolverError
 from robinlab.cli import main
 
 EPS = np.finfo(float).eps
@@ -80,11 +87,9 @@ def test_agrees_with_1024_nodes(seed):
         assert abs(E - E_ref) <= TOL * abs(E_ref), (a, abs(E - E_ref) / abs(E_ref) / EPS)
 
 
-@pytest.mark.parametrize("name", ["three_mode", "ellipse", "wobbly"])
-def test_explicit_256_is_the_fixed_solve(name, monkeypatch):
-    """An explicit M builds only at M: the numbers of an operator built there by hand."""
-    d = stars()[name]
-    op = StarLayerOperator(d.rho, 256)
+@pytest.fixture
+def builds(monkeypatch):
+    """Node counts of every StarLayerOperator built while the test runs."""
     made, init = [], StarLayerOperator.__init__
 
     def counted(self, rho, M=256):
@@ -92,13 +97,21 @@ def test_explicit_256_is_the_fixed_solve(name, monkeypatch):
         init(self, rho, M)
 
     monkeypatch.setattr(StarLayerOperator, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", ["three_mode", "ellipse", "wobbly"])
+def test_explicit_256_is_the_fixed_solve(name, builds):
+    """An explicit M builds only at M: the numbers of an operator built there by hand."""
+    d = stars()[name]
+    op = StarLayerOperator(d.rho, 256)
     assert solve_torsion(d, 256).T == solve_torsion(d, operator=op).T
     for a in ALPHAS:
         assert energy_direct(d, a, 256) == energy_direct(d, a, operator=op)
     first_variation_general(d, 0.5, VN, 256)
     alpha0(d, M=256)
     overdetermined_residual(d, 0.5, 256)
-    assert made and set(made) == {256}
+    assert set(builds) == {256} and len(builds) > 1
 
 
 def test_cli_unresolved_star_exits_3(capsys):
@@ -134,3 +147,91 @@ def test_series_commands_read_unset_as_256(capsys, argv):
     unset = capsys.readouterr()
     assert main(list(argv) + ["--nodes", "256"]) == 0
     assert capsys.readouterr() == unset
+
+
+UNRESOLVED = ("--domain", "star", "--rho-cos", "0,0.99")
+
+
+def run(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestBasisLadder:
+    @pytest.mark.parametrize("n_modes, M", [(2, 256), (32, 256), (33, 512), (64, 512),
+                                            (65, 1024)])
+    def test_basis_floor(self, three_mode, n_modes, M):
+        assert DEFAULT_BOUNDARY_NODES == 256
+        op = lp.operator_for(three_mode.rho, n_modes=n_modes)
+        assert op.M == M and op.resolution <= lp.RESOLVED_TOL
+
+    def test_basis_climbs_past_its_floor(self):
+        # resolved at 512 nodes, not at 256: the spectrum doubles once
+        rho = TrigPoly(1.0, (0.0,) * 7 + (0.1,), ())      # indicator 1.3e-6, then 1.3e-11
+        assert StarLayerOperator(rho, 256).resolution > lp.RESOLVED_TOL
+        basis = spectrum_star2d(Domain.star2d(rho), n_modes=8)
+        assert basis.operator.M == 512 and basis.operator.resolution <= lp.RESOLVED_TOL
+
+    def test_first_rung_past_the_cap(self, three_mode):
+        with pytest.raises(ValueError, match=f"past the cap of {lp.CAP_NODES}"):
+            lp.operator_for(three_mode.rho, n_modes=lp.CAP_NODES // 8 + 1)
+
+    def test_pack_reads_the_basis_operator(self, three_mode, builds):
+        pack = series_pack(three_mode, n_modes=40)
+        assert builds == [512] and pack.M == 512
+
+    def test_given_basis_at_another_count(self, three_mode):
+        basis = spectrum_star2d(three_mode, n_modes=8, M=128)
+        assert series_pack(three_mode, basis=basis).M == 128
+        with pytest.raises(ValueError, match="does not match"):
+            series_pack(three_mode, M=256, basis=basis)
+
+
+class TestExplicitNodesChecked:
+    def test_library_raises(self):
+        rho = TrigPoly(1.0, (0.0, 0.99), ())
+        with pytest.raises(SolverError, match="not resolved at 256 nodes"):
+            lp.operator_for(rho, 256)
+        with pytest.raises(SolverError, match="not resolved at 256 nodes"):
+            spectrum_star2d(Domain.star2d(rho), n_modes=8, M=256)
+
+    @pytest.mark.parametrize("argv", [
+        ("first-variation", "--alpha", "0.5", "--nodes", "256"),
+        ("alpha0", "--nodes", "256"),
+        ("energy", "--alpha", "0.5", "--nodes", "256"),
+        ("spectrum", "--n-modes", "8", "--nodes", "256"),
+    ], ids=["first-variation", "alpha0", "energy", "spectrum"])
+    def test_cli_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, argv + UNRESOLVED)
+        assert code == 3 and out == ""
+        assert "solver failure: the boundary is not resolved at 256 nodes" in err
+        assert "raise --nodes or leave it unset" in err
+
+    def test_resolved_explicit_counts_run(self, capsys):
+        star = ("--domain", "star", "--rho-cos", "0,0.1,0.05", "--rho-sin", "0,0.02")
+        for argv in (("alpha0", "--nodes", "128"),
+                     ("first-variation", "--alpha", "0.5", "--vn-cos", "0,0.3",
+                      "--nodes", "96")):
+            assert run(capsys, argv + star)[0] == 0
+
+
+class TestSpectrumCommand:
+    def test_unresolved_star_exits_3(self, capsys):
+        code, out, err = run(capsys, ("spectrum",) + UNRESOLVED)
+        assert code == 3 and out == ""
+        assert f"not resolved at the cap of {lp.CAP_NODES} nodes" in err and "--nodes" in err
+
+    def test_40_modes_climb_to_512(self, capsys):
+        star = ("spectrum", "--domain", "star", "--rho-cos", "0,0.1", "--n-modes", "40")
+        assert spectrum_star2d(Domain.star2d(TrigPoly(1.0, (0.0, 0.1), ())),
+                               n_modes=40).operator.M == 512
+        unset = run(capsys, star)
+        assert unset[0] == 0 and len(unset[1].splitlines()) == 41
+        assert run(capsys, star + ("--nodes", "512")) == unset
+
+    def test_first_rung_past_the_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, ("spectrum", "--domain", "star", "--rho-cos", "0,0.1",
+                                      "--n-modes", "257"))
+        assert code == 2 and out == ""
+        assert "--n-modes" in err and f"cap of {lp.CAP_NODES}" in err

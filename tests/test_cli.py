@@ -58,7 +58,7 @@ class TestSpectrum:
             (("--domain", "star", "--rho-cos", "0,0.1", "--n-modes", "8",
               "--nodes", "128"),
              lambda: spectrum_star2d(Domain.star2d(TrigPoly(1.0, (0.0, 0.1), ())),
-                                     n_modes=8, M_nodes=128)),
+                                     n_modes=8, M=128)),
         ]
         for flags, basis in cases:
             code, out, _ = run(capsys, "spectrum", *flags)

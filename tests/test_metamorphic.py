@@ -6,12 +6,13 @@ The solution on s Omega at alpha / s is u_s(x) = s^2 u(x / s), so
     mu_i(s Omega) = mu_i(Omega) / s,
 
 and rotating or reflecting Omega changes none of E, T and mu.  Each law
-is checked on the series and the direct route, and on the direct and
-torsion solves at the certified node count, which must pick the same M
-for every transformed domain (metamorphic testing: Chen et al., ACM
-Comput. Surv. 51(1), 2018).  The laws hold exactly, and
+is checked on the series route and the direct route on the series
+basis's operator, and on the direct and torsion solves at their own
+certified node count.  Both counts come from `layerpot.operator_for`
+and must be the same for every transformed domain (metamorphic testing:
+Chen et al., ACM Comput. Surv. 51(1), 2018).  The laws hold exactly, and
 the discretization of a random star is resolved far below rounding at
-the default node count, so each tolerance is a fixed multiple of machine
+those node counts, so each tolerance is a fixed multiple of machine
 epsilon, chosen before the first run: 2^9 eps for E and T relative to
 their size, 2^10 eps for mu relative to the largest eigenvalue compared.
 """
@@ -19,7 +20,6 @@ import numpy as np
 import pytest
 
 from robinlab import (
-    DEFAULT_BOUNDARY_NODES,
     Domain,
     ENERGY_COLUMNS,
     TrigPoly,
@@ -37,7 +37,6 @@ TOL_MU = 2 ** 10 * EPS
 ALPHAS = np.array([-2.0, -0.5, 0.3, 0.7])
 SCALES = (0.5, 2.0, 3.7)
 PHI = 0.37
-M = DEFAULT_BOUNDARY_NODES
 N_MODES = 32
 
 
@@ -58,17 +57,19 @@ def transformed(rho: TrigPoly, s: float = 1.0, phi: float = 0.0,
 def quantities(d: Domain, alphas: np.ndarray) -> dict:
     """T, mu, and the series and direct energies at `alphas`, from one operator.
 
-    Plus the certified node count, and T and the direct energies at it.
+    Plus the node count of the series basis, the certified node count of
+    the direct route, and T and the direct energies at the latter.
     """
-    basis = spectrum_star2d(d, n_modes=N_MODES, M_nodes=M)
-    pack = series_pack(d, M=M, basis=basis)
+    basis = spectrum_star2d(d, n_modes=N_MODES)
+    pack = series_pack(d, basis=basis)
     col = ENERGY_COLUMNS.index("E_total")
     series = [row[col] for row in energy_series_grid(pack, alphas)]
-    direct = [energy_direct(d, a, M, operator=basis.operator) for a in alphas]
+    direct = [energy_direct(d, a, operator=basis.operator) for a in alphas]
     ts = solve_torsion(d)
     certified = [energy_direct(d, a, operator=ts.operator) for a in alphas]
     return {"T": pack.T, "mu": pack.mu, "series": np.array(series),
-            "direct": np.array(direct), "certified_M": ts.operator.M,
+            "direct": np.array(direct), "series_M": basis.operator.M,
+            "certified_M": ts.operator.M,
             "certified_T": ts.T, "certified": np.array(certified)}
 
 
@@ -89,6 +90,7 @@ def star(request):
 def test_scale_law(star, s):
     d, base = star
     got = quantities(transformed(d.rho, s=s), ALPHAS / s)
+    assert got["series_M"] == base["series_M"]
     assert got["certified_M"] == base["certified_M"]
     for route in ("series", "direct", "certified"):
         assert_close(got[route], s ** 4 * base[route], TOL_E)
@@ -103,6 +105,7 @@ def test_scale_law(star, s):
 def test_rigid_motion_invariance(star, phi, reflect):
     d, base = star
     got = quantities(transformed(d.rho, phi=phi, reflect=reflect), ALPHAS)
+    assert got["series_M"] == base["series_M"]
     assert got["certified_M"] == base["certified_M"]
     for route in ("series", "direct", "certified"):
         assert_close(got[route], base[route], TOL_E)

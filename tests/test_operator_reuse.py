@@ -182,7 +182,7 @@ class TestSameNumbers:
         assert rep.route == "direct" and rep.energies.shape == (len(T_GRID),)
 
     def test_torsion_on_given_operator(self, three_mode):
-        op = spectrum_star2d(three_mode, n_modes=N_MODES, M_nodes=M).operator
+        op = spectrum_star2d(three_mode, n_modes=N_MODES, M=M).operator
         shared = solve_torsion(three_mode, M, operator=op)
         fresh = solve_torsion(three_mode, M)
         assert shared.operator is op

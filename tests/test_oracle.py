@@ -104,12 +104,12 @@ class TestSteklovResidual:
         assert steklov_residual(spectrum_ball(3, 1.0, k_max=4)) < 1e-10
 
     def test_star_basis_first_ten(self, three_mode):
-        basis = spectrum_star2d(three_mode, n_modes=16, M_nodes=256)
+        basis = spectrum_star2d(three_mode, n_modes=16, M=256)
         res = steklov_residual(basis, sample_density=256, n_modes=10)
         assert res < 1e-5
 
     def test_residual_decreases_under_refinement(self, three_mode):
-        basis = spectrum_star2d(three_mode, n_modes=12, M_nodes=256)
+        basis = spectrum_star2d(three_mode, n_modes=12, M=256)
         r1 = steklov_residual(basis, sample_density=128, n_modes=6)
         r2 = steklov_residual(basis, sample_density=256, n_modes=6)
         assert r2 < r1
@@ -117,7 +117,7 @@ class TestSteklovResidual:
     def test_density_off_multiple_of_four(self, three_mode):
         # 130 boundary nodes round up to 132; the fine mesh must double
         # that, so its even nodes line up with the coarse ones
-        basis = spectrum_star2d(three_mode, n_modes=12, M_nodes=256)
+        basis = spectrum_star2d(three_mode, n_modes=12, M=256)
         r128 = steklov_residual(basis, sample_density=128, n_modes=6)
         r130 = steklov_residual(basis, sample_density=130, n_modes=6)
         assert r130 == pytest.approx(r128, rel=0.2)

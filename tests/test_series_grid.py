@@ -117,7 +117,7 @@ def _basis(d):
         return spectrum_ball(d.dim, d.R, k_max=16 if d.dim == 2 else 8)
     if d.kind == "annulus":
         return spectrum_annulus(d.dim, d.R, d.kappa, k_max=8)
-    return spectrum_star2d(d, n_modes=N_MODES, M_nodes=M)
+    return spectrum_star2d(d, n_modes=N_MODES, M=M)
 
 
 CASES = {
@@ -182,7 +182,7 @@ class TestSameBits:
         # small three-fold star the degree-9 mode carries a^2 ~ 7e-18, a
         # genuine mode well below the 4.4e-16 that underflows at -1.79e308
         d = Domain.star2d(geo_module.TrigPoly(0.005, (0.0, 0.0, 5e-5)))
-        basis = spectrum_star2d(d, n_modes=N_MODES, M_nodes=M)
+        basis = spectrum_star2d(d, n_modes=N_MODES, M=M)
         ts = solve_torsion(d, M, operator=basis.operator)
         alphas = np.array([-1.79e308, -0.5, -1e308, -3.0])
         pack = series_pack(d, M=M, basis=basis)

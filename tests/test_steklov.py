@@ -180,13 +180,13 @@ class TestAnnulusSpectrum:
 
 class TestStarSpectrum:
     def test_disc_matches_closed_form(self):
-        b = spectrum_star2d(Domain.ball(2, 1.0), n_modes=15, M_nodes=256)
+        b = spectrum_star2d(Domain.ball(2, 1.0), n_modes=15, M=256)
         exact = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7], float)
         assert np.abs(b.mu - exact).max() < 1e-9
         assert np.array_equal(b.k, exact.astype(int))
 
     def test_three_mode_basis(self, three_mode):
-        b = spectrum_star2d(three_mode, n_modes=16, M_nodes=256)
+        b = spectrum_star2d(three_mode, n_modes=16, M=256)
         assert b.mu[0] == pytest.approx(0.0, abs=1e-9)
         assert np.all(np.diff(b.mu) > -1e-12)
         assert float(b.residuals.max()) < 1e-6
@@ -197,12 +197,12 @@ class TestStarSpectrum:
 
     def test_node_guard(self, three_mode):
         with pytest.raises(ValueError):
-            spectrum_star2d(three_mode, n_modes=32, M_nodes=128)
+            spectrum_star2d(three_mode, n_modes=32, M=128)
 
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_random_domain_spectrum(self, seed):
         d = random_star_domain(np.random.default_rng(seed))
-        b = spectrum_star2d(d, n_modes=8, M_nodes=192)
+        b = spectrum_star2d(d, n_modes=8, M=192)
         assert abs(b.mu[0]) < 1e-8
         assert np.all(np.diff(b.mu) > -1e-10)
         assert b.mu[1] > 0.0
@@ -254,8 +254,8 @@ class TestExpandHarmonic:
     def test_star_basis_expansion(self, three_mode):
         # cos(t) is not in any finite mode span on a wobbly domain, so the
         # boundary misfit is truncation; it must shrink as the basis grows
-        def misfit(n_modes, M_nodes):
-            b = spectrum_star2d(three_mode, n_modes=n_modes, M_nodes=M_nodes)
+        def misfit(n_modes, M):
+            b = spectrum_star2d(three_mode, n_modes=n_modes, M=M)
             out = expand_harmonic(b, 0.5, lambda t: np.cos(t))
             assert out.status == STATUS_UNIQUE
             t, w = b.boundary_quadrature()
@@ -281,7 +281,7 @@ class TestInteriorValues:
     def test_star_interior_matches_closed_form(self):
         # run the layer-potential machinery on the disc, where every mode
         # has the closed form (r/R)^k trig(k theta) / sqrt(pi R)
-        b = spectrum_star2d(Domain.ball(2, 1.0), n_modes=8, M_nodes=128)
+        b = spectrum_star2d(Domain.ball(2, 1.0), n_modes=8, M=128)
         t = np.array([0.3, 1.1, 2.0, 4.4])
         pts = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
         got = b.interior_values(1, pts)          # degree-1 mode

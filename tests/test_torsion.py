@@ -116,7 +116,7 @@ class TestFluxIdentities:
     def test_star_coefficients_resampled(self, three_mode):
         # basis on 256 nodes, torsion on 192: trig resampling must agree
         # with a same-grid solve
-        b = spectrum_star2d(three_mode, n_modes=12, M_nodes=256)
+        b = spectrum_star2d(three_mode, n_modes=12, M=256)
         a_same = flux_coefficients(solve_torsion(three_mode, M=256), b)
         a_resm = flux_coefficients(solve_torsion(three_mode, M=192), b)
         assert np.allclose(a_same, a_resm, atol=1e-9)
