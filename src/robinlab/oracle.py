@@ -19,12 +19,19 @@ the quad diagonal; the centre couples to the first ring.  `assemble`
 fills that stencil from per-triangle edge weights (minus half the
 cotangent of the opposite angle), and the boundary mass fills the
 outer ring's part of it.  A linear system is a principal block of the
-stencil matrix (the centre and rings lo..hi), laid out once per mesh
-in the nested-dissection order of George (SIAM J. Numer. Anal. 10,
-1973): two opposite rays and the centre split the rings into two
-rings x angles rectangles, each bisected recursively across its longer
-side, separators last.  SuperLU factors the block in that order, with
-its default threshold pivoting.
+stencil matrix (the centre and rings lo..hi), and every one, torsion,
+Robin or Steklov audit, is solved the same way: MINRES (Paige &
+Saunders, SIAM J. Numer. Anal. 12(4), 1975) with the stencil applied
+ring array by ring array, no sparse matrix built.  The preconditioner
+is the block with each ring's stencil averaged over the angle, a fast
+separable solver for a nonseparable problem (Concus & Golub, SIAM J.
+Numer. Anal. 10(6), 1973): under an FFT in angle it splits into one
+tridiagonal system in the ring index per angular mode.  For alpha > 0
+the Robin block is indefinite, and the modes whose factorization meets
+a non-positive pivot are inverted in absolute value, which keeps the
+preconditioner positive definite (Vecharynski & Knyazev, SIAM J. Sci.
+Comput. 35(2), 2013).  On the disc the average is the block itself, and
+MINRES stops within a few iterations.
 """
 from __future__ import annotations
 
@@ -33,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
@@ -228,119 +234,112 @@ class _Mesh:
         return gx * nx + gy * ny, q
 
 
-def _nd_block(h: int, w: int, memo: dict) -> np.ndarray:
-    """(ring, angle) offsets within an h x w rectangle, in dissection order.
-
-    `memo` maps each shape already ordered to its order.  A module-level
-    function rather than a closure: a recursive closure is a reference
-    cycle, which would keep the memo's arrays until the next full
-    garbage collection.
-    """
-    if (h, w) not in memo:
-        if h * w <= 1:
-            out = np.zeros((2, h * w), dtype=int)
-        elif h > w:
-            out = _nd_block(w, h, memo)[::-1]
-        else:
-            k = w // 2
-            sep = np.stack([np.arange(h), np.full(h, k)])
-            out = np.concatenate([_nd_block(h, k, memo),
-                                  _nd_block(h, w - k - 1, memo) + [[0], [k + 1]],
-                                  sep], axis=1)
-        memo[h, w] = out
-    return memo[h, w]
+# scipy's MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12(4), 1975)
+# stops once its estimate of the preconditioned residual norm, over its
+# estimates of the preconditioned block's norm times |x|, is _RTOL; a
+# solve that has not stopped after _MAXITER iterations raises SolverError.
+_RTOL = 1e-15
+_MAXITER = 200
 
 
-def _nd_order(n_t: int, m: int, center: bool) -> np.ndarray:
-    """Nested-dissection order of the centre (if any) and m rings of n_t nodes.
+class _Stencil:
+    """A principal block of a mesh's stencil matrix, applied matrix-free.
 
-    Nodes are numbered centre first, then ring by ring.  Rays 0 and
-    n_t/2 come last, then the centre.  Each half between them is a
-    rectangle of m rings by n_t/2 - 1 angles, split across its longer
-    side by one ray or ring segment, which is ordered after both parts;
-    a rectangle's order is its transpose's, transposed.  Parts of one
-    shape share one order, so the work is a few array operations per
-    distinct shape, O(log^2 n) shapes in all.
-    """
-    half = n_t // 2
-    ring, angle = _nd_block(m, half - 1, {})
-    c = int(center)
-    first = c + ring * n_t + angle + 1
-    rays = c + np.arange(m)[:, None] * n_t + [0, half]
-    return np.concatenate([first, first + half, rays.ravel(), np.zeros(c, dtype=int)])
-
-
-class _System:
-    """A principal block of a mesh's stencil matrix, in dissection order.
-
-    The block holds the centre (if lo == 1) and rings lo..hi, stored as
-    a CSC pattern.  Block-local node numbers are mesh node numbers minus
-    the block's first one.  `perm[k]` is the block-local node in row and
-    column k, and `gather` picks each stored entry from a flat stencil
-    array.
+    The block holds the centre (if lo == 1) and rings lo..hi; a block
+    vector is the centre's value (if any), then the rings' values ring
+    by ring.  `apply` runs the slots on the (ring, angle) array, with
+    no sparse matrix.
     """
 
-    def __init__(self, mesh: _Mesh, lo: int, hi: int):
-        n_t, m = mesh.n_t, hi - lo + 1
-        c = int(lo == 1)
-        self.size = c + m * n_t
-        self.perm = _nd_order(n_t, m, lo == 1)
-        inv = np.empty(self.size, dtype=np.int32)
-        inv[self.perm] = np.arange(self.size, dtype=np.int32)
+    def __init__(self, mesh: _Mesh, data: np.ndarray, lo: int, hi: int):
+        self.c, self.m, self.n_t = int(lo == 1), hi - lo + 1, mesh.n_t
+        S = data[7 * (lo - 1) * self.n_t:7 * hi * self.n_t].reshape(self.m, self.n_t, 7)
+        self.slots = np.ascontiguousarray(S.transpose(2, 0, 1))
+        self.centre = float(data[-1])
 
-        # one column per ring node, in order; the centre's column is last
-        ring = self.perm[:m * n_t]
-        k, j = np.divmod(ring - c, n_t)
-        nbr = ring[:, None] + (_SLOT_RING * n_t + _SLOT_ANGLE)
-        nbr[j == 0] += (_SLOT_ANGLE < 0) * n_t
-        nbr[j == n_t - 1] -= (_SLOT_ANGLE > 0) * n_t
-        first, last = k == 0, k == m - 1
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The block times x."""
+        c, m = self.c, self.m
+        X = x[c:].reshape(m, self.n_t)
+        shifted = {a: np.roll(X, -a, axis=1) if a else X for a in (-1, 0, 1)}
+        Y = np.zeros_like(X)
+        for s, (r, a) in enumerate(zip(_SLOT_RING, _SLOT_ANGLE)):
+            rows = slice(max(0, -r), m - max(0, r))
+            Y[rows] += self.slots[s, rows] * shifted[a][max(0, r):m + min(0, r)]
+        if not c:
+            return Y.ravel()
+        Y[0] += self.slots[1, 0] * x[0]
+        return np.concatenate([[self.centre * x[0] + self.slots[1, 0] @ X[0]], Y.ravel()])
+
+
+class _Block(_Stencil):
+    """A principal block of a stencil matrix, solved by preconditioned MINRES.
+
+    The preconditioner is |P|^-1, for P the block with each ring's slots
+    averaged over the angle.  P is block-circulant, so a real FFT of
+    each ring splits it into n_t/2 + 1 Hermitian tridiagonal systems in
+    the ring index, one per angular mode, the centre joining mode 0 as
+    its first row (the other modes get a decoupled unit row there).  A
+    mode whose LDL^H pivots stay positive is solved by its factors, any
+    other by |T_k|^-1 from its eigenvectors, which keeps the
+    preconditioner positive definite when the block is not.
+    """
+
+    def __init__(self, mesh: _Mesh, data: np.ndarray, lo: int, hi: int):
+        super().__init__(mesh, data, lo, hi)
+        c, m, n_t = self.c, self.m, self.n_t
+        # mode k multiplies a slot at angle offset a by z^a, z = exp(2 pi i k / n_t)
+        mean = self.slots.mean(axis=2).T
+        z = np.exp(2j * np.pi * np.arange(n_t // 2 + 1) / n_t)
+        diag = np.ones((c + m, z.size))
+        lower = np.zeros((c + m, z.size), dtype=complex)   # row i to row i-1
+        diag[c:] = mean[:, 3, None] + (mean[:, 2] + mean[:, 4])[:, None] * z.real
+        lower[c + 1:] = mean[1:, 0, None] / z + mean[1:, 1, None]
         if c:
-            nbr[first, 1] = 0          # the first ring's inner slot is the centre
-        keep = np.ones(nbr.shape, dtype=bool)
-        keep[np.ix_(first, [0] if c else [0, 1])] = False
-        keep[np.ix_(last, [5, 6])] = False
-        counts = np.count_nonzero(keep, axis=1)
-        rows = inv[nbr[keep]]
-        gather = ((ring + (lo - 1) * n_t - c) * 7)[:, None] + np.arange(7)
-        gather = gather[keep]
+            diag[0, 0] = self.centre
+            lower[1, 0] = math.sqrt(n_t) * mean[0, 1]
+        piv, ratio = diag.copy(), np.zeros_like(lower)
+        for i in range(1, c + m):
+            ratio[i] = lower[i] / piv[i - 1]
+            piv[i] -= (ratio[i] * lower[i].conj()).real
+        self.eig = {}
+        for k in np.flatnonzero((piv <= 0).any(axis=0)):
+            T = np.diag(diag[:, k]) + np.diag(lower[1:, k], -1) \
+                + np.diag(lower[1:, k].conj(), 1)
+            lam, vec = np.linalg.eigh(T)
+            self.eig[k] = vec, 1.0 / np.abs(lam)
+            piv[:, k], ratio[:, k] = 1.0, 0.0
+        self.piv, self.ratio, self.upper = piv, ratio, ratio[1:].conj()
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """|P|^-1 r."""
+        c, m, n_t = self.c, self.m, self.n_t
+        B = np.zeros((c + m, n_t // 2 + 1), dtype=complex)
+        B[c:] = np.fft.rfft(r[c:].reshape(m, n_t), axis=1)
         if c:
-            rows = np.concatenate([rows, inv[1:n_t + 1], [self.size - 1]])
-            gather = np.concatenate([gather, 7 * np.arange(n_t) + 1,
-                                     [mesh.n_stencil - 1]])
-            counts = np.append(counts, n_t + 1)
-        indptr = np.zeros(self.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        pattern = sp.csc_matrix((gather, rows.astype(np.int32), indptr),
-                                shape=(self.size, self.size))
-        pattern.sort_indices()
-        self.indices, self.indptr, self.gather = (
-            pattern.indices, pattern.indptr, pattern.data)
+            B[0, 0] = math.sqrt(n_t) * r[0]
+        dense = [(k, vec @ (inv * (vec.conj().T @ B[:, k])))
+                 for k, (vec, inv) in self.eig.items()]
+        for i in range(1, c + m):
+            B[i] -= self.ratio[i] * B[i - 1]
+        B /= self.piv
+        for i in range(c + m - 2, -1, -1):
+            B[i] -= self.upper[i] * B[i + 1]
+        for k, col in dense:
+            B[:, k] = col
+        out = np.fft.irfft(B[c:], n_t, axis=1).ravel()
+        return np.concatenate([[B[0, 0].real / math.sqrt(n_t)], out]) if c else out
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The block, in dissection order, with stored entries `data`."""
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(self.size, self.size))
-
-    def solve(self, data: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve the block with entries `data` for b (block-local rows)."""
-        x = np.empty_like(b)
-        x[self.perm] = _factor(self.matrix(data)).solve(b[self.perm])
-        return x
-
-    def apply(self, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The block with entries `data` times v (block-local rows)."""
-        out = np.empty_like(v)
-        out[self.perm] = self.matrix(data) @ v[self.perm]
-        return out
-
-
-def _factor(A) -> spla.SuperLU:
-    """Sparse LU of a block whose rows and columns are already ordered."""
-    try:
-        return spla.splu(A, permc_spec="NATURAL")
-    except RuntimeError as exc:        # "Factor is exactly singular"
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    def solve(self, b: np.ndarray) -> tuple:
+        """(x, iterations) with the block times x = b, by preconditioned MINRES."""
+        n, steps = b.size, []
+        op = lambda f: spla.LinearOperator((n, n), matvec=f, dtype=float)
+        x, info = spla.minres(op(self.apply), b, rtol=_RTOL, maxiter=_MAXITER,
+                              M=op(self.precondition),
+                              callback=lambda _: steps.append(None))
+        if info:
+            raise SolverError(f"MINRES did not converge in {_MAXITER} iterations")
+        return x, len(steps)
 
 
 def _check_mesh_args(h_max: float, levels: int) -> None:
@@ -392,9 +391,8 @@ def fem_dirichlet_T(d, h_max: float = 0.065, levels: int = 3) -> float:
     vals = []
     for mesh in _mesh_levels(rho, h_max, levels):
         K, f = mesh.assemble()
-        free = _System(mesh, 1, mesh.n_r - 1)
         nf = mesh.n_free
-        u = free.solve(K[free.gather], f[:nf])
+        u, _ = _Block(mesh, K, 1, mesh.n_r - 1).solve(f[:nf])
         vals.append(-float(f[:nf] @ u))
     return _richardson(vals)[0]
 
@@ -407,6 +405,7 @@ class FemSolution:
     last extrapolation jump.  `boundary_residual` is the L2 boundary
     norm of (normal derivative - alpha u) recomputed from raw interior
     gradients, an O(h) indicator independent of the weak formulation.
+    `iterations` holds the MINRES iteration count of each level.
     """
 
     alpha: float
@@ -418,6 +417,7 @@ class FemSolution:
     tris: np.ndarray
     values: np.ndarray
     boundary_residual: float
+    iterations: tuple[int, ...]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -430,16 +430,17 @@ class FemSolution:
             "triangles": self.tris.tolist(),
             "values": self.values.tolist(),
             "boundary_residual": self.boundary_residual,
+            "iterations": list(self.iterations),
         })
 
 
 class FemRobin:
     """The P1 Robin problem of a planar domain on its doubled meshes.
 
-    Each level's mesh, stiffness, load, boundary mass and ordering are
-    built once, here; `solve` then costs one factorization per level
-    and alpha.  `solve` only reads what is built, so threads may share
-    one instance.
+    Each level's mesh, stiffness, load and boundary mass are built once,
+    here; `solve` then costs one preconditioner and one MINRES solve per
+    level and alpha.  `solve` only reads what is built, so threads may
+    share one instance.
     """
 
     def __init__(self, d, h_max: float = 0.065, levels: int = 3):
@@ -448,10 +449,7 @@ class FemRobin:
         self._levels = []
         for mesh in _mesh_levels(self._rho, h_max, levels):
             K, f = mesh.assemble()
-            Mb = mesh.boundary_mass(self._rho, self._drho)
-            system = _System(mesh, 1, mesh.n_r)
-            self._levels.append((mesh, system, K[system.gather],
-                                 Mb[system.gather], f))
+            self._levels.append((mesh, K, mesh.boundary_mass(self._rho, self._drho), f))
 
     def solve(self, alpha: float) -> FemSolution:
         """Robin energy E = -int u dx with exact-curve boundary mass.
@@ -461,9 +459,10 @@ class FemRobin:
         """
         if alpha == 0.0:
             raise SolverError("alpha = 0 has no solution (incompatible flux)")
-        vals = []
-        for mesh, system, K, Mb, f in self._levels:
-            u = system.solve(K - alpha * Mb, f)
+        vals, iterations = [], []
+        for mesh, K, Mb, f in self._levels:
+            u, its = _Block(mesh, K - alpha * Mb, 1, mesh.n_r).solve(f)
+            iterations.append(its)
             if not np.all(np.isfinite(u)):
                 raise SolverError(f"singular Robin system at alpha={alpha}")
             scale = max(float(np.abs(mesh.coords).max()) ** 2, 1.0 / abs(alpha))
@@ -478,7 +477,7 @@ class FemRobin:
         w = q * (2.0 * np.pi / mesh.n_t)
         bres = math.sqrt(float(((flux - alpha * mid) ** 2 * w).sum()))
         return FemSolution(alpha, energy, err, tuple(vals), mesh.h_max,
-                           mesh.coords, mesh.tris, u, bres)
+                           mesh.coords, mesh.tris, u, bres, tuple(iterations))
 
 
 def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):
@@ -522,17 +521,17 @@ def steklov_residual(basis, sample_density: int = 256,
     fluxes, traces = [], []
     for mesh in _doubled_meshes(rho, sample_density, 2):
         K, _ = mesh.assemble()
-        Mb = mesh.boundary_mass(rho, drho)
         nf, n_r = mesh.n_free, mesh.n_r
-        full, free, outer = (_System(mesh, lo, hi) for lo, hi in
-                             ((1, n_r), (1, n_r - 1), (n_r, n_r)))
+        full, free = _Stencil(mesh, K, 1, n_r), _Block(mesh, K, 1, n_r - 1)
+        outer = _Block(mesh, mesh.boundary_mass(rho, drho), n_r, n_r)
         g = np.stack([trig_interp(basis.traces[i], mesh.thetas)
                       for i in range(n)])
-        v = np.zeros((mesh.coords.shape[0], n))
-        v[nf:] = g.T
-        Kfull = K[full.gather]
-        v[:nf] = free.solve(K[free.gather], -full.apply(Kfull, v)[:nf])
-        fluxes.append(outer.solve(Mb[outer.gather], full.apply(Kfull, v)[nf:]).T)
+        flux = []
+        for gi in g:
+            v = np.concatenate([np.zeros(nf), gi])
+            v[:nf] = free.solve(-full.apply(v)[:nf])[0]
+            flux.append(outer.solve(full.apply(v)[nf:])[0])
+        fluxes.append(np.array(flux))
         traces.append(g)
     coarse_flux, _ = _richardson([fluxes[0], fluxes[1][:, ::2]])
     return float(np.abs(coarse_flux - basis.mu[:n, None] * traces[0]).max())

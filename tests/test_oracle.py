@@ -1,8 +1,12 @@
 """Finite-element cross-checks: energies, torsion, eigenpair residuals."""
 
-import gc
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from robinlab import (
     Domain,
     SolverError,
     TrigPoly,
-    ellipse_domain,
     energy_series,
     fem_dirichlet_T,
     fem_robin_energy,
@@ -24,6 +27,13 @@ from robinlab import (
     spectrum_star2d,
     steklov_residual,
 )
+from robinlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("output_diff",
+                                               ROOT / "scripts" / "output_diff.py")
+od = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(od)
 
 
 def square_torsion_series(side: float) -> float:
@@ -139,17 +149,64 @@ class TestMeshArguments:
             fem_robin_energy(disc, 1.0, **kwargs)
 
 
-class TestFactor:
-    def test_singular_matrix_raises_solver_error(self):
-        A = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(SolverError):
-            oracle._factor(A)
-
+class TestSolver:
     def test_matches_colamd_spsolve_on_finest_disc_mesh(self, disc):
         assert_matches_colamd_spsolve(disc, 25601)
 
     def test_matches_colamd_spsolve_on_finest_star_mesh(self):
         assert_matches_colamd_spsolve(rmax_star(1.1), 31105)
+
+    def test_preconditioner_exact_on_the_disc(self, disc):
+        # the disc's rings are rotation invariant, so the angle average is
+        # the block itself: the preconditioned block's eigenvalues are +-1
+        rho, _ = oracle._rho_callable(disc)
+        for mesh in oracle._mesh_levels(rho, 0.065, 3):
+            K, f = mesh.assemble()
+            _, its = oracle._Block(mesh, K, 1, mesh.n_r - 1).solve(f[:mesh.n_free])
+            assert its <= 4
+        fem = oracle.FemRobin(disc)
+        for a in (-1.0, 0.5, 5.0):
+            sol = fem.solve(a)
+            assert len(sol.iterations) == 3 and max(sol.iterations) <= 4
+
+    @pytest.mark.parametrize("alpha", [5.0, 2.0])
+    def test_indefinite_ellipse_converges_under_the_cap(self, ellipse, alpha):
+        # alpha = 5 lies past several Steklov eigenvalues; 2.0 sits next
+        # to the pole at 1.9576
+        sol = fem_robin_energy(ellipse, alpha)
+        assert max(sol.iterations) < oracle._MAXITER
+        assert np.isfinite(sol.energy)
+
+    def test_cap_reached_raises_solver_error(self, ellipse, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "_MAXITER", 1)
+        with pytest.raises(SolverError, match="MINRES"):
+            fem_robin_energy(ellipse, 0.5, h_max=0.2, levels=2)
+        code = main(["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1",
+                     "--alpha", "0.5", "--h-max", "0.2"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and "MINRES" in err
+
+    def test_oracle_verify_bytes_ignore_thread_settings(self):
+        argv = ["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1,0.05",
+                "--alpha", "0.3", "--alpha", "-0.5", "--h-max", "0.2"]
+        runs = []
+        for robinlab_threads in ("1", "2"):
+            for blas_threads in (None, "1", "2"):
+                env = dict(os.environ, ROBINLAB_THREADS=robinlab_threads,
+                           PYTHONPATH=str(ROOT / "src"))
+                env.pop("OPENBLAS_NUM_THREADS", None)
+                if blas_threads is not None:
+                    env["OPENBLAS_NUM_THREADS"] = blas_threads
+                runs.append(subprocess.Popen(
+                    [sys.executable, "-c", od.RUNNER, str(ROOT)], env=env,
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
+        results = []
+        for proc in runs:
+            out, _ = proc.communicate(json.dumps(["robinlab", argv]) + "\n",
+                                      timeout=300)
+            results.append(json.loads(out))
+        assert results[0]["code"] == 0 and len(results[0]["out"].splitlines()) == 3
+        assert all(r == results[0] for r in results[1:])
 
 
 def assert_matches_colamd_spsolve(d, nodes: int) -> None:
@@ -159,7 +216,7 @@ def assert_matches_colamd_spsolve(d, nodes: int) -> None:
     assembly the oracle used before its stencil, with the free block
     picked by index sets.  Alpha stays off the disc's Steklov spectrum
     (the integers): at alpha=1 the k=1 modes are near-null and any two
-    orderings differ along them by ~1e-5, although the energy agrees to
+    solvers differ along them by ~1e-5, although the energy agrees to
     ~1e-14.
     """
     rho, drho = oracle._rho_callable(d)
@@ -168,15 +225,14 @@ def assert_matches_colamd_spsolve(d, nodes: int) -> None:
     K_ref, f_ref, Mb_ref = coo_assembly(mesh, rho, drho)
     K, f = mesh.assemble()
     Mb = mesh.boundary_mass(rho, drho)
-    full = oracle._System(mesh, 1, mesh.n_r)
-    free = oracle._System(mesh, 1, mesh.n_r - 1)
     nf = mesh.n_free
     idx = np.setdiff1d(np.arange(nodes), nf + np.arange(mesh.n_t))
-    cases = [(full, K[full.gather] - a * Mb[full.gather], f,
+    cases = [(oracle._Block(mesh, K - a * Mb, 1, mesh.n_r), f,
               K_ref - a * Mb_ref, f_ref) for a in (-1.0, 0.5)]
-    cases.append((free, K[free.gather], f[:nf], K_ref[idx][:, idx], f_ref[idx]))
-    for system, data, b, A_ref, b_ref in cases:
-        got = system.solve(data, b)
+    cases.append((oracle._Block(mesh, K, 1, mesh.n_r - 1), f[:nf],
+                  K_ref[idx][:, idx], f_ref[idx]))
+    for block, b, A_ref, b_ref in cases:
+        got, _ = block.solve(b)
         ref = spla.spsolve(A_ref.tocsc(), b_ref, permc_spec="COLAMD")
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -226,11 +282,25 @@ def coo_assembly(mesh, rho, drho):
     return K, f, Mb
 
 
-def in_mesh_numbering(system, data, n):
-    """The block with entries `data` as an n x n CSR in mesh numbering."""
-    A = system.matrix(data).tocoo()
-    return sp.csr_matrix((A.data, (system.perm[A.row], system.perm[A.col])),
-                         shape=(n, n))
+def stencil_matrix(mesh, data):
+    """The stencil matrix with entries `data` as a CSR in mesh numbering.
+
+    Ring node (i, j) meets slot s's node on ring i + _SLOT_RING[s] at
+    angle j + _SLOT_ANGLE[s]; ring 0 is the centre.
+    """
+    n_t, n_r = mesh.n_t, mesh.n_r
+    n = mesh.coords.shape[0]
+    ring, angle = np.divmod(np.arange(n_r * n_t), n_t)
+    nbr_ring = ring[:, None] + 1 + oracle._SLOT_RING
+    nbr = np.where(nbr_ring == 0, 0, (nbr_ring - 1) * n_t
+                   + (angle[:, None] + oracle._SLOT_ANGLE) % n_t + 1)
+    keep = nbr_ring <= n_r
+    rows = np.repeat(1 + np.arange(n_r * n_t)[:, None], 7, axis=1)[keep]
+    vals = data[:-1].reshape(-1, 7)[keep]
+    rows = np.concatenate([rows, np.zeros(n_t + 1, dtype=int)])
+    cols = np.concatenate([nbr[keep], 1 + np.arange(n_t), [0]])
+    vals = np.concatenate([vals, data[7 * np.arange(n_t) + 1], data[-1:]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 class TestStencil:
@@ -242,40 +312,7 @@ class TestStencil:
             K_ref, f_ref, Mb_ref = coo_assembly(mesh, rho, drho)
             K, f = mesh.assemble()
             Mb = mesh.boundary_mass(rho, drho)
-            full = oracle._System(mesh, 1, mesh.n_r)
-            for got, ref in ((in_mesh_numbering(full, K[full.gather], n), K_ref),
-                             (in_mesh_numbering(full, Mb[full.gather], n), Mb_ref)):
+            for got, ref in ((stencil_matrix(mesh, K), K_ref),
+                             (stencil_matrix(mesh, Mb), Mb_ref)):
                 assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
             assert np.abs(f - f_ref).max() <= 1e-14 * np.abs(f_ref).max()
-
-
-def oracle_meshes():
-    """Every mesh the oracle builds in this module's tests and in the CLI."""
-    ellipse = oracle._rho_callable(ellipse_domain())[0]
-    side = math.sqrt(math.pi)
-    square = lambda t: (side / 2.0) / np.maximum(np.abs(np.cos(t)),
-                                                 np.abs(np.sin(t)))
-    yield from oracle._mesh_levels(ellipse, 0.2, 2)
-    yield from oracle._mesh_levels(square, 0.05, 3)
-    for density in (128, 256, 512):
-        yield from oracle._doubled_meshes(ellipse, density, 2)
-
-
-class TestOrdering:
-    def test_every_block_is_a_permutation(self):
-        for mesh in oracle_meshes():
-            for lo, hi in ((1, mesh.n_r), (1, mesh.n_r - 1), (mesh.n_r, mesh.n_r)):
-                perm = oracle._System(mesh, lo, hi).perm
-                size = int(lo == 1) + (hi - lo + 1) * mesh.n_t
-                assert np.array_equal(np.sort(perm), np.arange(size))
-
-    def test_order_leaves_no_reference_cycle(self):
-        # a cycle would keep the order's index arrays alive until the next
-        # full garbage collection
-        gc.collect()
-        gc.disable()
-        try:
-            oracle._nd_order(256, 60, True)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
