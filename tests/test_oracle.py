@@ -149,13 +149,17 @@ class TestMeshArguments:
             fem_robin_energy(disc, 1.0, **kwargs)
 
 
-class TestSolver:
+class TestFactor:
+    """The Krylov solve against a sparse direct factorization (COLAMD)."""
+
     def test_matches_colamd_spsolve_on_finest_disc_mesh(self, disc):
         assert_matches_colamd_spsolve(disc, 25601)
 
     def test_matches_colamd_spsolve_on_finest_star_mesh(self):
         assert_matches_colamd_spsolve(rmax_star(1.1), 31105)
 
+
+class TestSolver:
     def test_preconditioner_exact_on_the_disc(self, disc):
         # the disc's rings are rotation invariant, so the angle average is
         # the block itself: the preconditioned block's eigenvalues are +-1
