@@ -17,14 +17,9 @@ from .geometry import (
     ball_mode_multiplicity,
     ball_trace_values,
     boundary_grid,
-    check_volume_preserving,
     domain_from_dict,
     domain_to_dict,
     ellipse_domain,
-    ellipse_perturbation,
-    interior_integral,
-    mean_curvature,
-    random_perturbation,
     random_star_domain,
     surface_area,
     surface_components,
@@ -62,19 +57,14 @@ from .shape_calculus import (
     first_variation_general,
     j_variations,
     modal_coefficient,
-    normal_speed_family,
-    overdetermined_residual,
     second_variation_ball,
     solve_u_prime,
-    surface_second_variation,
 )
 from .steklov import (
     STATUS_FAMILY,
     STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
-    HarmonicExpansion,
     annulus_radial_eigenvalue,
-    expand_harmonic,
     spectrum_annulus,
     spectrum_ball,
     spectrum_star2d,
@@ -83,7 +73,6 @@ from .steklov import (
 from .torsion import (
     flux_coefficients,
     gauss_identity_residual,
-    rigidity,
     solve_torsion,
 )
 
@@ -93,12 +82,10 @@ __all__ = [
     "SolverError",
     "DEFAULT_BOUNDARY_NODES", "Domain", "PerturbationField", "TrigPoly",
     "ball_mode_degrees", "ball_mode_multiplicity", "ball_trace_values",
-    "boundary_grid", "check_volume_preserving", "domain_from_dict",
-    "domain_to_dict", "ellipse_domain",
-    "ellipse_perturbation", "interior_integral", "mean_curvature",
-    "random_perturbation", "random_star_domain", "surface_area",
-    "surface_components", "surface_defect", "trig_interp",
-    "unit_ball_volume", "unit_sphere_area", "volume",
+    "boundary_grid", "domain_from_dict", "domain_to_dict", "ellipse_domain",
+    "random_star_domain", "surface_area", "surface_components",
+    "surface_defect", "trig_interp", "unit_ball_volume", "unit_sphere_area",
+    "volume",
     "StarLayerOperator",
     "fem_dirichlet_T", "fem_robin_energy", "steklov_residual",
     "corollary_disc_max", "g", "low_alpha", "pw_upper_bound",
@@ -107,13 +94,11 @@ __all__ = [
     "energy_series_grid", "energy_split_variational", "j_functional",
     "pole_scan", "series_pack", "solve_robin",
     "classify_sign", "finite_difference_check", "first_variation_general",
-    "j_variations", "modal_coefficient", "normal_speed_family",
-    "overdetermined_residual", "second_variation_ball", "solve_u_prime",
-    "surface_second_variation",
+    "j_variations", "modal_coefficient", "second_variation_ball",
+    "solve_u_prime",
     "STATUS_FAMILY", "STATUS_NO_SOLUTION", "STATUS_UNIQUE",
-    "HarmonicExpansion", "annulus_radial_eigenvalue", "expand_harmonic",
-    "spectrum_annulus", "spectrum_ball", "spectrum_star2d", "tol_res",
-    "flux_coefficients", "gauss_identity_residual", "rigidity",
-    "solve_torsion",
+    "annulus_radial_eigenvalue", "spectrum_annulus", "spectrum_ball",
+    "spectrum_star2d", "tol_res",
+    "flux_coefficients", "gauss_identity_residual", "solve_torsion",
     "__version__",
 ]

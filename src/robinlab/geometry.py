@@ -10,7 +10,7 @@ trigonometric polynomials below the Nyquist degree) otherwise.
 A TrigPoly is sampled at N equispaced angles (boundary grids, measures,
 its minimum) by one inverse real FFT per derivative order, exact up to
 rounding at every degree; calling it evaluates the cosine/sine sum at
-arbitrary angles (pointwise curvature, element meshes).
+arbitrary angles (element meshes).
 
 Perturbation fields are stored as coefficients against the Steklov
 boundary eigenbasis of the ball, ordered by eigenvalue with
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "Domain",
     "BoundaryGrid",
     "PerturbationField",
-    "VolumePreservationReport",
-    "W_COMPENSATING",
     "unit_ball_volume",
     "unit_sphere_area",
     "ball_mode_multiplicity",
@@ -40,26 +37,16 @@ __all__ = [
     "volume",
     "surface_area",
     "surface_components",
-    "mean_curvature",
     "surface_defect",
     "boundary_grid",
-    "interior_integral",
-    "check_volume_preserving",
     "trig_interp",
     "ellipse_domain",
-    "ellipse_perturbation",
     "random_star_domain",
-    "random_perturbation",
     "domain_to_dict",
     "domain_from_dict",
-    "perturbation_to_dict",
-    "perturbation_from_dict",
 ]
 
 DEFAULT_BOUNDARY_NODES = 256
-
-# sentinel for a constant (w.nu) chosen to satisfy the second-order volume condition
-W_COMPENSATING = "second-order-volume-compensating"
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +240,6 @@ def surface_components(d: Domain) -> tuple[float, float]:
     return s * d.R ** (d.dim - 1), s * (d.kappa * d.R) ** (d.dim - 1)
 
 
-def mean_curvature(d: Domain, theta=None):
-    """Mean curvature of the boundary w.r.t. the outward normal.
-
-    Balls and shells: 1/R (the outer sphere).  Star2D: the planar
-    curvature of the polar curve at angle(s) `theta`.
-    """
-    if d.kind in ("ball", "annulus"):
-        return 1.0 / d.R
-    if theta is None:
-        raise ValueError("theta required for star2d curvature")
-    t = np.asarray(theta, dtype=float)
-    return _polar_curve(d.rho, t.reshape(-1)).curvature.reshape(t.shape)
-
-
 def surface_defect(d: Domain) -> float:
     """Isoperimetric deficit y^2 = 1 - 4 pi A / L^2 (planar domains)."""
     if d.dim != 2:
@@ -301,11 +274,6 @@ class BoundaryGrid:
         return float(np.dot(np.asarray(values), self.weights))
 
 
-def _polar_curve(rho: TrigPoly, thetas: np.ndarray) -> BoundaryGrid:
-    """The curve rho(theta) (cos theta, sin theta) at arbitrary angles."""
-    return _curve_from_radii(thetas, *(rho(thetas, order) for order in range(3)))
-
-
 def _curve_from_radii(thetas: np.ndarray, r: np.ndarray, r1: np.ndarray,
                       r2: np.ndarray) -> BoundaryGrid:
     """The polar curve r(theta) (cos theta, sin theta) from r, r' and r'' at the angles.
@@ -334,28 +302,6 @@ def boundary_grid(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
     rho = _planar_rho(d)
     return _curve_from_radii(np.linspace(0.0, 2.0 * np.pi, M, endpoint=False),
                              *(rho._on_grid(M, order) for order in range(3)))
-
-
-def interior_integral(d: Domain, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """integral of f over a planar domain on a polar tensor grid.
-
-    Gauss-Legendre in the radial fraction (64 nodes), trapezoid in angle
-    (DEFAULT_BOUNDARY_NODES nodes).  `f` maps an (N, 2) array of points
-    to values.  Accuracy degrades for integrands that are rough near the
-    boundary (the outermost radial node sits within ~1e-4 of it).
-    """
-    nr, ntheta = 64, DEFAULT_BOUNDARY_NODES
-    r_b = _planar_rho(d)._on_grid(ntheta)
-    u, wu = np.polynomial.legendre.leggauss(nr)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
-    t = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    uu, tt = np.meshgrid(u, t, indexing="ij")
-    rr = uu * r_b[None, :]
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
-    vals = np.asarray(f(pts)).reshape(nr, ntheta)
-    jac = uu * (r_b[None, :] ** 2)
-    return float(np.sum(vals * jac * wu[:, None]) * (2.0 * np.pi / ntheta))
 
 
 def trig_interp(values: np.ndarray, new_thetas: np.ndarray) -> np.ndarray:
@@ -419,16 +365,17 @@ def ball_trace_values(n: int, R: float, index: int, thetas: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class PerturbationField:
-    """Boundary perturbation of a ball: v.nu = sum_i b_i phi_i, plus second-order data.
+    """Normal speed of a ball perturbation: v.nu = sum_i b_i phi_i.
 
     `b[i-1]` multiplies the i-th ball Steklov boundary eigenfunction.
-    `w_normal` is the second-order normal speed (w.nu): the sentinel
-    W_COMPENSATING (constant chosen to satisfy the second-order volume
-    condition), a constant, or a callable of theta (planar only).
+    The second-order normal speed w.nu is not stored: the second
+    variation around a ball (`shape_calculus.second_variation_ball`)
+    assumes the one that keeps the volume to second order, and the
+    planar families (`shape_calculus.NormalSpeedFamily`) keep the area
+    exactly.
     """
 
     b: tuple[float, ...]
-    w_normal: object = W_COMPENSATING
 
     @staticmethod
     def from_modes(n: int, amplitudes: dict[int, float]) -> "PerturbationField":
@@ -445,10 +392,6 @@ class PerturbationField:
     def b_array(self) -> np.ndarray:
         return np.asarray(self.b, dtype=float)
 
-    def l2sq(self) -> float:
-        """integral of (v.nu)^2 over the sphere = sum b_i^2 (orthonormal traces)."""
-        return float(np.sum(self.b_array ** 2))
-
     def vdotnu(self, n: int, R: float, thetas: np.ndarray) -> np.ndarray:
         """Pointwise v.nu on the circle of radius R (n=2)."""
         vals = np.zeros_like(np.asarray(thetas, dtype=float))
@@ -456,51 +399,6 @@ class PerturbationField:
             if bi != 0.0:
                 vals = vals + bi * ball_trace_values(n, R, i, thetas)
         return vals
-
-
-@dataclass(frozen=True)
-class VolumePreservationReport:
-    order: int
-    passed: bool
-    residual: float
-    tolerance: float
-
-
-def check_volume_preserving(p: PerturbationField, d: Domain,
-                            order: int = 1) -> VolumePreservationReport:
-    """Check the first- or second-order volume preservation condition on a ball.
-
-    Order 1: integral of v.nu over the boundary vanishes (b_1 = 0).
-    Order 2: (n-1) * integral of H (v.nu)^2 + integral of w.nu vanishes;
-    this simplified surface form assumes v is purely normal on the
-    boundary, so fields with tangential components report a residual.
-    """
-    if d.kind != "ball":
-        raise ValueError("volume preservation checks are defined on balls")
-    n, R = d.dim, d.R
-    b = p.b_array
-    if order == 1:
-        residual = abs(b[0]) * math.sqrt(surface_area(d)) if b.size else 0.0
-        tolerance = 1e-12 * max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        return VolumePreservationReport(1, residual <= tolerance, residual, tolerance)
-    if order != 2:
-        raise ValueError("order must be 1 or 2")
-    curvature_term = (n - 1) / R * float(np.sum(b * b))
-    w = p.w_normal
-    if w == W_COMPENSATING:
-        w_int = -curvature_term
-    elif isinstance(w, (int, float)):
-        w_int = float(w) * surface_area(d)
-    elif callable(w):
-        if n != 2:
-            raise ValueError("callable w.nu supported on planar balls only")
-        t = np.linspace(0.0, 2.0 * np.pi, DEFAULT_BOUNDARY_NODES, endpoint=False)
-        w_int = float(np.sum(w(t)) * R * 2.0 * np.pi / DEFAULT_BOUNDARY_NODES)
-    else:
-        raise ValueError(f"unsupported w_normal {w!r}")
-    residual = abs(curvature_term + w_int)
-    tolerance = 1e-10 * max(1.0, abs(curvature_term))
-    return VolumePreservationReport(2, residual <= tolerance, residual, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -518,17 +416,6 @@ def ellipse_domain() -> Domain:
     th = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     r = a * b / np.sqrt((b * np.cos(th)) ** 2 + (a * np.sin(th)) ** 2)
     return Domain.star2d(TrigPoly.from_samples(r, n_modes=24, tol=1e-16))
-
-
-def ellipse_perturbation() -> PerturbationField:
-    """The field v = (-x1, x2), w = (x1, 0) on the unit disc.
-
-    v.nu = -cos(2 theta), i.e. b_4 = -sqrt(pi); the second-order part is
-    tangential-laden, so the order-2 surface check reports a residual
-    (2 pi) rather than passing.
-    """
-    return PerturbationField((0.0, 0.0, 0.0, -math.sqrt(math.pi)),
-                             w_normal=lambda th: np.cos(th) ** 2)
 
 
 def random_star_domain(rng: np.random.Generator) -> Domain:
@@ -549,20 +436,6 @@ def random_star_domain(rng: np.random.Generator) -> Domain:
         if rho.min_value() > 0.3:
             return Domain.star2d(rho)
         amplitude *= 0.5
-
-
-def random_perturbation(rng: np.random.Generator, n: int,
-                        max_degree: int = 6) -> PerturbationField:
-    """Random volume-preserving perturbation up to max_degree.
-
-    Each b_i is uniform in [-1, 1]; degrees 0 (volume) and 1
-    (translations) are zeroed.
-    """
-    degrees = ball_mode_degrees(n, 256)
-    upto = int(np.argmax(degrees > max_degree))
-    b = rng.uniform(-1.0, 1.0, size=upto)
-    b[degrees[:upto] < 2] = 0.0
-    return PerturbationField(tuple(b))
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +465,3 @@ def domain_from_dict(obj: dict) -> Domain:
         return Domain.star2d(rho)
     raise ValueError(f"unknown domain kind {kind!r}")
 
-
-def perturbation_to_dict(p: PerturbationField) -> dict:
-    if p.w_normal == W_COMPENSATING:
-        w_mode = W_COMPENSATING
-    elif isinstance(p.w_normal, (int, float)):
-        w_mode = float(p.w_normal)
-    else:
-        raise ValueError("callable w.nu is not serializable")
-    return {"b": list(p.b), "w_mode": w_mode}
-
-
-def perturbation_from_dict(obj: dict) -> PerturbationField:
-    return PerturbationField(tuple(float(v) for v in obj["b"]),
-                             w_normal=obj.get("w_mode", W_COMPENSATING))

@@ -7,8 +7,7 @@ is integrated with the periodic quadrature of Martensen/Kussmaul type
 The geometry is shrunk so the curve fits in a disc of radius 1/2 before
 assembling; the log-kernel operator is then invertible (the scale-1
 degeneracy of the 2-D single layer cannot occur) and results are mapped
-back.  Interior evaluation uses the plain trapezoid rule and is accurate
-only a few node spacings away from the boundary.
+back.
 """
 from __future__ import annotations
 
@@ -171,18 +170,6 @@ class StarLayerOperator:
     def normal_derivative(self, sigma: np.ndarray) -> np.ndarray:
         return self.gamma * (self.A @ sigma)
 
-    def evaluate(self, sigma: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """S[sigma] at strictly interior points (plain trapezoid; keep clear of the boundary)."""
-        p = self.gamma * np.atleast_2d(pts)
-        dx = p[:, None, :] - self._c.points[None, :, :]
-        dist = np.hypot(dx[..., 0], dx[..., 1])
-        return -(np.log(dist) * self._c.weights[None, :]) @ np.asarray(sigma) / TWO_PI
-
-    def poisson_interior(self, sigma: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """-|x|^2/4 + S[sigma] at interior points (solves Delta u + 1 = 0)."""
-        pts = np.atleast_2d(pts)
-        return -0.25 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) + self.evaluate(sigma, pts)
-
     def quarter_r2_integral(self) -> float:
         """int |x|^2/4 dx = (1/16) int rho^4 dtheta, spectrally exact by the trapezoid rule."""
         return float(np.sum(self._rho_nodes ** 4) * (TWO_PI / self.M) / 16.0)
@@ -192,9 +179,9 @@ class StarLayerOperator:
     def steklov_eigensystem(self, n_modes: int):
         """First n_modes Steklov eigenpairs (unscaled).
 
-        Returns (mu, traces, densities, residuals): traces are nodal values
-        orthonormal under the boundary weights; densities reproduce the
-        traces through `evaluate`/`trace` for interior work.
+        Returns (mu, traces, residuals): traces are nodal values
+        orthonormal under the boundary weights, and residuals the
+        boundary L^2 norms of d_nu phi - mu phi.
 
         Rayleigh-Ritz on a trigonometric subspace: the nodal DtN matrix is
         only form-symmetric on resolved vectors, so symmetrizing it
@@ -228,7 +215,6 @@ class StarLayerOperator:
         mu_s = vals[order]
         vecs = vecs[:, order]
         traces_s = (F @ vecs).T                        # (n_modes, M), orthonormal in w_s
-        dens = (G @ vecs).T
         r = AG @ vecs - traces_s.T * mu_s
         resid = np.sqrt(w_s @ (r * r))
         # map back: mu = gamma mu~, phi = sqrt(gamma) phi~, flux residual gains gamma
@@ -238,12 +224,7 @@ class StarLayerOperator:
         # sign convention: the larger part of the dominant Fourier component is positive
         flip = _trace_sign(traces) < 0
         traces[flip] = -traces[flip]
-        dens[flip] = -dens[flip]
-        return mu, traces, dens, residuals
-
-    def mode_interior(self, density: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Interior values of an eigenfunction given its (scaled) density."""
-        return math.sqrt(self.gamma) * self.evaluate(density, pts)
+        return mu, traces, residuals
 
 
 def operator_for(rho: TrigPoly, M: int | None = None,

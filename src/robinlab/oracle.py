@@ -35,7 +35,6 @@ MINRES stops within a few iterations.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -126,7 +125,6 @@ class _Mesh:
         self.coords = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])
         self.n_t, self.n_r = n_t, n_r
         self.thetas = thetas
-        self.r_boundary = r_b
         self.n_free = 1 + (n_r - 1) * n_t
 
         j = np.arange(n_t)
@@ -137,10 +135,6 @@ class _Mesh:
         quads = np.stack([np.stack([a, a + n_t, b + n_t], axis=-1),
                           np.stack([a, b + n_t, b], axis=-1)], axis=1)
         self.tris = np.vstack([fan, quads.reshape(-1, 3)])
-
-    @property
-    def h_max(self) -> float:
-        return 2.0 * np.pi * float(self.r_boundary.max()) / self.n_t
 
     @property
     def n_stencil(self) -> int:
@@ -402,7 +396,8 @@ class FemSolution:
     """Robin solve on the finest mesh plus its refinement trail.
 
     `energy` is the Richardson extrapolant of `levels`; `error` is the
-    last extrapolation jump.  `boundary_residual` is the L2 boundary
+    last extrapolation jump.  `values` holds u at the finest mesh's
+    nodes, numbered as in `_Mesh`.  `boundary_residual` is the L2 boundary
     norm of (normal derivative - alpha u) recomputed from raw interior
     gradients, an O(h) indicator independent of the weak formulation.
     `iterations` holds the MINRES iteration count of each level.
@@ -412,26 +407,9 @@ class FemSolution:
     energy: float
     error: float
     levels: tuple[float, ...]
-    h_max: float
-    coords: np.ndarray
-    tris: np.ndarray
     values: np.ndarray
     boundary_residual: float
     iterations: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.alpha,
-            "energy": self.energy,
-            "error": self.error,
-            "levels": list(self.levels),
-            "h_max": self.h_max,
-            "coords": self.coords.tolist(),
-            "triangles": self.tris.tolist(),
-            "values": self.values.tolist(),
-            "boundary_residual": self.boundary_residual,
-            "iterations": list(self.iterations),
-        })
 
 
 class FemRobin:
@@ -476,8 +454,7 @@ class FemRobin:
         mid = 0.5 * (ub + np.roll(ub, -1))
         w = q * (2.0 * np.pi / mesh.n_t)
         bres = math.sqrt(float(((flux - alpha * mid) ** 2 * w).sum()))
-        return FemSolution(alpha, energy, err, tuple(vals), mesh.h_max,
-                           mesh.coords, mesh.tris, u, bres, tuple(iterations))
+        return FemSolution(alpha, energy, err, tuple(vals), u, bres, tuple(iterations))
 
 
 def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):

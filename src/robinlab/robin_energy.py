@@ -23,8 +23,8 @@ from .errors import SolverError
 from .geometry import Domain
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
-from .steklov import (SteklovBasis, _interior_values, _radial_g, _radial_g_prime,
-                      _radial_values, _shell_energy, tol_res)
+from .steklov import (SteklovBasis, _radial_g, _radial_g_prime, _radial_values,
+                      _shell_energy, tol_res)
 from .torsion import solve_torsion, flux_coefficients
 
 __all__ = [
@@ -54,7 +54,9 @@ TAIL_FRACTION = 1e-6    # tail bound above this fraction of |E| is a hard error
 class RobinSolution:
     """One Robin solve: status, energy, and a solution representative.
 
-    For `Family` statuses the representative is the minimal/radial
+    The representative is the radial profile (c1, c2) on balls and
+    shells, and the nodal boundary values u on the grid of `operator`
+    on star domains.  For `Family` statuses it is the minimal/radial
     member; every member shares the same energy because the resonant
     eigenfunctions have zero mean.
     """
@@ -64,17 +66,12 @@ class RobinSolution:
     status: str
     energy: float
     radial: tuple[float, float] | None = None    # u = -r^2/2n + c1 + c2 g(r)
-    density: np.ndarray | None = None
     operator: object | None = None
     boundary_values: np.ndarray | None = None
 
     def u_radial(self, r):
         """Radial profile u(r) for balls and shells."""
         return _radial_values(self, r)
-
-    def interior_values(self, pts: np.ndarray) -> np.ndarray:
-        """u at interior points; ValueError for a NoSolution solve."""
-        return _interior_values(self, pts)
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,6 @@ class EnergyReport:
     def as_row(self) -> tuple:
         return (self.alpha, self.T, self.E_plus, self.E_minus,
                 self.E_total, self.tail_bound, self.status)
-
-    def as_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in ENERGY_COLUMNS}
-        out["poles"] = list(self.poles)
-        out["pole_distance"] = self.pole_distance
-        return out
 
 
 def _default_basis(d: Domain, n_modes: int, M: int | None) -> SteklovBasis:
@@ -422,7 +413,7 @@ def _solve_robin_star(d: Domain, alpha: float, op: StarLayerOperator) -> RobinSo
     # int u dx = oint u [ (x.nu)/2 - alpha |x|^2/4 ] dS - int |x|^2/4 dx
     int_u = float(np.sum(u_b * rhs * op.weights)) - op.quarter_r2_integral()
     return RobinSolution(d, alpha, sk.STATUS_UNIQUE, -int_u,
-                         density=sigma, operator=op, boundary_values=u_b)
+                         operator=op, boundary_values=u_b)
 
 
 def _solve_or_raise(d: Domain, alpha: float, M: int | None,

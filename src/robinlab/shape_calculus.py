@@ -39,12 +39,9 @@ __all__ = [
     "modal_coefficient",
     "first_variation_general",
     "second_variation_ball",
-    "surface_second_variation",
     "classify_sign",
     "solve_u_prime",
     "j_variations",
-    "overdetermined_residual",
-    "normal_speed_family",
     "finite_difference_check",
 ]
 
@@ -223,15 +220,6 @@ def _surface_second(n: int, R: float, b: np.ndarray, ks: np.ndarray) -> float:
     return float(np.sum(b ** 2 * (lam - (n - 1.0) / R ** 2)))
 
 
-def surface_second_variation(d: Domain, p: PerturbationField) -> float:
-    """Sdd(0) = sum b_i^2 (Lambda_i - (n-1)/R^2) for a normal perturbation."""
-    if d.kind != "ball":
-        raise ValueError("surface second variation requires a ball")
-    b = np.asarray(p.b_array, dtype=float)
-    ks = geo.ball_mode_degrees(d.dim, b.size).astype(float)
-    return _surface_second(d.dim, d.R, b, ks)
-
-
 # ---------------------------------------------------------------------------
 # sign classification
 
@@ -356,34 +344,6 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
 
 
 # ---------------------------------------------------------------------------
-# ball characterization diagnostic
-
-
-def overdetermined_residual(d: Domain, alpha: float,
-                            M: int | None = None) -> float:
-    """L2 deviation of the Robin trace from its boundary mean.
-
-    Zero exactly when the solution also solves the constant-trace
-    overdetermined problem, which characterizes balls.  A star solves
-    as `solve_robin(d, alpha, M)`; a NoSolution alpha raises
-    SolverError.
-    """
-    sol = energy._solve_or_raise(d, alpha, M, None)
-    if d.kind == "ball":
-        return 0.0
-    if d.kind == "annulus":
-        uo = float(sol.u_radial(d.R))
-        ui = float(sol.u_radial(d.kappa * d.R))
-        s_out, s_in = geo.surface_components(d)
-        mean = (uo * s_out + ui * s_in) / (s_out + s_in)
-        return math.sqrt((uo - mean) ** 2 * s_out + (ui - mean) ** 2 * s_in)
-    op = sol.operator
-    u_b = sol.boundary_values
-    mean = float(np.sum(u_b * op.weights)) / float(np.sum(op.weights))
-    return math.sqrt(float(np.sum((u_b - mean) ** 2 * op.weights)))
-
-
-# ---------------------------------------------------------------------------
 # exactly volume-preserving families and finite differences
 
 
@@ -434,11 +394,6 @@ class NormalSpeedFamily:
         b[1:2 * len(self.eta.cos):2] = np.multiply(norm, self.eta.cos)
         b[2:2 * len(self.eta.sin) + 1:2] = np.multiply(norm, self.eta.sin)
         return PerturbationField(tuple(b.tolist()))
-
-
-def normal_speed_family(eta: TrigPoly, R: float = 1.0) -> NormalSpeedFamily:
-    """Build the exactly area-preserving family from zero-mean eta."""
-    return NormalSpeedFamily(eta, R)
 
 
 @dataclass(frozen=True)

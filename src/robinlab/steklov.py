@@ -20,12 +20,10 @@ from .layerpot import dominant_degree, operator_for
 
 __all__ = [
     "SteklovBasis",
-    "HarmonicExpansion",
     "spectrum_ball",
     "spectrum_annulus",
     "spectrum_star2d",
     "annulus_radial_eigenvalue",
-    "expand_harmonic",
     "tol_res",
     "STATUS_UNIQUE",
     "STATUS_FAMILY",
@@ -109,9 +107,10 @@ class SteklovBasis:
     maps storage index -> (c1, c2) for modes of the form
     c1 + c2 * g(r) with g the degree-0 second radial solution; traces of
     degree k >= 1 modes integrate to zero against radial functions and
-    are never evaluated pointwise.  Star bases carry nodal traces on the
-    grid of `operator`, whose `thetas` and `weights` are the nodes and
-    quadrature weights.
+    are never evaluated pointwise.  Star bases carry nodal traces and
+    their eigen-residuals on the grid of `operator`, whose `thetas` and
+    `weights` are the nodes and quadrature weights.  A basis holds
+    boundary data only; no mode is evaluated inside the domain.
     """
 
     domain: Domain
@@ -121,7 +120,6 @@ class SteklovBasis:
     kind: str                                   # "ball" | "annulus" | "star"
     traces: np.ndarray | None = None            # (N, M) star nodal values
     residuals: np.ndarray | None = None
-    densities: np.ndarray | None = None
     operator: object | None = None
     radial_profiles: dict | None = None         # annulus: index -> (c1, c2)
 
@@ -210,20 +208,6 @@ class SteklovBasis:
             m[i] = phi_out * g_outer * s_out + phi_in * g_inner * s_in
         return m
 
-    # -- interior work (planar) ----------------------------------------------
-
-    def interior_values(self, index: int, pts: np.ndarray) -> np.ndarray:
-        """phi_{index+1} at interior points (planar bases)."""
-        if self.kind == "star":
-            return self.operator.mode_interior(self.densities[index], pts)
-        if self.kind == "ball" and self.domain.dim == 2:
-            pts = np.atleast_2d(pts)
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            th = np.arctan2(pts[:, 1], pts[:, 0])
-            R = self.domain.R
-            return (r / R) ** ((index + 1) // 2) * geo.ball_trace_values(2, R, index + 1, th)
-        raise ValueError("interior evaluation unavailable for this basis")
-
 
 # ---------------------------------------------------------------------------
 # analytic spectra
@@ -279,18 +263,6 @@ def _radial_values(sol, r):
     if sol.radial is None:
         raise ValueError("no radial profile for this solve")
     return _radial_profile(sol.domain.dim, np.asarray(r, dtype=float), *sol.radial)
-
-
-def _interior_values(sol, pts: np.ndarray) -> np.ndarray:
-    """A solution of Delta u + 1 = 0 at interior points.
-
-    Star solves evaluate -|x|^2/4 + S[sol.density] on `sol.operator`;
-    balls and shells read `_radial_values`.
-    """
-    if sol.operator is not None:
-        return sol.operator.poisson_interior(sol.density, pts)
-    pts = np.atleast_2d(pts)
-    return _radial_values(sol, np.hypot(pts[:, 0], pts[:, 1]))
 
 
 def _shell_energy(n: int, R: float, a: float, c1: float, c2: float) -> float:
@@ -436,43 +408,11 @@ def spectrum_star2d(d: Domain, n_modes: int = 32, M: int | None = None) -> Stekl
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     op = operator_for(d.rho, M, n_modes=n_modes)
-    mu, traces, dens, resid = op.steklov_eigensystem(n_modes)
+    mu, traces, resid = op.steklov_eigensystem(n_modes)
     mu = mu.copy()
     mu[0] = max(mu[0], 0.0) if abs(mu[0]) < 1e-9 else mu[0]
     ks = dominant_degree(traces)
     parity = tuple("num" for _ in range(n_modes))
     return SteklovBasis(d, mu, ks, parity, "star", traces=traces,
-                        residuals=resid, densities=dens, operator=op)
+                        residuals=resid, operator=op)
 
-
-# ---------------------------------------------------------------------------
-# harmonic boundary-value expansion
-
-
-@dataclass(frozen=True)
-class HarmonicExpansion:
-    """Solution coefficients of  d_nu h = alpha h + g  in a Steklov basis."""
-
-    coefficients: np.ndarray
-    moments: np.ndarray
-    alpha: float
-    status: str
-    resonant_indices: tuple[int, ...] = ()   # 1-based
-
-
-def expand_harmonic(basis: SteklovBasis, alpha: float, g) -> HarmonicExpansion:
-    """Expand the harmonic h with d_nu h - alpha h = g over the basis.
-
-    h_i = m_i / (mu_i - alpha) with m_i the boundary moments of g.
-    Indices with mu_i within tol_res(alpha) of alpha are resonant: if
-    no resonant moment carries data (`_carrying`, the series' threshold)
-    the solution exists as a family (coefficients zeroed on the resonant
-    subspace, minimal-norm representative); otherwise there is none.
-    """
-    m = basis.moments(g)
-    resonant, _, status = _resonance(basis.mu, np.array([alpha], float), _carrying(m))
-    ok = ~resonant[0]
-    coeff = np.zeros_like(m)
-    coeff[ok] = m[ok] / (basis.mu[ok] - alpha)
-    return HarmonicExpansion(coeff, m, alpha, str(status[0]),
-                             tuple(int(i) + 1 for i in np.flatnonzero(resonant[0])))

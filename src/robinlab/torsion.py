@@ -16,13 +16,11 @@ import numpy as np
 from . import geometry as geo
 from .geometry import Domain
 from .layerpot import StarLayerOperator, operator_for
-from .steklov import (SteklovBasis, _interior_values, _radial_g, _radial_g_prime,
-                      _radial_values, _shell_energy)
+from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_values, _shell_energy
 
 __all__ = [
     "TorsionSolution",
     "solve_torsion",
-    "rigidity",
     "flux_coefficients",
     "gauss_identity_residual",
 ]
@@ -41,7 +39,6 @@ class TorsionSolution:
     T: float
     flux: object
     radial: tuple[float, float] | None = None    # (c1, c2): s = -r^2/2n + c1 + c2 g(r)
-    density: np.ndarray | None = None
     operator: object | None = None
 
     @property
@@ -69,10 +66,6 @@ class TorsionSolution:
         """Radial profile s(r) for balls and shells."""
         return _radial_values(self, r)
 
-    def interior_values(self, pts: np.ndarray) -> np.ndarray:
-        """s at interior points."""
-        return _interior_values(self, pts)
-
 
 def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
     # s(R) = s(a) = 0 pins the harmonic part c1 + c2 g(r)
@@ -82,13 +75,13 @@ def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
     return c1, c2
 
 
-def _solve_star(op: StarLayerOperator) -> tuple[float, np.ndarray, np.ndarray]:
+def _solve_star(op: StarLayerOperator) -> tuple[float, np.ndarray]:
     rr = op.radius_sq
     sigma = op.torsion_density
     flux = -0.5 * (op.points * op.normals).sum(axis=1) + op.normal_derivative(sigma)
     # T = int |x|^2/4 dx + oint |x|^2/4 d_nu s dS
     T = op.quarter_r2_integral() + float(np.sum(0.25 * rr * flux * op.weights))
-    return T, flux, sigma
+    return T, flux
 
 
 def solve_torsion(d: Domain, M: int | None = None, *,
@@ -123,13 +116,8 @@ def solve_torsion(d: Domain, M: int | None = None, *,
         sp = lambda r: -r / n + c2 * _radial_g_prime(n, r)
         return TorsionSolution(d, T, (sp(R), -sp(a)), radial=(c1, c2))
     op = operator_for(d.rho, M, operator)
-    T, flux, sigma = _solve_star(op)
-    return TorsionSolution(d, T, flux, density=sigma, operator=op)
-
-
-def rigidity(d: Domain, M: int | None = None) -> float:
-    """T(Omega) alone."""
-    return solve_torsion(d, M).T
+    T, flux = _solve_star(op)
+    return TorsionSolution(d, T, flux, operator=op)
 
 
 def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
@@ -137,16 +125,18 @@ def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
 
     Constant flux per boundary piece (a float, or an (outer, inner) pair)
     makes balls and shells exact; star domains integrate nodal flux
-    against the basis traces (resampling by trigonometric interpolation
-    when the grids differ).
+    against the basis traces, so the torsion must be solved at the
+    basis's node count (ValueError otherwise; `series_pack` solves it on
+    `basis.operator`).
     """
     if ts.domain.kind != "star2d":
         return basis.moments(ts.flux)
     if basis.kind != "star":
         raise ValueError("star torsion needs a star basis")
-    if basis.operator.M == ts.operator.M:     # equispaced grids with equal M coincide
-        return basis.moments(ts.flux)
-    return basis.moments(geo.trig_interp(ts.flux, basis.operator.thetas))
+    if basis.operator.M != ts.operator.M:
+        raise ValueError(f"torsion solved at {ts.operator.M} nodes, basis at "
+                         f"{basis.operator.M}: solve the torsion on the basis's operator")
+    return basis.moments(ts.flux)
 
 
 def gauss_identity_residual(ts: TorsionSolution) -> float:

@@ -25,10 +25,8 @@ from robinlab import (
     g,
     j_functional,
     modal_coefficient,
-    normal_speed_family,
     pole_scan,
     pw_upper_bound,
-    random_perturbation,
     random_star_domain,
     second_variation_ball,
     spectrum_star2d,
@@ -38,6 +36,9 @@ from robinlab import (
     volume,
 )
 from robinlab.cli import main
+from robinlab.shape_calculus import NormalSpeedFamily
+
+from conftest import random_perturbation
 
 
 @contextmanager
@@ -114,7 +115,7 @@ def test_c04_ellipse_second_variation(capsys):
             assert abs(rep.E_ddot - exact) <= 1e-10 * max(1.0, abs(exact))
             assert rep.agreement_ok(1e-10)
         exact1 = -3.0 * math.pi / 4.0
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         steps = [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03]
         for route in ("series", "fem"):
             fd = finite_difference_check(fam, 1.0, steps, route=route,
@@ -206,7 +207,7 @@ def test_c10_first_variation_zero(capsys):
         for _ in range(50):
             coeffs = rng.uniform(-0.04, 0.04, size=8)
             eta = TrigPoly(0.0, (0.0, *coeffs[:4]), (0.0, *coeffs[4:]))
-            fam = normal_speed_family(eta)
+            fam = NormalSpeedFamily(eta, 1.0)
             analytic = first_variation_general(disc, 0.5, fam.vdotnu)
             assert abs(analytic) < 1e-12
             fd = finite_difference_check(fam, 0.5, steps, route="series",

@@ -1,5 +1,6 @@
 """Public names: every module's `__all__` resolves; the CLI import stays lean;
-the README's library quickstart runs; no module imports a name it never uses."""
+the README's library quickstart runs; no module imports a name it never uses;
+every name in `robinlab.__all__` has a reader outside the tests."""
 
 import ast
 import contextlib
@@ -85,3 +86,47 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# Public names that nothing outside the tests reads, kept as checks the tests run
+TEST_ONLY_NAMES = {
+    "steklov_residual": "the only independent audit of the Nystrom spectrum",
+    "gauss_identity_residual": "the flux identity of the star torsion solve",
+    "domain_to_dict": "the documented writer of the --domain-json format",
+}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads: names, attributes and exact strings (bench span targets).
+
+    Imports and `__all__` lists do not count, nor does a top-level def or
+    class reading its own name.
+    """
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)):
+            continue
+        refs = set()
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                refs.add(n.value)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            refs.discard(stmt.name)
+        out |= refs
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    trees = [ast.parse(p.read_text()) for d in ("src/robinlab", "scripts", "bench")
+             for p in sorted((ROOT / d).glob("*.py"))]
+    trees += [ast.parse(b) for b in
+              re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)]
+    read = set().union(*map(_references, trees))
+    unread = {n for n in robinlab.__all__ if not n.startswith("__")} - read
+    assert unread == set(TEST_ONLY_NAMES)

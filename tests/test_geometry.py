@@ -13,12 +13,8 @@ from robinlab import (
     ball_mode_multiplicity,
     ball_trace_values,
     boundary_grid,
-    check_volume_preserving,
     domain_from_dict,
     domain_to_dict,
-    ellipse_perturbation,
-    interior_integral,
-    mean_curvature,
     random_star_domain,
     surface_area,
     surface_components,
@@ -28,7 +24,6 @@ from robinlab import (
     unit_sphere_area,
     volume,
 )
-from robinlab.geometry import _polar_curve, perturbation_from_dict, perturbation_to_dict
 
 TAU = 2.0 * math.pi
 
@@ -132,35 +127,12 @@ class TestMeasures:
         d = random_star_domain(np.random.default_rng(seed))
         assert surface_defect(d) >= -1e-12
 
-    def test_interior_integral(self, disc):
-        assert interior_integral(disc, lambda p: np.ones(len(p))) == \
-            pytest.approx(math.pi, rel=1e-12)
-        # int x^2 over the unit disc = pi/4
-        assert interior_integral(disc, lambda p: p[:, 0] ** 2) == \
-            pytest.approx(math.pi / 4, rel=1e-10)
-
-
 class TestCurvature:
-    def test_sphere(self):
-        assert mean_curvature(Domain.ball(2, 2.0)) == pytest.approx(0.5)
-        assert mean_curvature(Domain.ball(3, 4.0)) == pytest.approx(0.25)
-
     def test_planar_curve_value(self):
         # kappa(0) = (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^{3/2}
         # for rho = 1 + 0.1 cos 2t at t=0: (1.21 + 0.44) / 1.21^{1.5}
-        c = _polar_curve(TrigPoly(1.0, (0.0, 0.1)), np.array([0.0]))
+        c = boundary_grid(Domain.star2d(TrigPoly(1.0, (0.0, 0.1))), 64)
         assert c.curvature[0] == pytest.approx(1.65 / 1.331, rel=1e-12)
-
-    def test_star_curvature_reads_the_polar_curve(self, ellipse):
-        # the grid samples rho by FFT and the pointwise curvature sums the
-        # series at each angle, so the two agree to rounding, not bit for bit
-        g = boundary_grid(ellipse, 64)
-        kappa = mean_curvature(ellipse, g.thetas)
-        eps = np.finfo(float).eps
-        assert np.max(np.abs(kappa - g.curvature)) <= 64 * eps * np.max(np.abs(kappa))
-        assert mean_curvature(ellipse, 0.3) == \
-            _polar_curve(ellipse.rho, np.array([0.3])).curvature[0]
-
 
 class TestTraceBasis:
     def test_multiplicities(self):
@@ -183,30 +155,6 @@ class TestPerturbations:
     def test_from_modes_slots(self):
         p = PerturbationField.from_modes(2, {2: 1.0})
         assert p.b_array[3] == 1.0
-        assert p.l2sq() == pytest.approx(1.0)
-
-    def test_volume_preserving_first_order(self, disc):
-        p = PerturbationField((0.0, 0.5, 0.0, 0.3))
-        rep = check_volume_preserving(p, disc, order=1)
-        assert rep.passed and rep.residual < 1e-12
-
-    def test_volume_preserving_second_order(self, disc):
-        # default second-order field compensates the quadratic surface term
-        p = PerturbationField.from_modes(2, {2: 1.0})
-        rep = check_volume_preserving(p, disc, order=2)
-        assert rep.passed and rep.residual < 1e-12
-
-    def test_ellipse_field_second_order_residual(self, disc):
-        # the exact ellipse family moves tangentially too; its purely
-        # normal surface check leaves 2 pi R^2 behind
-        p = ellipse_perturbation()
-        rep = check_volume_preserving(p, disc, order=2)
-        assert not rep.passed
-        assert rep.residual == pytest.approx(2 * math.pi, rel=1e-12)
-
-    def test_mean_component_breaks_preservation(self, disc):
-        p = PerturbationField((1.0, 0.0))
-        assert not check_volume_preserving(p, disc, order=1).passed
 
     def test_vdotnu_matches_trace_sum(self, disc):
         p = PerturbationField((0.0, 0.7, 0.0, -0.2))
@@ -227,12 +175,6 @@ class TestSerialization:
         back = domain_from_dict(domain_to_dict(d))
         assert back.kind == d.kind and back.dim == d.dim
         assert volume(back) == pytest.approx(volume(d), rel=1e-14)
-
-    def test_perturbation_round_trip(self):
-        p = PerturbationField((0.0, 0.2, -0.1))
-        q = perturbation_from_dict(perturbation_to_dict(p))
-        assert np.allclose(q.b_array, p.b_array)
-
 
 class TestInterpolation:
     @given(small_coeffs)

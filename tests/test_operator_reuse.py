@@ -11,12 +11,12 @@ from robinlab import (
     energy_series,
     fem_robin_energy,
     finite_difference_check,
-    normal_speed_family,
     oracle,
     solve_torsion,
     spectrum_star2d,
 )
 from robinlab.cli import main
+from robinlab.shape_calculus import NormalSpeedFamily
 from robinlab.layerpot import START_NODES
 
 M = 192
@@ -73,7 +73,7 @@ def assembles(monkeypatch):
 
 @pytest.fixture(scope="module")
 def family():
-    return normal_speed_family(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)))
+    return NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)), 1.0)
 
 
 class TestBuildCounts:

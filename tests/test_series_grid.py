@@ -17,7 +17,6 @@ from robinlab import (
     energy_split_variational,
     finite_difference_check,
     flux_coefficients,
-    normal_speed_family,
     solve_robin,
     solve_torsion,
     spectrum_annulus,
@@ -25,6 +24,7 @@ from robinlab import (
     spectrum_star2d,
     volume,
 )
+from robinlab.shape_calculus import NormalSpeedFamily
 from robinlab.cli import main
 from robinlab.robin_energy import (
     SERIES_CHUNK,
@@ -333,7 +333,7 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("alphas", [[0.4], [0.2, 0.4, 0.6]])
     def test_series_fd_check_one_flux_call_per_member(self, calls, alphas):
-        family = normal_speed_family(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)))
+        family = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0), (0.0, 0.0, -0.5)), 1.0)
         t_grid = [-0.02, -0.01, 0.01, 0.02]
         finite_difference_check(family, alphas, t_grid, route="series",
                                 n_modes=16, M=128)

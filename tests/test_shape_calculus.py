@@ -18,12 +18,9 @@ from robinlab import (
     first_variation_general,
     j_variations,
     modal_coefficient,
-    normal_speed_family,
-    overdetermined_residual,
     second_variation_ball,
     solve_robin,
     solve_u_prime,
-    surface_second_variation,
     volume,
 )
 from robinlab.shape_calculus import NormalSpeedFamily
@@ -129,11 +126,6 @@ class TestSecondVariation:
     def test_star_domain_rejected(self, three_mode):
         with pytest.raises(ValueError):
             second_variation_ball(three_mode, 0.5, mode(2))
-
-    def test_surface_second_variation(self):
-        # Sdd = sum b_i^2 (k(k+n-2) - (n-1)) / R^2
-        got = surface_second_variation(Domain.ball(2, 2.0), mode(3, 0.5))
-        assert got == pytest.approx(0.25 * (9.0 - 1.0) / 4.0)
 
 
 class TestSignZones:
@@ -254,48 +246,23 @@ class TestJVariations:
         assert rep.J_ddot <= rep.upper_bound + 1e-12
 
 
-class TestOverdetermined:
-    def test_ball_is_exactly_zero(self, disc, ball3):
-        assert overdetermined_residual(disc, 0.8) == 0.0
-        assert overdetermined_residual(ball3, 1.5) == 0.0
-
-    def test_nonball_values(self, ellipse, shell):
-        assert overdetermined_residual(ellipse, 1.0, M=256) == pytest.approx(
-            0.0864483545, rel=1e-6)
-        assert overdetermined_residual(shell, 1.0) == pytest.approx(
-            0.0495415912, rel=1e-6)
-
-    def test_no_solution_raises(self, disc, shell, ellipse):
-        for d in (disc, Domain.annulus(2, 1.0, 0.5), shell, ellipse):
-            with pytest.raises(SolverError, match="no Robin solution"):
-                overdetermined_residual(d, 0.0, M=64)
-        with pytest.raises(SolverError, match="no Robin solution"):
-            overdetermined_residual(shell, 5.0)       # the radial pole
-
-    @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
-    def test_positive_off_balls(self, seed):
-        from robinlab import random_star_domain
-        d = random_star_domain(np.random.default_rng(seed))
-        assert overdetermined_residual(d, 0.5, M=128) > 1e-6
-
-
 class TestNormalSpeedFamily:
     def test_exact_area_preservation(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 0.7), (0.0, 0.0, 0.4)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 0.7), (0.0, 0.0, 0.4)), 1.0)
         for t in (0.05, 0.2, 0.3):
             assert volume(fam.domain(t)) == pytest.approx(math.pi, rel=1e-13)
 
     def test_zero_mean_required(self):
         with pytest.raises(ValueError):
-            normal_speed_family(TrigPoly(0.3, (0.0, 1.0)))
+            NormalSpeedFamily(TrigPoly(0.3, (0.0, 1.0)), 1.0)
 
     def test_leaving_star_class_rejected(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         with pytest.raises(ValueError):
             fam.domain(1.5)
 
     def test_perturbation_slots(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 0.5), (0.0, 0.0, 0.25)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 0.5), (0.0, 0.0, 0.25)), 1.0)
         b = fam.perturbation().b_array
         norm = math.sqrt(math.pi)
         assert b[3] == pytest.approx(0.5 * norm)     # cos 2t slot
@@ -310,7 +277,7 @@ class TestNormalSpeedFamily:
         for k in range(1, eta.degree + 1):
             ref += [norm * (eta.cos[k - 1] if k <= len(eta.cos) else 0.0),
                     norm * (eta.sin[k - 1] if k <= len(eta.sin) else 0.0)]
-        assert normal_speed_family(eta, R).perturbation().b == tuple(ref)
+        assert NormalSpeedFamily(eta, R).perturbation().b == tuple(ref)
 
     @pytest.mark.parametrize("R", [1.0, 0.7, 2.3])
     def test_perturbation_round_trip(self, R):
@@ -322,14 +289,14 @@ class TestNormalSpeedFamily:
         assert np.max(np.abs(back - b)) <= 1e-15 * np.max(np.abs(b))
 
     def test_initial_speed(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)), R=2.0)
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 2.0)
         t = np.linspace(0, 2 * math.pi, 9)
         assert np.allclose(fam.vdotnu(t), 2.0 * np.cos(2 * t))
 
 
 class TestFiniteDifference:
     def test_series_fit_matches_modal(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         rep = finite_difference_check(
             fam, 0.5, [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03],
             route="series", degree=3)
@@ -340,14 +307,14 @@ class TestFiniteDifference:
             energy_direct(Domain.ball(2, 1.0), 0.5), abs=1e-5)
 
     def test_direct_route_agrees(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         grid = [-0.02, -0.01, 0.01, 0.02]
         r1 = finite_difference_check(fam, 0.5, grid, route="series", degree=3)
         r2 = finite_difference_check(fam, 0.5, grid, route="direct", degree=3)
         assert r1.E_ddot == pytest.approx(r2.E_ddot, rel=1e-8)
 
     def test_unknown_route(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         with pytest.raises(ValueError):
             finite_difference_check(fam, 0.5, [0.01], route="magic")
 
@@ -363,11 +330,11 @@ class TestFiniteDifference:
     ])
     def test_unfittable_grid_rejected(self, grid, degree):
         # E'' needs degree >= 2 and degree + 1 distinct finite steps
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         with pytest.raises(ValueError):
             finite_difference_check(fam, 0.5, grid, degree=degree)
 
     def test_smallest_fittable_grid(self):
-        fam = normal_speed_family(TrigPoly(0.0, (0.0, 1.0)))
+        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         rep = finite_difference_check(fam, 0.5, [-0.01, 0.0, 0.01], degree=2)
         assert rep.E_ddot == pytest.approx(-4.0 * math.pi / 3.0, rel=1e-2)

@@ -1,4 +1,4 @@
-"""Steklov spectra: closed forms, shell pencils, Nystrom bases, expansions."""
+"""Steklov spectra: closed forms, shell pencils, Nystrom bases."""
 
 import math
 
@@ -9,11 +9,9 @@ from hypothesis import given, strategies as hst
 from robinlab import (
     Domain,
     STATUS_FAMILY,
-    STATUS_NO_SOLUTION,
     STATUS_UNIQUE,
     SolverError,
     annulus_radial_eigenvalue,
-    expand_harmonic,
     random_star_domain,
     solve_robin,
     spectrum_annulus,
@@ -208,91 +206,3 @@ class TestStarSpectrum:
         assert b.mu[1] > 0.0
         assert float(b.residuals.max()) < 1e-4
 
-
-class TestExpandHarmonic:
-    def test_single_mode_unique(self, disc):
-        # alpha off the integer spectrum of the unit disc
-        b = spectrum_ball(2, 1.0, k_max=4)
-        out = expand_harmonic(b, 2.5, lambda t: np.cos(t))
-        assert out.status == STATUS_UNIQUE
-        # m_2 = sqrt(pi), mu_2 = 1, so h_2 = sqrt(pi) / (1 - 2.5)
-        assert out.coefficients[1] == pytest.approx(-2.0 * math.sqrt(math.pi) / 3.0)
-        mask = np.ones(b.count, bool)
-        mask[1] = False
-        assert np.allclose(out.coefficients[mask], 0.0, atol=1e-12)
-
-    def test_boundary_condition_recovered(self):
-        b = spectrum_ball(2, 1.0, k_max=4)
-        alpha = 2.5
-        out = expand_harmonic(b, alpha, lambda t: np.cos(t))
-        t = np.linspace(0, TAU, 17)
-        h = out.coefficients @ b.trace_matrix(t)
-        dnu = (out.coefficients * b.mu) @ b.trace_matrix(t)
-        assert np.allclose(dnu - alpha * h, np.cos(t), atol=1e-12)
-
-    def test_resonant_no_solution(self):
-        b = spectrum_ball(2, 1.0, k_max=4)
-        out = expand_harmonic(b, 1.0, lambda t: np.cos(t))
-        assert out.status == STATUS_NO_SOLUTION
-        assert out.resonant_indices == (2, 3)
-
-    def test_resonant_family(self):
-        # constant data has no moment on the degree-1 eigenspace
-        b = spectrum_ball(2, 1.0, k_max=4)
-        out = expand_harmonic(b, 1.0, 2.0)
-        assert out.status == STATUS_FAMILY
-        assert out.coefficients[1] == 0.0 and out.coefficients[2] == 0.0
-        assert out.coefficients[0] == pytest.approx(
-            2.0 * math.sqrt(TAU) / (0.0 - 1.0))
-
-    def test_zero_alpha_constant_incompatible(self):
-        b = spectrum_ball(2, 1.0, k_max=3)
-        out = expand_harmonic(b, 0.0, 1.0)
-        assert out.status == STATUS_NO_SOLUTION
-        assert out.resonant_indices == (1,)
-
-    def test_star_basis_expansion(self, three_mode):
-        # cos(t) is not in any finite mode span on a wobbly domain, so the
-        # boundary misfit is truncation; it must shrink as the basis grows
-        def misfit(n_modes, M):
-            b = spectrum_star2d(three_mode, n_modes=n_modes, M=M)
-            out = expand_harmonic(b, 0.5, lambda t: np.cos(t))
-            assert out.status == STATUS_UNIQUE
-            t, w = b.boundary_quadrature()
-            h = out.coefficients @ b.trace_matrix()
-            dnu = (out.coefficients * b.mu) @ b.trace_matrix()
-            resid = dnu - 0.5 * h - np.cos(t)
-            return math.sqrt(float(np.sum(resid ** 2 * w)))
-
-        r12, r24 = misfit(12, 128), misfit(24, 256)
-        assert r12 < 1e-2
-        assert r24 < r12 / 5.0
-
-
-class TestInteriorValues:
-    def test_disc_mode_interior(self):
-        b = spectrum_ball(2, 1.0, k_max=3)
-        pts = np.array([[0.3, 0.1], [-0.2, 0.4]])
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        got = b.interior_values(1, pts)     # phi_2 = r cos(theta)/sqrt(pi)
-        assert np.allclose(got, r * np.cos(th) / math.sqrt(math.pi))
-
-    def test_star_interior_matches_closed_form(self):
-        # run the layer-potential machinery on the disc, where every mode
-        # has the closed form (r/R)^k trig(k theta) / sqrt(pi R)
-        b = spectrum_star2d(Domain.ball(2, 1.0), n_modes=8, M=128)
-        t = np.array([0.3, 1.1, 2.0, 4.4])
-        pts = 0.5 * np.column_stack([np.cos(t), np.sin(t)])
-        got = b.interior_values(1, pts)          # degree-1 mode
-        k = int(b.k[1])
-        assert k == 1
-        # the numeric eigenvector fixes its own sign and phase; compare
-        # against the best-matching phase of the analytic pair
-        proj_c = np.cos(k * b.operator.thetas) / math.sqrt(math.pi)
-        proj_s = np.sin(k * b.operator.thetas) / math.sqrt(math.pi)
-        w = b.operator.weights
-        cc = float(np.sum(b.traces[1] * proj_c * w))
-        cs = float(np.sum(b.traces[1] * proj_s * w))
-        expect = 0.5 ** k * (cc * np.cos(k * t) + cs * np.sin(k * t)) / math.sqrt(math.pi)
-        assert np.allclose(got, expect, atol=1e-8)
