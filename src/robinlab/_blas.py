@@ -1,9 +1,9 @@
 """Pin the OpenBLAS builds shipped with numpy and scipy to one thread.
 
-The command line runs its parallel work on its own domain pool; BLAS
-threads on top of that oversubscribe the cores and make the last digits
-of dense results depend on the thread count.  Only `cli.main` calls
-`pin_single_thread`: importing robinlab changes no process state.
+The last digits of dense results depend on the BLAS thread count, and
+the command line's output bytes must not, so every command runs with
+BLAS on one thread.  Only `cli.main` calls `pin_single_thread`:
+importing robinlab changes no process state.
 """
 from __future__ import annotations
 

@@ -2,12 +2,12 @@
 
 Every subcommand writes one table (CSV by default, `--json` for the
 same rows as JSON) with 17-significant-digit floats, so identical
-configurations reproduce byte-identical output whatever the thread
-settings: `main` pins BLAS to one thread and `ROBINLAB_THREADS` only
-sizes the domain pool, whose results keep their order.  Alpha grids skip
-values that fall within the resonance tolerance of a detected energy
-pole; each exclusion is logged to stderr.  Exit codes: 0 success,
-2 invalid configuration, 3 solver failure.
+configurations reproduce byte-identical output whatever the BLAS thread
+settings: every command runs serially and `main` pins BLAS to one
+thread.  Alpha grids skip values that fall within the resonance
+tolerance of a detected energy pole; each exclusion is logged to
+stderr.  Exit codes: 0 success, 2 invalid configuration, 3 solver
+failure.
 """
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,23 +92,6 @@ def _emit(args, columns, rows) -> None:
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _workers() -> int:
-    cap = os.environ.get("ROBINLAB_THREADS")
-    avail = os.cpu_count() or 1
-    if cap:
-        return max(1, min(avail, int(cap)))
-    return avail
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    n = _workers()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # -- argument helpers --------------------------------------------------------
@@ -396,17 +377,15 @@ def _cmd_oracle_verify(args) -> int:
     d = _domain_from_args(args)
     pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
     fem = oracle.FemRobin(d, h_max=args.h_max)
-
-    def run(a):
+    rows = []
+    for a in map(float, _alphas_from_args(args)):
         # one-row grids keep energy_series' per-alpha error order
         row, = energy.energy_series_grid(pack, [a])
         E_series = row[energy.ENERGY_COLUMNS.index("E_total")]
         fs = oracle.fem_robin_energy(fem, a)
         diff = abs(E_series - fs.energy)
         ok = diff <= max(10.0 * fs.error, 1e-7 * max(1.0, abs(E_series)))
-        return (a, E_series, fs.energy, diff, fs.error, ok)
-
-    rows = _map_ordered(run, [float(a) for a in _alphas_from_args(args)])
+        rows.append((a, E_series, fs.energy, diff, fs.error, ok))
     _emit(args, ("alpha", "E_series", "E_fem", "diff", "fem_error",
                  "consistent"), rows)
     return 0
@@ -415,9 +394,8 @@ def _cmd_oracle_verify(args) -> int:
 def _cmd_corpus(args) -> int:
     rng = np.random.default_rng(args.seed)
     domains = [geo.random_star_domain(rng) for _ in range(args.count)]
-
-    def run(item):
-        idx, d = item
+    rows = []
+    for idx, d in enumerate(domains):
         pack = pw.corollary_pack(d, args.n_modes, args.nodes)
         mu2 = float(pack.mu[1])
         a = pw.low_alpha(d, mu2)
@@ -425,10 +403,8 @@ def _cmd_corpus(args) -> int:
         E_dom, E_ball = rep.E_domain, rep.E_ball
         J_dom = energy.j_functional(d, a, T_omega=pack.T)
         tol = 1e-9 * max(1.0, abs(E_ball))
-        return (idx, d.R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
-                J_dom, E_ball, J_dom <= E_ball + tol)
-
-    rows = _map_ordered(run, list(enumerate(domains)))
+        rows.append((idx, d.R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
+                     J_dom, E_ball, J_dom <= E_ball + tol))
     _emit(args, ("index", "R", "mu2", "alpha", "E_domain", "E_ball", "E_ok",
                  "J_domain", "J_ball", "J_ok"), rows)
     bad = [r for r in rows if not (r[6] and r[9])]
@@ -610,7 +586,7 @@ def _preparse(argv) -> tuple[list[str], str | None]:
 
 
 def main(argv=None) -> int:
-    # the domain pool is the only parallelism; BLAS threads would oversubscribe
+    # output bytes must not depend on the BLAS thread count
     pin_single_thread()
     try:
         argv, path = _preparse(sys.argv[1:] if argv is None else argv)

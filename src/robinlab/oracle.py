@@ -417,8 +417,7 @@ class FemRobin:
 
     Each level's mesh, stiffness, load and boundary mass are built once,
     here; `solve` then costs one preconditioner and one MINRES solve per
-    level and alpha.  `solve` only reads what is built, so threads may
-    share one instance.
+    level and alpha.
     """
 
     def __init__(self, d, h_max: float = 0.065, levels: int = 3):

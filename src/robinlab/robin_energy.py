@@ -96,10 +96,6 @@ class EnergyReport:
     resonant_indices: tuple[int, ...] = ()
     n_modes: int = 0
 
-    def as_row(self) -> tuple:
-        return (self.alpha, self.T, self.E_plus, self.E_minus,
-                self.E_total, self.tail_bound, self.status)
-
 
 def _default_basis(d: Domain, n_modes: int, M: int | None) -> SteklovBasis:
     if d.kind == "ball":
@@ -270,10 +266,10 @@ def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
 def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
     """Series rows (ENERGY_COLUMNS order) over an alpha grid, in grid order.
 
-    Each row equals `energy_series(d, alpha, basis=).as_row()` bit for
-    bit.  The grid is evaluated as numpy broadcasts over blocks of
-    SERIES_CHUNK alphas, so `flux_coefficients` and the pole set are
-    computed once (in `pack`) for the whole grid.
+    Each row equals the ENERGY_COLUMNS fields of `energy_series(d, alpha,
+    basis=)` bit for bit.  The grid is evaluated as numpy broadcasts over
+    blocks of SERIES_CHUNK alphas, so `flux_coefficients` and the pole set
+    are computed once (in `pack`) for the whole grid.
 
     Raises
     ------

@@ -387,14 +387,6 @@ class NormalSpeedFamily:
         b = p.b_array
         return cls(TrigPoly(0.0, tuple(b[1::2] / scale), tuple(b[2::2] / scale)), R)
 
-    def perturbation(self) -> PerturbationField:
-        """The planar ball field of the family: b_i = R sqrt(pi R) eta_i, b_1 = 0."""
-        norm = self.R * math.sqrt(math.pi * self.R)
-        b = np.zeros(1 + 2 * self.eta.degree)
-        b[1:2 * len(self.eta.cos):2] = np.multiply(norm, self.eta.cos)
-        b[2:2 * len(self.eta.sin) + 1:2] = np.multiply(norm, self.eta.sin)
-        return PerturbationField(tuple(b.tolist()))
-
 
 @dataclass(frozen=True)
 class FiniteDifferenceReport:

@@ -1,5 +1,6 @@
 """Public names: every module's `__all__` resolves; the CLI import stays lean;
 the README's library quickstart runs; no module imports a name it never uses;
+no library module imports a thread or process module or reads the environment;
 every name in `robinlab.__all__` has a reader outside the tests."""
 
 import ast
@@ -86,6 +87,32 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _concurrency_and_env(path: Path) -> list[str]:
+    """Thread or process modules a module imports, and its reads of the environment."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "os":
+                names += [f"os.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [n for n in names if n in {"os.environ", "os.getenv"}
+                  or n.split(".")[0] in {"threading", "concurrent", "multiprocessing"}]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "robinlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_execution_model(path):
+    # every command runs serially in the calling thread, configured by options only
+    assert _concurrency_and_env(path) == []
 
 
 # Public names that nothing outside the tests reads, kept as checks the tests run

@@ -187,16 +187,14 @@ class TestSolver:
         argv = ["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1,0.05",
                 "--alpha", "0.3", "--alpha", "-0.5", "--h-max", "0.2"]
         runs = []
-        for robinlab_threads in ("1", "2"):
-            for blas_threads in (None, "1", "2"):
-                env = dict(os.environ, ROBINLAB_THREADS=robinlab_threads,
-                           PYTHONPATH=str(ROOT / "src"))
-                env.pop("OPENBLAS_NUM_THREADS", None)
-                if blas_threads is not None:
-                    env["OPENBLAS_NUM_THREADS"] = blas_threads
-                runs.append(subprocess.Popen(
-                    [sys.executable, "-c", od.RUNNER, str(ROOT)], env=env,
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
+        for blas_threads in (None, "1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if blas_threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            runs.append(subprocess.Popen(
+                [sys.executable, "-c", od.RUNNER, str(ROOT)], env=env,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
         results = []
         for proc in runs:
             out, _ = proc.communicate(json.dumps(["robinlab", argv]) + "\n",

@@ -201,7 +201,7 @@ class TestStarSeries:
 
     def test_report_row_contract(self, disc):
         rep = energy_series(disc, 0.5)
-        row = rep.as_row()
+        row = tuple(getattr(rep, c) for c in ENERGY_COLUMNS)
         assert len(row) == len(ENERGY_COLUMNS)
         assert row[0] == 0.5 and row[-1] == STATUS_UNIQUE
 

@@ -262,30 +262,33 @@ class TestNormalSpeedFamily:
             fam.domain(1.5)
 
     def test_perturbation_slots(self):
-        fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 0.5), (0.0, 0.0, 0.25)), 1.0)
-        b = fam.perturbation().b_array
         norm = math.sqrt(math.pi)
-        assert b[3] == pytest.approx(0.5 * norm)     # cos 2t slot
-        assert b[6] == pytest.approx(0.25 * norm)    # sin 3t slot
-        assert b[0] == 0.0
+        b = np.zeros(7)
+        b[3], b[6] = 0.5 * norm, 0.25 * norm     # cos 2t and sin 3t slots
+        eta = NormalSpeedFamily.from_perturbation(PerturbationField(tuple(b)), 1.0).eta
+        assert eta.cos == pytest.approx((0.0, 0.5, 0.0))
+        assert eta.sin == pytest.approx((0.0, 0.0, 0.25))
+        assert eta.a0 == 0.0
 
     def test_perturbation_matches_slot_loop(self):
-        eta = TrigPoly(0.0, (0.3, -0.5), (0.0, 0.2, 0.7))
+        b = (0.0, 0.3, 0.0, -0.5, 0.2, 0.0, 0.7)
         R = 1.7
-        norm = R * math.sqrt(math.pi * R)
-        ref = [0.0]
-        for k in range(1, eta.degree + 1):
-            ref += [norm * (eta.cos[k - 1] if k <= len(eta.cos) else 0.0),
-                    norm * (eta.sin[k - 1] if k <= len(eta.sin) else 0.0)]
-        assert NormalSpeedFamily(eta, R).perturbation().b == tuple(ref)
+        scale = math.sqrt(math.pi * R ** 3)
+        cos, sin = [], []
+        for k in range(1, len(b) // 2 + 1):
+            cos.append(b[2 * k - 1] / scale)
+            sin.append(b[2 * k] / scale)
+        eta = NormalSpeedFamily.from_perturbation(PerturbationField(b), R).eta
+        assert eta.cos == tuple(cos) and eta.sin == tuple(sin)
 
     @pytest.mark.parametrize("R", [1.0, 0.7, 2.3])
     def test_perturbation_round_trip(self, R):
         b = np.random.default_rng(7).standard_normal(13)
         b[0] = 0.0
-        fam = NormalSpeedFamily.from_perturbation(PerturbationField(tuple(b)), R)
-        back = fam.perturbation().b_array
-        assert back.shape == b.shape
+        eta = NormalSpeedFamily.from_perturbation(PerturbationField(tuple(b)), R).eta
+        back = np.zeros_like(b)      # b_i = R sqrt(pi R) eta_i
+        back[1::2], back[2::2] = eta.cos, eta.sin
+        back *= R * math.sqrt(math.pi * R)
         assert np.max(np.abs(back - b)) <= 1e-15 * np.max(np.abs(b))
 
     def test_initial_speed(self):
