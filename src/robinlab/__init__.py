@@ -15,7 +15,6 @@ from .geometry import (
     TrigPoly,
     ball_mode_degrees,
     ball_mode_multiplicity,
-    ball_trace_values,
     boundary_grid,
     domain_from_dict,
     domain_to_dict,
@@ -81,8 +80,8 @@ __version__ = "0.1.0"
 __all__ = [
     "SolverError",
     "DEFAULT_BOUNDARY_NODES", "Domain", "PerturbationField", "TrigPoly",
-    "ball_mode_degrees", "ball_mode_multiplicity", "ball_trace_values",
-    "boundary_grid", "domain_from_dict", "domain_to_dict", "ellipse_domain",
+    "ball_mode_degrees", "ball_mode_multiplicity", "boundary_grid",
+    "domain_from_dict", "domain_to_dict", "ellipse_domain",
     "random_star_domain", "surface_area", "surface_components",
     "surface_defect", "trig_interp", "unit_ball_volume", "unit_sphere_area",
     "volume",

@@ -346,19 +346,6 @@ def ball_mode_parities(n: int, count: int) -> list[str]:
     return labels[:count]
 
 
-def ball_trace_values(n: int, R: float, index: int, thetas: np.ndarray) -> np.ndarray:
-    """Boundary trace of the index-th (1-based) ball Steklov eigenfunction, n=2 only."""
-    if n != 2:
-        raise ValueError("pointwise ball traces implemented for n=2 only")
-    if index == 1:
-        return np.full_like(thetas, 1.0 / math.sqrt(2.0 * math.pi * R))
-    k = (index // 2)
-    norm = 1.0 / math.sqrt(math.pi * R)
-    if index % 2 == 0:
-        return norm * np.cos(k * thetas)
-    return norm * np.sin(k * thetas)
-
-
 # ---------------------------------------------------------------------------
 # perturbation fields
 
@@ -372,7 +359,8 @@ class PerturbationField:
     variation around a ball (`shape_calculus.second_variation_ball`)
     assumes the one that keeps the volume to second order, and the
     planar families (`shape_calculus.NormalSpeedFamily`) keep the area
-    exactly.
+    exactly.  On a circle of radius R the speed as a function of theta
+    is `NormalSpeedFamily.from_perturbation(p, R).vdotnu`.
     """
 
     b: tuple[float, ...]
@@ -391,14 +379,6 @@ class PerturbationField:
     @property
     def b_array(self) -> np.ndarray:
         return np.asarray(self.b, dtype=float)
-
-    def vdotnu(self, n: int, R: float, thetas: np.ndarray) -> np.ndarray:
-        """Pointwise v.nu on the circle of radius R (n=2)."""
-        vals = np.zeros_like(np.asarray(thetas, dtype=float))
-        for i, bi in enumerate(self.b, start=1):
-            if bi != 0.0:
-                vals = vals + bi * ball_trace_values(n, R, i, thetas)
-        return vals
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,8 @@ def steklov_residual(basis, sample_density: int = 256,
                      n_modes: int | None = None) -> float:
     """Audit eigenpairs of a planar Steklov basis: max |flux(phi_i) - mu_i phi_i|.
 
-    Analytic (ball) bases are recomputed from the closed-form harmonic
-    extension, so the residual is pure roundoff.  Star bases get each
+    A ball basis gives max |mu_i - k_i/R| in every dimension, against the
+    closed form, so its residual is pure roundoff.  Star bases get each
     trace imposed as Dirichlet data on two FEM meshes (sample_density,
     rounded up to a multiple of 4, and double that many boundary nodes);
     the boundary flux is recovered variationally and Richardson-
@@ -486,10 +486,7 @@ def steklov_residual(basis, sample_density: int = 256,
     n = basis.count if n_modes is None else min(n_modes, basis.count)
     if basis.kind == "ball":
         R = basis.domain.R
-        out = np.abs(basis.mu[:n] - np.asarray(basis.k[:n], float) / R)
-        if basis.domain.dim == 2:
-            out = out * np.abs(basis.trace_matrix()[:n]).max(axis=1)
-        return float(out.max())
+        return float(np.abs(basis.mu[:n] - np.asarray(basis.k[:n], float) / R).max())
     if basis.kind != "star":
         raise ValueError("residual audit supports ball and star bases only")
 

@@ -56,9 +56,9 @@ def first_variation_general(d: Domain, alpha: float, vn,
 
     Edot = oint vn [ |grad u|^2 - 2u - 2 alpha^2 u^2 - alpha(n-1) u^2 H ] dS
     with H the mean curvature (1/R on a sphere).  `vn` is a callable of
-    theta, nodal values, a constant, or a PerturbationField (balls and
-    star domains; shells are excluded since their perturbations move two
-    boundaries).  A star solves at M nodes, or at the certified count
+    theta or a constant (balls and star domains; shells are excluded
+    since their perturbations move two boundaries); a planar ball field
+    p enters as `NormalSpeedFamily.from_perturbation(p, R).vdotnu`.  A star solves at M nodes, or at the certified count
     when M is None; a ball integrates a callable speed at M nodes
     (DEFAULT_BOUNDARY_NODES when None).  A NoSolution alpha raises
     SolverError.
@@ -81,7 +81,7 @@ def first_variation_general(d: Domain, alpha: float, vn,
     H = op.curvature
     integrand = grad_sq - 2 * u_b - 2 * alpha ** 2 * u_b ** 2 \
         - alpha * (n - 1) * u_b ** 2 * H
-    vals = _nodal_vn(d, vn, op.thetas)
+    vals = _nodal_vn(vn, op.thetas)
     return float(np.sum(integrand * vals * op.weights))
 
 
@@ -92,32 +92,23 @@ def _tangential_derivative(nodal: np.ndarray, speed: np.ndarray) -> np.ndarray:
     return dtheta / speed
 
 
-def _nodal_vn(d: Domain, vn, thetas: np.ndarray) -> np.ndarray:
-    if isinstance(vn, PerturbationField):
-        return vn.vdotnu(d.dim, d.R, thetas)
+def _nodal_vn(vn, thetas: np.ndarray) -> np.ndarray:
+    """A speed (a callable of theta, or a constant) at the nodes `thetas`."""
     if callable(vn):
         return np.asarray(vn(thetas), dtype=float)
-    arr = np.asarray(vn, dtype=float)
-    if arr.ndim == 0:
-        return np.full(thetas.shape, float(arr))
-    if arr.shape != thetas.shape:
-        raise ValueError("nodal speed does not match the boundary grid")
-    return arr
+    return np.full(thetas.shape, float(vn))
 
 
 def _integrated_vn(d: Domain, vn, M: int | None) -> float:
     """oint vn dS on a ball in any dimension; a callable at M nodes (None: the default)."""
     area = geo.surface_area(d)
-    if isinstance(vn, PerturbationField):
-        return float(vn.b_array[0]) * math.sqrt(area)
-    if isinstance(vn, (int, float)):
+    if not callable(vn):
         return float(vn) * area
     if d.dim != 2:
         raise ValueError("callable speeds on balls need dim 2")
     thetas = np.linspace(0, 2 * np.pi, DEFAULT_BOUNDARY_NODES if M is None else M,
                          endpoint=False)
-    vals = _nodal_vn(d, vn, thetas)
-    return float(np.mean(vals) * area)
+    return float(np.mean(_nodal_vn(vn, thetas)) * area)
 
 
 # ---------------------------------------------------------------------------

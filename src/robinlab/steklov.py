@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import SolverError
-from .geometry import Domain, DEFAULT_BOUNDARY_NODES
+from .geometry import Domain
 from .layerpot import dominant_degree, operator_for
 
 __all__ = [
@@ -103,14 +103,15 @@ class SteklovBasis:
     """An eigenvalue-ordered, boundary-orthonormal Steklov basis.
 
     `mu` is nondecreasing, `k[i]` the angular degree of mode i (0-based
-    storage; math indices are 1-based).  For shells, `radial_profiles`
-    maps storage index -> (c1, c2) for modes of the form
-    c1 + c2 * g(r) with g the degree-0 second radial solution; traces of
-    degree k >= 1 modes integrate to zero against radial functions and
-    are never evaluated pointwise.  Star bases carry nodal traces and
-    their eigen-residuals on the grid of `operator`, whose `thetas` and
-    `weights` are the nodes and quadrature weights.  A basis holds
-    boundary data only; no mode is evaluated inside the domain.
+    storage; math indices are 1-based).  A basis stores only what its
+    kind defines.  Ball modes are the spherical harmonics of degree k,
+    known by mu and k alone.  For shells, `radial_profiles` maps storage
+    index -> (c1, c2) for the degree-0 modes c1 + c2 * g(r), with g the
+    second radial solution.  Star bases carry nodal traces and their
+    eigen-residuals on the grid of `operator`, whose `thetas` and
+    `weights` are the nodes and quadrature weights.  No trace is
+    evaluated anywhere else, and no mode inside the domain;
+    `torsion.flux_coefficients` reads each kind's data directly.
     """
 
     domain: Domain
@@ -140,73 +141,6 @@ class SteklovBasis:
         if self.kind == "annulus":
             return min(_annulus_pencil(d.dim, d.R, d.kappa * d.R, k)[0])
         return math.inf
-
-    # -- boundary work -------------------------------------------------------
-
-    def trace_matrix(self, thetas: np.ndarray | None = None) -> np.ndarray:
-        """Nodal trace values (N, M); analytic bases synthesize on demand (n=2).
-
-        A star basis has traces at its operator's nodes only: `thetas`
-        must be None or `operator.thetas` itself (ValueError otherwise).
-        """
-        if self.kind == "star":
-            if thetas is not None and thetas is not self.operator.thetas:
-                raise ValueError("star traces exist only at the operator's nodes")
-            return self.traces
-        if self.kind == "ball" and self.domain.dim == 2:
-            if thetas is None:
-                thetas = self.boundary_quadrature()[0]
-            return np.stack([geo.ball_trace_values(2, self.domain.R, i + 1, thetas)
-                             for i in range(self.count)])
-        raise ValueError("pointwise traces unavailable for this basis")
-
-    def boundary_quadrature(self):
-        if self.kind == "star":
-            return self.operator.thetas, self.operator.weights
-        if self.kind == "ball" and self.domain.dim == 2:
-            M = DEFAULT_BOUNDARY_NODES
-            t = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-            w = np.full(M, self.domain.R * 2.0 * np.pi / M)
-            return t, w
-        raise ValueError("no planar boundary grid for this basis")
-
-    def moments(self, g) -> np.ndarray:
-        """m_i = integral of phi_i * g over the boundary.
-
-        `g` may be a float (constant boundary data), a pair
-        (outer, inner) of constants for shells, an array of nodal values
-        on the basis grid, or a callable of theta (planar).
-        """
-        if isinstance(g, tuple) and self.kind == "annulus":
-            return self._annulus_moments(float(g[0]), float(g[1]))
-        if isinstance(g, (int, float)):
-            if self.kind == "annulus":
-                return self._annulus_moments(float(g), float(g))
-            m = np.zeros(self.count)
-            m[0] = float(g) * math.sqrt(geo.surface_area(self.domain))
-            return m
-        if callable(g):
-            t, w = self.boundary_quadrature()
-            return self.trace_matrix(t) @ (np.asarray(g(t)) * w)
-        vals = np.asarray(g, dtype=float)
-        t, w = self.boundary_quadrature()
-        if vals.shape != t.shape:
-            raise ValueError("nodal data does not match the basis grid")
-        return self.trace_matrix(t) @ (vals * w)
-
-    def _annulus_moments(self, g_outer: float, g_inner: float) -> np.ndarray:
-        d = self.domain
-        s_out, s_in = geo.surface_components(d)
-        a = d.kappa * d.R
-        m = np.zeros(self.count)
-        for i in range(self.count):
-            if self.k[i] != 0:
-                continue   # spherical harmonics of degree >= 1 kill constants
-            c1, c2 = self.radial_profiles[i]
-            phi_out = c1 + c2 * _radial_g(d.dim, d.R)
-            phi_in = c1 + c2 * _radial_g(d.dim, a)
-            m[i] = phi_out * g_outer * s_out + phi_in * g_inner * s_in
-        return m
 
 
 # ---------------------------------------------------------------------------

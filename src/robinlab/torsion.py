@@ -9,6 +9,7 @@ near-boundary layer potential).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,22 +122,36 @@ def solve_torsion(d: Domain, M: int | None = None, *,
 
 
 def flux_coefficients(ts: TorsionSolution, basis: SteklovBasis) -> np.ndarray:
-    """a_i = boundary inner product of phi_i with d_nu s.
+    """a_i = oint phi_i d_nu s dS, by one rule per basis kind.
 
-    Constant flux per boundary piece (a float, or an (outer, inner) pair)
-    makes balls and shells exact; star domains integrate nodal flux
-    against the basis traces, so the torsion must be solved at the
-    basis's node count (ValueError otherwise; `series_pack` solves it on
-    `basis.operator`).
+    A ball's flux is one constant, which only the constant mode
+    |dOmega|^{-1/2} carries.  A shell's is one constant per sphere,
+    which only its degree-0 modes carry: each profile (c1, c2) is read
+    at R and kappa R against the (outer, inner) flux.  A star integrates
+    its nodal flux against the basis traces node by node, so the torsion
+    must be solved at the basis's node count (`series_pack` solves it on
+    `basis.operator`).  A basis of another kind than the torsion's
+    domain, or at another node count, raises ValueError.
     """
-    if ts.domain.kind != "star2d":
-        return basis.moments(ts.flux)
-    if basis.kind != "star":
-        raise ValueError("star torsion needs a star basis")
-    if basis.operator.M != ts.operator.M:
-        raise ValueError(f"torsion solved at {ts.operator.M} nodes, basis at "
-                         f"{basis.operator.M}: solve the torsion on the basis's operator")
-    return basis.moments(ts.flux)
+    d, kind = basis.domain, {"star2d": "star"}.get(ts.domain.kind, ts.domain.kind)
+    if basis.kind != kind:
+        raise ValueError(f"a {ts.domain.kind} torsion needs a {kind} basis, "
+                         f"got a {basis.kind} basis")
+    if kind == "star":
+        if basis.operator.M != ts.operator.M:
+            raise ValueError(f"torsion solved at {ts.operator.M} nodes, basis at "
+                             f"{basis.operator.M}: solve the torsion on the basis's operator")
+        return basis.traces @ (ts.flux * basis.operator.weights)
+    a = np.zeros(basis.count)
+    if kind == "ball":
+        a[0] = ts.flux * math.sqrt(geo.surface_area(d))
+        return a
+    s_out, s_in = geo.surface_components(d)
+    for i, (c1, c2) in basis.radial_profiles.items():
+        phi_out = c1 + c2 * _radial_g(d.dim, d.R)
+        phi_in = c1 + c2 * _radial_g(d.dim, d.kappa * d.R)
+        a[i] = phi_out * ts.flux[0] * s_out + phi_in * ts.flux[1] * s_in
+    return a
 
 
 def gauss_identity_residual(ts: TorsionSolution) -> float:

@@ -98,9 +98,8 @@ def test_c03_disc_spectrum_numeric(capsys):
         expected = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7],
                             dtype=float)
         assert np.abs(b.mu - expected).max() < 1e-6
-        t, w = b.boundary_quadrature()
-        T = b.trace_matrix(t)
-        gram = (T * w) @ T.T
+        T = b.traces
+        gram = (T * b.operator.weights) @ T.T
         assert np.abs(gram - np.eye(15)).max() < 1e-8
 
 

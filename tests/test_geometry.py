@@ -11,7 +11,6 @@ from robinlab import (
     TrigPoly,
     ball_mode_degrees,
     ball_mode_multiplicity,
-    ball_trace_values,
     boundary_grid,
     domain_from_dict,
     domain_to_dict,
@@ -143,25 +142,11 @@ class TestTraceBasis:
         assert list(ball_mode_degrees(2, 6)) == [0, 1, 1, 2, 2, 3]
         assert list(ball_mode_degrees(3, 5)) == [0, 1, 1, 1, 2]
 
-    def test_orthonormal_under_boundary_weights(self, disc):
-        g = boundary_grid(disc, 128)
-        F = np.stack([ball_trace_values(2, 1.0, i + 1, g.thetas)
-                      for i in range(9)])
-        gram = (F * g.weights) @ F.T
-        assert np.allclose(gram, np.eye(9), atol=1e-12)
-
 
 class TestPerturbations:
     def test_from_modes_slots(self):
         p = PerturbationField.from_modes(2, {2: 1.0})
         assert p.b_array[3] == 1.0
-
-    def test_vdotnu_matches_trace_sum(self, disc):
-        p = PerturbationField((0.0, 0.7, 0.0, -0.2))
-        t = np.linspace(0, TAU, 33)
-        expect = 0.7 * ball_trace_values(2, 1.0, 2, t) \
-            - 0.2 * ball_trace_values(2, 1.0, 4, t)
-        assert np.allclose(p.vdotnu(2, 1.0, t), expect, atol=1e-14)
 
 
 class TestSerialization:

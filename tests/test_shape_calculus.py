@@ -188,8 +188,8 @@ class TestFirstVariation:
         assert got == pytest.approx(math.pi, rel=1e-12)
 
     def test_volume_preserving_speed_is_critical(self, disc):
-        assert first_variation_general(disc, 0.7, mode(3)) == pytest.approx(
-            0.0, abs=1e-14)
+        vn = NormalSpeedFamily.from_perturbation(mode(3), 1.0).vdotnu
+        assert first_variation_general(disc, 0.7, vn) == pytest.approx(0.0, abs=1e-14)
 
     def test_star_dilation_matches_energy_derivative(self, ellipse):
         # dilation speed x.nu = rho^2 / sqrt(rho^2 + rho'^2)

@@ -43,13 +43,6 @@ class TestBallSpectrum:
         counts = [int(np.sum(b.k == k)) for k in range(4)]
         assert counts == [1, 3, 5, 7]
 
-    def test_disc_traces_orthonormal(self):
-        b = spectrum_ball(2, 1.5, k_max=4)
-        t, w = b.boundary_quadrature()
-        T = b.trace_matrix(t)
-        gram = (T * w) @ T.T
-        assert np.allclose(gram, np.eye(b.count), atol=1e-12)
-
     def test_tol_res_scaling(self):
         assert tol_res(0.5) == pytest.approx(1e-9)
         assert tol_res(-40.0) == pytest.approx(4e-8)
@@ -109,18 +102,6 @@ class TestAnnulusSpectrum:
         assert mu == pytest.approx((1 + 1 / kap) / math.log(1 / kap))
         b = spectrum_annulus(2, 1.0, kap, k_max=3)
         assert np.min(np.abs(b.mu - mu)) < 1e-10
-
-    def test_constant_moments(self, shell):
-        # fluxes (-5/24, -1/3) of the shell torsion function give the
-        # hand-derived squared moments 49 pi / 180 and pi / 80
-        b = spectrum_annulus(3, 1.0, 0.5, k_max=2)
-        m = b.moments((-5.0 / 24.0, -1.0 / 3.0))
-        i0 = b.parity.index("const")
-        ir = b.parity.index("radial")
-        assert m[i0] ** 2 == pytest.approx(49.0 * math.pi / 180.0, rel=1e-12)
-        assert m[ir] ** 2 == pytest.approx(math.pi / 80.0, rel=1e-12)
-        others = [i for i in range(b.count) if i not in (i0, ir)]
-        assert np.allclose(m[others], 0.0)
 
 
     def test_high_degree_pencil_finite(self, shell):
@@ -188,9 +169,8 @@ class TestStarSpectrum:
         assert b.mu[0] == pytest.approx(0.0, abs=1e-9)
         assert np.all(np.diff(b.mu) > -1e-12)
         assert float(b.residuals.max()) < 1e-6
-        t, w = b.boundary_quadrature()
-        T = b.trace_matrix(t)
-        gram = (T * w) @ T.T
+        T = b.traces
+        gram = (T * b.operator.weights) @ T.T
         assert np.abs(gram - np.eye(16)).max() < 1e-11
 
     def test_node_guard(self, three_mode):
