@@ -4,10 +4,12 @@ Every subcommand writes one table (CSV by default, `--json` for the
 same rows as JSON) with 17-significant-digit floats, so identical
 configurations reproduce byte-identical output whatever the BLAS thread
 settings: every command runs serially and `main` pins BLAS to one
-thread.  Alpha grids skip values that fall within the resonance
-tolerance of a detected energy pole; each exclusion is logged to
-stderr.  Exit codes: 0 success, 2 invalid configuration, 3 solver
-failure.
+thread.  `energy` and `split` skip the alphas of their grid that fall
+within the resonance tolerance of an energy pole, logging each
+exclusion to stderr (a grid with every alpha excluded prints the header
+only).  The commands that solve one alpha at a time (`first-variation`,
+`oracle-verify`) exit 3 at such an alpha with "no Robin solution".
+Exit codes: 0 success, 2 invalid configuration, 3 solver failure.
 """
 from __future__ import annotations
 
@@ -223,18 +225,24 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_energy(args) -> int:
-    d = _domain_from_args(args)
-    alphas = _alphas_from_args(args)
-    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+def _off_poles(pack, alphas: np.ndarray) -> np.ndarray:
+    """The alphas of a grid that no pole of `pack` resonates with; each other one is logged."""
     # every pole carries flux, so the rule excludes each alpha it resonates with
     near = sk._resonance(np.array(pack.poles), alphas, True)[0]
     excluded = near.any(axis=1)
     for i in np.flatnonzero(excluded):
         pole = pack.poles[int(np.argmax(near[i]))]
         _log(f"excluded alpha={alphas[i]:.17g}: within tolerance of pole {pole:.17g}")
+    return alphas[~excluded]
+
+
+def _cmd_energy(args) -> int:
+    d = _domain_from_args(args)
+    alphas = _alphas_from_args(args)
+    pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
+    alphas = _off_poles(pack, alphas)
     _log(f"poles: {{{', '.join(f'{p:.12g}' for p in pack.poles)}}}")
-    rows = energy.energy_series_grid(pack, alphas[~excluded])
+    rows = energy.energy_series_grid(pack, alphas)
     _emit(args, energy.ENERGY_COLUMNS, rows)
     return 0
 
@@ -243,13 +251,14 @@ def _cmd_split(args) -> int:
     d = _domain_from_args(args)
     alphas = _alphas_from_args(args)
     pack = energy.series_pack(d, n_modes=args.n_modes, M=args.nodes)
-    a, _, E_plus, E_minus, *_ = zip(*energy.energy_series_grid(pack, alphas))
+    alphas = _off_poles(pack, alphas)
+    series = energy.energy_series_grid(pack, alphas)
     e_plus, em_bound = energy.split_variational_grid(pack, alphas)
-    em = np.array(E_minus)
+    em = np.array([E_minus for _, _, _, E_minus, *_ in series])
     # the trial bound only applies below mu_2; NaN means not applicable
     ok = np.isnan(em_bound) | (em <= em_bound + 1e-9 * np.maximum(1.0, np.abs(em)))
-    rows = list(zip(a, E_plus, E_minus, e_plus.tolist(), em_bound.tolist(),
-                    ok.tolist()))
+    rows = [(a, E_plus, E_minus, *extra) for (a, _, E_plus, E_minus, *_), *extra
+            in zip(series, e_plus.tolist(), em_bound.tolist(), ok.tolist())]
     _emit(args, ("alpha", "E_plus", "E_minus", "E_plus_series",
                  "E_minus_bound", "bound_ok"), rows)
     return 0
@@ -285,9 +294,9 @@ def _cmd_first_variation(args) -> int:
         vn = TrigPoly(args.vn_const, tuple(cos), tuple(sin))
     else:
         vn = args.vn_const
-    rows = [(a, sc.first_variation_general(d, a, vn, M=args.nodes))
-            for a in _alphas_from_args(args)]
-    _emit(args, ("alpha", "E_dot"), rows)
+    alphas = _alphas_from_args(args)
+    _emit(args, ("alpha", "E_dot"),
+          zip(alphas, sc.first_variation_general(d, alphas, vn, M=args.nodes)))
     return 0
 
 
@@ -381,6 +390,8 @@ def _cmd_oracle_verify(args) -> int:
     for a in map(float, _alphas_from_args(args)):
         # one-row grids keep energy_series' per-alpha error order
         row, = energy.energy_series_grid(pack, [a])
+        if row[energy.ENERGY_COLUMNS.index("status")] == sk.STATUS_NO_SOLUTION:
+            raise SolverError(f"no Robin solution at alpha={a}")
         E_series = row[energy.ENERGY_COLUMNS.index("E_total")]
         fs = oracle.fem_robin_energy(fem, a)
         diff = abs(E_series - fs.energy)

@@ -50,30 +50,43 @@ __all__ = [
 # first variation
 
 
-def first_variation_general(d: Domain, alpha: float, vn,
-                            M: int | None = None) -> float:
+def first_variation_general(d: Domain, alpha, vn, M: int | None = None):
     """Hadamard derivative of E under normal speed vn.
 
     Edot = oint vn [ |grad u|^2 - 2u - 2 alpha^2 u^2 - alpha(n-1) u^2 H ] dS
     with H the mean curvature (1/R on a sphere).  `vn` is a callable of
     theta or a constant (balls and star domains; shells are excluded
     since their perturbations move two boundaries); a planar ball field
-    p enters as `NormalSpeedFamily.from_perturbation(p, R).vdotnu`.  A star solves at M nodes, or at the certified count
-    when M is None; a ball integrates a callable speed at M nodes
-    (DEFAULT_BOUNDARY_NODES when None).  A NoSolution alpha raises
-    SolverError.
+    p enters as `NormalSpeedFamily.from_perturbation(p, R).vdotnu`.
+
+    `alpha` is a number, giving one float, or a sequence of numbers,
+    giving a list in the same order.  The alphas are solved in order,
+    and the first that fails raises: a NoSolution alpha raises
+    SolverError before any operator is built for it.  A star solves
+    every alpha on one layer operator, built by its first solve at M
+    nodes, or at the certified count when M is None, so a list gives
+    exactly the values of the scalar calls.  A ball integrates a
+    callable speed at M nodes (DEFAULT_BOUNDARY_NODES when None).
     """
-    n = d.dim
     if d.kind == "annulus":
         raise ValueError("first variation on shells is not supported")
-    sol = energy._solve_or_raise(d, alpha, M, None)
+    values, op = [], None
+    for a in [alpha] if np.ndim(alpha) == 0 else alpha:
+        sol = energy._solve_or_raise(d, a, M, op)
+        op = sol.operator
+        values.append(_edot(sol, vn, M))
+    return values[0] if np.ndim(alpha) == 0 else values
+
+
+def _edot(sol, vn, M: int | None) -> float:
+    """The first variation at the direct solve `sol` of a ball or star."""
+    d, alpha, n = sol.domain, sol.alpha, sol.domain.dim
     if d.kind == "ball":
         R = d.R
         u_b = -R / (alpha * n)
         density = (alpha * u_b) ** 2 - 2 * u_b - 2 * alpha ** 2 * u_b ** 2 \
             - alpha * (n - 1) * u_b ** 2 / R
-        total_vn = _integrated_vn(d, vn, M)
-        return density * total_vn
+        return density * _integrated_vn(d, vn, M)
     op = sol.operator
     u_b = sol.boundary_values
     du_t = _tangential_derivative(u_b, op.speed)
@@ -81,8 +94,7 @@ def first_variation_general(d: Domain, alpha: float, vn,
     H = op.curvature
     integrand = grad_sq - 2 * u_b - 2 * alpha ** 2 * u_b ** 2 \
         - alpha * (n - 1) * u_b ** 2 * H
-    vals = _nodal_vn(vn, op.thetas)
-    return float(np.sum(integrand * vals * op.weights))
+    return float(np.sum(integrand * _nodal_vn(vn, op.thetas) * op.weights))
 
 
 def _tangential_derivative(nodal: np.ndarray, speed: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 from robinlab import (Domain, TrigPoly, domain_to_dict, ellipse_domain,
                       spectrum_annulus, spectrum_ball, spectrum_star2d)
+from robinlab import oracle
 from robinlab.cli import _emit, build_parser, main
 
 
@@ -137,6 +138,25 @@ class TestSplitAndAlpha0:
             assert row[5] == ("true" if ok else "false")
         assert {r[4] == "nan" for r in rows} == {True, False}
 
+    @pytest.mark.parametrize("argv, rows, excluded", [
+        (("--alpha-grid=-1:3:17",), 16, ["0"]),
+        (("--domain", "annulus", "--dim", "3", "--kappa", "0.5",
+          "--alpha-grid=-2:8:21"), 19, ["0", "5"]),
+        (("--alpha", "0"), 0, ["0"]),
+    ])
+    def test_split_skips_poles(self, capsys, argv, rows, excluded):
+        # the energy grid's exclusion rule: no NoSolution row is printed
+        code, out, err = run(capsys, "split", *argv)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0].startswith("alpha,E_plus,") and len(lines) == 1 + rows
+        assert not any(ln.split(",")[0] in excluded for ln in lines[1:])
+        assert re.findall(r"excluded alpha=(\S+):", err) == excluded
+
+    def test_split_with_every_alpha_excluded_as_json(self, capsys):
+        code, out, _ = run(capsys, "split", "--alpha", "0", "--json")
+        assert code == 0 and json.loads(out)["rows"] == []
+
     def test_alpha0_ellipse_threshold_column(self, capsys, tmp_path):
         path = tmp_path / "dom.json"
         path.write_text(json.dumps(domain_to_dict(ellipse_domain())))
@@ -258,6 +278,22 @@ class TestChecks:
         assert code == 0
         row = dict(zip(*[ln.split(",") for ln in out.strip().split("\n")]))
         assert row["consistent"] == "true"
+
+    @pytest.mark.parametrize("argv, solved", [
+        (("--domain", "star", "--rho-cos", "0,0.1", "--alpha", "0.3",
+          "--alpha", "1.9848417447"), [0.3]),
+        (("--alpha", "0"), []),
+    ])
+    def test_oracle_verify_at_a_pole_exit3(self, capsys, monkeypatch, argv, solved):
+        # the pole alpha fails before its element solve, as the direct routes do
+        fem_alphas = []
+        fem_energy = oracle.fem_robin_energy
+        monkeypatch.setattr(oracle, "fem_robin_energy",
+                            lambda fem, a: fem_alphas.append(a) or fem_energy(fem, a))
+        code, out, err = run(capsys, "oracle-verify", *argv, "--h-max", "0.2")
+        assert code == 3 and out == ""
+        assert f"solver failure: no Robin solution at alpha={argv[-1]}" in err
+        assert fem_alphas == solved
 
     def test_corpus_verdicts(self, capsys):
         code, out, _ = run(capsys, "corpus", "--count", "2", "--seed", "5",

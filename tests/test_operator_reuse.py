@@ -5,12 +5,15 @@ import pytest
 
 import robinlab.robin_energy as energy_module
 from robinlab import (
+    Domain,
+    SolverError,
     StarLayerOperator,
     TrigPoly,
     energy_direct,
     energy_series,
     fem_robin_energy,
     finite_difference_check,
+    first_variation_general,
     oracle,
     solve_torsion,
     spectrum_star2d,
@@ -113,6 +116,15 @@ class TestBuildCounts:
         assert code == 0
         assert builds == [M]
 
+    @pytest.mark.parametrize("nodes, built", [([], START_NODES), (["--nodes", str(M)], M)])
+    def test_first_variation_one_per_domain(self, builds, capsys, nodes, built):
+        code = main(["first-variation", "--domain", "star", "--rho-cos", "0,0.05,-0.03,0.02",
+                     "--rho-sin", "0,0.02,0.01", "--alpha-grid=-1:0.9:9", "--vn-const", "1"]
+                    + nodes)
+        out = capsys.readouterr().out
+        assert code == 0 and len(out.splitlines()) == 10
+        assert builds == [built]         # one operator for all nine alphas
+
     def test_torsion_error_builds_on_read(self, builds, three_mode):
         ts = solve_torsion(three_mode, M)
         assert builds == [M]
@@ -179,6 +191,23 @@ class TestSameNumbers:
     def test_scalar_alpha_returns_one_report(self, family):
         rep = finite_difference_check(family, 0.5, T_GRID, route="direct", M=M)
         assert rep.route == "direct" and rep.energies.shape == (len(T_GRID),)
+
+    @pytest.mark.parametrize("domain", ["three_mode", "disc"])
+    def test_first_variation_list_equals_scalar_calls(self, request, domain):
+        d = request.getfixturevalue(domain)
+        vn = TrigPoly(0.0, (0.0, 0.3), (0.0, 0.0, -0.2))
+        values = first_variation_general(d, ALPHAS, vn)
+        assert values == [first_variation_general(d, a, vn) for a in ALPHAS]
+
+    @pytest.mark.parametrize("alphas, message", [
+        ([0.0, 0.5], "no Robin solution at alpha=0.0"),
+        ([0.5, 0.0], "not resolved"),
+    ])
+    def test_first_variation_fails_at_the_first_bad_alpha(self, alphas, message):
+        # an unresolved star: alpha 0 fails on its status, before any build
+        d = Domain.star2d(TrigPoly(1.0, (0.0, 0.99)))
+        with pytest.raises(SolverError, match=message):
+            first_variation_general(d, alphas, 1.0)
 
     def test_torsion_on_given_operator(self, three_mode):
         op = spectrum_star2d(three_mode, n_modes=N_MODES, M=M).operator

@@ -108,6 +108,15 @@ class TestFluxIdentities:
         with pytest.raises(ValueError, match="192 nodes.*256"):
             flux_coefficients(solve_torsion(three_mode, M=192), b)
 
+    @pytest.mark.parametrize("d, basis", [
+        (Domain.ball(2, 1.0), lambda: spectrum_star2d(Domain.ball(2, 1.0), n_modes=8)),
+        (Domain.annulus(3, 1.0, 0.5), lambda: spectrum_ball(3, 1.0)),
+    ], ids=["disc-star-basis", "shell-ball-basis"])
+    def test_basis_of_another_kind_rejected(self, d, basis):
+        # one flux rule per basis kind: a disc is not read as a star here
+        with pytest.raises(ValueError, match="needs a .* basis"):
+            flux_coefficients(solve_torsion(d), basis())
+
     def test_star_basis_required(self, three_mode):
         ts = solve_torsion(three_mode, M=128)
         with pytest.raises(ValueError):
