@@ -257,7 +257,7 @@ def _cmd_split(args) -> int:
     em = np.array([E_minus for _, _, _, E_minus, *_ in series])
     # the trial bound only applies below mu_2; NaN means not applicable
     ok = np.isnan(em_bound) | (em <= em_bound + 1e-9 * np.maximum(1.0, np.abs(em)))
-    rows = [(a, E_plus, E_minus, *extra) for (a, _, E_plus, E_minus, *_), *extra
+    rows = [(a, E_plus, E_minus, ep, eb, k) for (a, _, E_plus, E_minus, *_), ep, eb, k
             in zip(series, e_plus.tolist(), em_bound.tolist(), ok.tolist())]
     _emit(args, ("alpha", "E_plus", "E_minus", "E_plus_series",
                  "E_minus_bound", "bound_ok"), rows)
