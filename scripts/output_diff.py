@@ -1,6 +1,6 @@
 """Compare the command-line output of two robinlab source trees.
 
-Usage: python3 scripts/output_diff.py --base DIR --head DIR [--strict]
+Usage: python3 scripts/output_diff.py --base DIR --head DIR [--strict] [--expect FILE]
 
 Each tree runs every command of `output_commands.txt` (next to this
 script) in one interpreter of its own, with OPENBLAS_NUM_THREADS=1 and
@@ -21,6 +21,19 @@ equal.
 The exit code is 1 when an exit code, a table's header or row count, or
 a text column differs, and with --strict on any difference at all; else
 0.  The report is a short Markdown summary followed by one line of JSON.
+
+With --expect FILE those changes are checked against a list of intended
+ones instead.  A line of FILE is
+
+    COMMAND | CHANGE
+
+with COMMAND as written in `output_commands.txt` and CHANGE one of
+`exit A -> B`, `header`, `rows N -> M` or `column NAME` (a text
+column); `#` starts a comment.  An exit-code change stands for the whole
+command's output, and a table on one side only counts as a `header`
+change.  The run then fails on an observed change the file does not
+list, and on a listed change that did not occur or occurred otherwise
+(with --strict also on any difference at all).
 """
 from __future__ import annotations
 
@@ -30,6 +43,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -96,6 +110,41 @@ def read_commands(path: Path) -> tuple[list, dict]:
         else:
             raise SystemExit(f"{path}:{n}: unknown line kind {kind!r}")
     return commands, fixtures
+
+
+CHANGE = re.compile(r"(exit \S+ -> \S+|header|rows \d+ -> \d+|column \S+)")
+
+
+def read_expected(path: Path) -> dict:
+    """Intended changes by command (kind, args): {command: [change, ...]}."""
+    expected = {}
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        command, sep, change = (part.strip() for part in line.rpartition("|"))
+        kind, _, rest = command.partition(" ")
+        if not sep or kind not in ("robinlab", "script") or not CHANGE.fullmatch(change):
+            raise SystemExit(f"{path}:{n}: expected 'robinlab ARGS... | CHANGE' or 'script "
+                             f"PATH ARGS... | CHANGE', with CHANGE one of 'exit A -> B', "
+                             f"'header', 'rows N -> M', 'column NAME'")
+        expected.setdefault((kind, tuple(shlex.split(rest))), []).append(change)
+    return expected
+
+
+def unexpected(commands: list, records: list, expected: dict) -> list[str]:
+    """Observed changes the list does not hold, and listed ones that did not occur."""
+    known = {(kind, tuple(args)) for kind, args in commands}
+    problems = [f"listed command not in the command list: {' '.join((kind,) + args)}"
+                for kind, args in expected if (kind, args) not in known]
+    for (kind, args), rec in zip(commands, records):
+        want = expected.get((kind, tuple(args)), [])
+        seen = rec["changes"]
+        problems += [f"`{rec['command']}`: unlisted change {c!r}" for c in seen if c not in want]
+        problems += [f"`{rec['command']}`: listed change {c!r} did not occur"
+                     + (f" (observed {', '.join(map(repr, seen))})" if seen else "")
+                     for c in want if c not in seen]
+    return problems
 
 
 def start(tree: Path, commands: list, fixtures: dict, workdir: Path) -> subprocess.Popen:
@@ -199,6 +248,8 @@ def compare(cmd, base: dict, head: dict) -> dict:
            "bytes_equal": base["out"] == head["out"] and base["file"] == head["file"]}
     rec["identical"] = rec["exit_equal"] and rec["stderr_equal"] and rec["bytes_equal"]
     failures = [] if rec["exit_equal"] else ["exit code"]
+    # the same changes in the syntax of an --expect list
+    changes = [] if rec["exit_equal"] else [f"exit {base['code']} -> {head['code']}"]
     for part in ("out", "file"):
         if base[part] == head[part]:
             continue
@@ -206,14 +257,18 @@ def compare(cmd, base: dict, head: dict) -> dict:
         if tb is None or th is None:
             if (tb is None) != (th is None):
                 failures.append(f"{part}: a table on one side only")
+                changes.append("header")
             continue
         cmp = rec[part] = compare_tables(tb, th)
         if "problem" in cmp:
             failures.append(f"{part}: {cmp['problem']}")
+            changes.append(cmp["problem"] if cmp["problem"].startswith("rows") else "header")
         else:
             failures += [f"{part}: text column {c!r}" for c, v in cmp["columns"].items()
                          if v.get("differing")]
+            changes += [f"column {c}" for c, v in cmp["columns"].items() if v.get("differing")]
     rec["failures"] = failures
+    rec["changes"] = changes[:1] if not rec["exit_equal"] else sorted(set(changes))
     return rec
 
 
@@ -229,7 +284,8 @@ def moved_columns(records: list) -> list[dict]:
     return moved
 
 
-def report(records: list, strict: bool) -> int:
+def report(records: list, strict: bool, problems: list[str] | None = None) -> int:
+    """Print the report; `problems` are the --expect mismatches (None without --expect)."""
     differ = [(i, r) for i, r in enumerate(records, 1) if not r["identical"]]
     failing = [(i, r) for i, r in enumerate(records, 1) if r["failures"]]
     moved = moved_columns(records)
@@ -249,10 +305,19 @@ def report(records: list, strict: bool) -> int:
             print(f"| {m['index']} | `{m['column']}` | {m['max_rel']:.2e} ({m['rel_row']}) | "
                   f"{m['max_abs']:.2e} ({m['abs_row']}) |")
         print()
+    if problems is not None:
+        print(f"Expected changes: {len(problems)} mismatches.\n")
+        for p in problems:
+            print(f"- {p}")
+        if problems:
+            print()
     summary = {"commands": len(records), "identical": len(records) - len(differ),
                "failing": [i for i, _ in failing], "moved": moved, "records": records}
+    if problems is not None:
+        summary["expect_mismatches"] = problems
     print(json.dumps(summary, allow_nan=True))
-    return 1 if failing or (strict and differ) else 0
+    failed = failing if problems is None else problems
+    return 1 if failed or (strict and differ) else 0
 
 
 def main(argv=None) -> int:
@@ -261,14 +326,19 @@ def main(argv=None) -> int:
     ap.add_argument("--head", required=True, type=Path, help="root of the head tree")
     ap.add_argument("--strict", action="store_true",
                     help="fail on any difference, not only on exit codes, shapes and text")
+    ap.add_argument("--expect", type=Path,
+                    help="list of intended changes; fail on any other and on any missing")
     args = ap.parse_args(argv)
     commands, fixtures = read_commands(DEFAULT_COMMANDS)
+    expected = None if args.expect is None else read_expected(args.expect)
     with tempfile.TemporaryDirectory(prefix="output_diff_") as tmp:
         dirs = [Path(tmp) / "base", Path(tmp) / "head"]
         procs = [start(tree.resolve(), commands, fixtures, d)
                  for tree, d in zip((args.base, args.head), dirs)]
         base, head = [collect(p, d, len(commands)) for p, d in zip(procs, dirs)]
-    return report([compare(c, b, h) for c, b, h in zip(commands, base, head)], args.strict)
+    records = [compare(c, b, h) for c, b, h in zip(commands, base, head)]
+    problems = None if expected is None else unexpected(commands, records, expected)
+    return report(records, args.strict, problems)
 
 
 if __name__ == "__main__":

@@ -442,8 +442,8 @@ _OPTIONS = {
     "json": (False, dict(action="store_true",
                          help="emit the table as JSON instead of CSV")),
     "nodes": (None, dict(type=int, help="boundary nodes of star solves, exit 3 if unresolved; "
-                          "unset: 64 (series and spectrum: the first 64 * 2^k >= max(256, "
-                          "8 n_modes)), doubled until resolved, exit 3 past 2048")),
+                          "unset: 64 (series and spectrum: the first 64 * 2^k >= max(128, "
+                          "4 n_modes)), doubled until resolved, exit 3 past 2048")),
     "n_modes": (32, dict(type=int)),
     "alpha": (None, dict(type=float, action="append", help="repeatable single value")),
     "alpha_grid": (None, dict(help="start:stop:count")),

@@ -159,10 +159,8 @@ def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
     domains; the report carries both energies and the Weinstock chain
     mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  Pass
     `corollary_pack(d, n_modes, M)` as `pack` to reuse it across alphas.
-    The node count is the series pack's (`robin_energy.series_pack`):
-    without M it starts at the first rung of at least max(256,
-    8 n_modes) and doubles until the boundary is resolved, raising
-    SolverError past 2048 nodes; an explicit M is checked the same way.
+    The node count is the series pack's, which `layerpot.operator_for`
+    picks without M and checks when given (SolverError when unresolved).
     """
     if pack is None:
         pack = corollary_pack(d, n_modes, M)

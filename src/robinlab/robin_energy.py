@@ -154,10 +154,8 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int | None = None,
 
     Builds the default basis of d (n_modes, M) unless given, and solves
     the torsion of d on the basis's operator.  A star's node count is
-    the basis's, and `layerpot.operator_for` picks it (see
-    `spectrum_star2d`): without M, the first rung of at least
-    max(256, 8 n_modes), doubled until the boundary is resolved; an
-    explicit M, checked.  An unresolved boundary raises SolverError.
+    the basis's, and `layerpot.operator_for` picks it without M and
+    checks an explicit M.  An unresolved boundary raises SolverError.
     `flux_coefficients` runs here, once.  Pass the result to
     `energy_series_grid`, `split_variational_grid` or `pole_scan(pack=)`.
 
@@ -297,10 +295,8 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
     Parameters
     ----------
     d, alpha : domain and Robin parameter (alpha != 0 for solvability).
-    n_modes, M : star-domain basis size and node count.  Without M the
-        count starts at the first rung of at least max(256, 8 n_modes)
-        and doubles until the boundary is resolved; an explicit M is
-        checked (`series_pack`).
+    n_modes, M : star-domain basis size and node count, picked without M
+        and checked when given by `layerpot.operator_for`.
     basis : precomputed Steklov basis; the torsion is solved on
         `basis.operator`, which must be d's (at M nodes when M is given).
 
@@ -571,8 +567,7 @@ def pole_scan(d: Domain, *, n_modes: int = 32, M: int | None = None,
     """Eigenvalues that are true energy poles (nonzero flux component).
 
     Returns the poles of `pack`, or of `series_pack(d, n_modes=, M=)`,
-    whose star node count climbs from max(256, 8 n_modes) until the
-    boundary is resolved, or is an explicit M that resolves it; rounded
-    to 12 decimals.
+    whose star node count `layerpot.operator_for` picks or checks;
+    rounded to 12 decimals.
     """
     return (pack or series_pack(d, n_modes=n_modes, M=M)).poles

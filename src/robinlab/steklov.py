@@ -328,14 +328,12 @@ def spectrum_star2d(d: Domain, n_modes: int = 32, M: int | None = None) -> Stekl
     """Nystrom DtN spectrum of a planar star domain.
 
     A disc enters as the star of constant radius.  The single-layer DtN
-    matrix comes from `layerpot.operator_for(rho, M, n_modes=n_modes)`:
-    without M its node count starts at the first rung of at least
-    max(256, 8 n_modes) and doubles until the boundary is resolved
-    (SolverError past 2048 nodes, ValueError when n_modes > 256 puts the
-    first rung past them); an explicit M is checked the same way and
-    must be at least 8 n_modes (ValueError).  n_modes < 1 raises
-    ValueError.  Residuals report || d_nu phi - mu phi || in boundary
-    L^2 per mode.
+    matrix comes from `layerpot.operator_for(rho, M, n_modes=n_modes)`,
+    which states the node-count rule of a basis and checks the boundary
+    and the eigen-residuals (SolverError when a count does not resolve
+    them, ValueError when n_modes needs more nodes than M or the cap).
+    n_modes < 1 raises ValueError.  Residuals report
+    || d_nu phi - mu phi || in boundary L^2 per mode.
     """
     if d.kind != "star2d":
         d = Domain.star2d(geo._planar_rho(d))

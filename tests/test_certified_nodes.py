@@ -1,20 +1,23 @@
 """The certified node count of every star solve (`layerpot.operator_for`).
 
 Without M, a star's operator starts at START_NODES (a Steklov basis of
-n modes: at the first rung of at least max(DEFAULT_BOUNDARY_NODES, 8 n))
-and doubles until the torsion density's resolution indicator is at most
-RESOLVED_TOL.  An explicit M is one rung under the same check: when it
-resolves the boundary it is the fixed solve bit for bit, and when it
-does not the solve raises SolverError.  Tolerances were fixed before the
-first run: certified answers agree with 1024 nodes within 2^9 eps
-relative, the bound the metamorphic laws use.
+n modes: at the first rung of at least max(BASIS_NODES, NODES_PER_MODE n),
+128 up to 32 modes) and doubles until the torsion density's resolution
+indicator is at most RESOLVED_TOL and, for a basis, every eigen-residual
+has ||r_i||^2 <= RESIDUAL_TOL max(1, mu_i).  An explicit M is one rung
+under the same checks: when it resolves the boundary it is the fixed
+solve bit for bit, and when it does not the solve raises SolverError.
+Tolerances were fixed before the first run: certified answers agree with
+1024 nodes within 2^9 eps relative, the bound the metamorphic laws use,
+and certified 32-mode spectra within MU_TOL relative (max(1, mu)) of a
+1024-node basis, the worst case of the M/8 block at 256 nodes (9.1e-10
+over `random_star_domain` seeds 0-99) rounded up.
 """
 import numpy as np
 import pytest
 
 import robinlab.layerpot as lp
 from robinlab import (
-    DEFAULT_BOUNDARY_NODES,
     Domain,
     StarLayerOperator,
     TrigPoly,
@@ -33,6 +36,7 @@ from robinlab.cli import main
 EPS = np.finfo(float).eps
 TOL = 2 ** 9 * EPS
 REF_NODES = 1024
+MU_TOL = 1e-9
 ALPHAS = (-0.5, 0.7)
 VN = TrigPoly(0.0, (0.0, 0.3), (0.0, 0.0, -0.2))
 
@@ -130,20 +134,33 @@ def test_cli_explicit_nodes_is_the_fixed_solve(capsys):
     assert abs(float(certified[0]) - float(row[0])) <= 1e-9 * float(row[0])
 
 
-@pytest.mark.parametrize("argv", [
+SERIES_COMMANDS = [
     ("energy", "--alpha", "0.5", "--alpha", "-1"),
     ("split", "--alpha", "0.5"),
     ("spectrum", "--n-modes", "8"),
     ("second-variation", "--domain", "ball", "--alpha", "0.5", "--modes", "k2=1",
      "--fd-check"),
-])
-def test_series_commands_read_unset_as_256(capsys, argv):
+]
+
+
+def read_unset_as(capsys, argv, nodes):
     star = ("--domain", "star", "--rho-cos", "0,0.1,0.05")
-    argv = argv if argv[0] == "second-variation" else argv + star
-    assert main(list(argv)) == 0
+    argv = list(argv if argv[0] == "second-variation" else argv + star)
+    assert main(argv) == 0
     unset = capsys.readouterr()
-    assert main(list(argv) + ["--nodes", "256"]) == 0
+    assert main(argv + ["--nodes", str(nodes)]) == 0
     assert capsys.readouterr() == unset
+
+
+@pytest.mark.parametrize("argv", SERIES_COMMANDS)
+def test_series_commands_read_unset_as_256(capsys, argv):
+    # 64 modes: the basis floor is 4 * 64 nodes
+    read_unset_as(capsys, argv + ("--n-modes", "64"), 256)
+
+
+@pytest.mark.parametrize("argv", SERIES_COMMANDS)
+def test_series_commands_read_unset_as_128(capsys, argv):
+    read_unset_as(capsys, argv, lp.BASIS_NODES)
 
 
 UNRESOLVED = ("--domain", "star", "--rho-cos", "0,0.99")
@@ -159,9 +176,13 @@ class TestBasisLadder:
     @pytest.mark.parametrize("n_modes, M", [(2, 256), (32, 256), (33, 512), (64, 512),
                                             (65, 1024)])
     def test_basis_floor(self, three_mode, n_modes, M):
-        assert DEFAULT_BOUNDARY_NODES == 256
+        # the basis lands at M/2 nodes, the first rung of at least
+        # max(128, 4 n_modes), and has the spectrum of a basis at M nodes
         op = lp.operator_for(three_mode.rho, n_modes=n_modes)
-        assert op.M == M and op.resolution <= lp.RESOLVED_TOL
+        assert op.M == M // 2 and op.resolution <= lp.RESOLVED_TOL
+        mu = op.steklov_eigensystem(n_modes)[0]
+        ref = StarLayerOperator(three_mode.rho, M).steklov_eigensystem(n_modes)[0]
+        assert np.all(np.abs(mu - ref) <= MU_TOL * np.maximum(1.0, ref))
 
     def test_basis_climbs_past_its_floor(self):
         # resolved at 512 nodes, not at 256: the spectrum doubles once
@@ -172,11 +193,11 @@ class TestBasisLadder:
 
     def test_first_rung_past_the_cap(self, three_mode):
         with pytest.raises(ValueError, match=f"past the cap of {lp.CAP_NODES}"):
-            lp.operator_for(three_mode.rho, n_modes=lp.CAP_NODES // 8 + 1)
+            lp.operator_for(three_mode.rho, n_modes=lp.CAP_NODES // lp.NODES_PER_MODE + 1)
 
     def test_pack_reads_the_basis_operator(self, three_mode, builds):
         pack = series_pack(three_mode, n_modes=40)
-        assert builds == [512] and pack.M == 512
+        assert builds == [256] and pack.M == 256
 
     def test_given_basis_at_another_count(self, three_mode):
         basis = spectrum_star2d(three_mode, n_modes=8, M=128)
@@ -220,8 +241,10 @@ class TestSpectrumCommand:
         assert f"not resolved at the cap of {lp.CAP_NODES} nodes" in err and "--nodes" in err
 
     def test_40_modes_climb_to_512(self, capsys):
-        star = ("spectrum", "--domain", "star", "--rho-cos", "0,0.1", "--n-modes", "40")
-        assert spectrum_star2d(Domain.star2d(TrigPoly(1.0, (0.0, 0.1), ())),
+        # the floor of 40 modes is 256 nodes, which do not resolve this boundary
+        star = ("spectrum", "--domain", "star", "--rho-cos", "0,0,0,0,0,0,0,0.1",
+                "--n-modes", "40")
+        assert spectrum_star2d(Domain.star2d(TrigPoly(1.0, (0.0,) * 7 + (0.1,), ())),
                                n_modes=40).operator.M == 512
         unset = run(capsys, star)
         assert unset[0] == 0 and len(unset[1].splitlines()) == 41
@@ -229,6 +252,59 @@ class TestSpectrumCommand:
 
     def test_first_rung_past_the_cap_exits_2(self, capsys):
         code, out, err = run(capsys, ("spectrum", "--domain", "star", "--rho-cos", "0,0.1",
-                                      "--n-modes", "257"))
+                                      "--n-modes", "513"))
         assert code == 2 and out == ""
         assert "--n-modes" in err and f"cap of {lp.CAP_NODES}" in err
+
+    def test_rough_star_resolves_its_basis(self, capsys):
+        # the torsion ladder climbs to 256 nodes, where the block has degree 64
+        rough = TrigPoly(1.0, (0.0, 0.3, 0.2), (0.0, 0.1))
+        code, out, _ = run(capsys, ("spectrum", "--domain", "star", "--rho-cos", "0,0.3,0.2",
+                                    "--rho-sin", "0,0.1", "--n-modes", "32"))
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 32
+        assert max(float(r[4]) for r in rows) <= 1e-6
+        mu_ref = StarLayerOperator(rough, 2048).steklov_eigensystem(32)[0]
+        assert abs(float(rows[-1][3]) - mu_ref[-1]) <= MU_TOL * mu_ref[-1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_basis_agrees_with_1024_nodes(seed):
+    rho = random_star_domain(np.random.default_rng(seed)).rho
+    mu = spectrum_star2d(Domain.star2d(rho), n_modes=32).mu
+    mu_ref = StarLayerOperator(rho, REF_NODES).steklov_eigensystem(32)[0]
+    assert np.all(np.abs(mu - mu_ref) <= MU_TOL * np.maximum(1.0, np.abs(mu_ref)))
+
+
+class TestResidualGate:
+    """A basis rung also needs ||r_i||^2 <= RESIDUAL_TOL max(1, mu_i) on its modes."""
+
+    # resolved torsion (indicator 2.2e-8 at 64 nodes), unresolved 16-mode basis (2.8e-7)
+    STAR = ("--domain", "star", "--rho-cos", "0,0.1,0.05", "--rho-sin", "0,0.02")
+
+    def test_explicit_nodes_exit_3(self, capsys):
+        code, out, err = run(capsys, ("spectrum", "--n-modes", "16", "--nodes", "64") + self.STAR)
+        assert code == 3 and out == ""
+        assert "solver failure: the 16-mode Steklov basis is not resolved at 64 nodes" in err
+        assert "raise --nodes or leave it unset" in err
+
+    def test_library_raises(self):
+        d = Domain.star2d(TrigPoly(1.0, (0.0, 0.1, 0.05), (0.0, 0.02)))
+        assert StarLayerOperator(d.rho, 64).resolution <= lp.RESOLVED_TOL
+        with pytest.raises(SolverError, match="basis is not resolved at 64 nodes"):
+            spectrum_star2d(d, n_modes=16, M=64)
+        assert spectrum_star2d(d, n_modes=16, M=128).operator.M == 128
+
+    def test_ladder_climbs_past_a_failing_rung(self, three_mode, builds, monkeypatch):
+        # the ratio reads 2.5e-9 at 128 nodes and 1.4e-26 at 256
+        monkeypatch.setattr(lp, "RESIDUAL_TOL", 1e-12)
+        basis = spectrum_star2d(three_mode, n_modes=32)
+        assert builds == [128, 256] and basis.operator.M == 256
+
+    def test_past_the_cap_exits_3(self, capsys, builds, monkeypatch):
+        monkeypatch.setattr(lp, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(lp, "CAP_NODES", 256)
+        code, out, err = run(capsys, ("spectrum", "--n-modes", "8") + self.STAR)
+        assert code == 3 and out == "" and builds == [128, 256]
+        assert "the 8-mode Steklov basis is not resolved at the cap of 256 nodes" in err
+        assert "set a larger count with --nodes" in err

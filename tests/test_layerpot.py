@@ -42,7 +42,7 @@ def per_mode_eigensystem(op, n_modes):
     """
     D = sla.lu_solve(op._V_lu, op.A.T, trans=1).T
     w_s = op._c.weights
-    m = op.M // 8
+    m = op.M // 4
     F = np.empty((op.M, 2 * m + 1))
     F[:, 0] = 1.0
     for k in range(1, m + 1):
@@ -75,7 +75,7 @@ DOMAINS.update({f"star{s}": random_star_domain(np.random.default_rng(s))
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_eigensystem_matches_per_mode_path(name, M):
     op = StarLayerOperator(DOMAINS[name].rho, M)
-    n = M // 8
+    n = M // 4
     mu, traces, resid = op.steklov_eigensystem(n)
     mu_ref, resid_ref = per_mode_eigensystem(op, n)
     assert np.all(np.abs(mu - mu_ref) <= 1e-12 * np.maximum(np.abs(mu_ref), 1.0))

@@ -56,3 +56,89 @@ def test_command_list_parses():
     commands, fixtures = od.read_commands(od.DEFAULT_COMMANDS)
     assert len(commands) >= 100 and "ellipse.json" in fixtures
     assert {kind for kind, _ in commands} == {"robinlab", "script"}
+
+
+SPECTRUM = ("robinlab", ["spectrum", "--n-modes", "257"])
+LINE = "robinlab spectrum --n-modes 257"
+
+
+def expect(tmp_path, text):
+    path = tmp_path / "expected.txt"
+    path.write_text(text)
+    return od.read_expected(path)
+
+
+def mismatches(tmp_path, text, base, head):
+    rec = od.compare(SPECTRUM, base, head)
+    return od.unexpected([SPECTRUM], [rec], expect(tmp_path, text))
+
+
+@pytest.mark.parametrize("base, head, change", [
+    (result("", code=2, err="bad"), result("a\n1\n"), "exit 2 -> 0"),
+    (result("a\n1\n"), result("a\n1\n2\n"), "rows 1 -> 2"),
+    (result("a\n1\n"), result("b\n1\n"), "header"),
+    (result("a\n1\n"), result("not a table\n"), "header"),
+    (result("a,ok\n1,true\n"), result("a,ok\n1,false\n"), "column ok"),
+])
+def test_listed_change_passes(tmp_path, base, head, change):
+    assert od.compare(SPECTRUM, base, head)["changes"] == [change]
+    assert mismatches(tmp_path, f"# intended\n{LINE} | {change}\n", base, head) == []
+
+
+def test_unlisted_change_fails(tmp_path, capsys):
+    base, head = result("a,ok\n1,true\n"), result("a,ok\n1,false\n2,true\n")
+    problems = mismatches(tmp_path, f"{LINE} | column ok\n", base, head)
+    assert problems == [f"`{LINE}`: unlisted change 'rows 1 -> 2'",
+                        f"`{LINE}`: listed change 'column ok' did not occur "
+                        "(observed 'rows 1 -> 2')"]
+    assert od.report([od.compare(SPECTRUM, base, head)], False, problems) == 1
+
+
+def test_listed_change_that_did_not_occur_fails(tmp_path, capsys):
+    same = result("a\n1\n")
+    problems = mismatches(tmp_path, f"{LINE} | exit 2 -> 0\n", same, same)
+    assert problems == [f"`{LINE}`: listed change 'exit 2 -> 0' did not occur"]
+    assert od.report([od.compare(SPECTRUM, same, same)], False, problems) == 1
+
+
+def test_change_that_occurred_otherwise_fails(tmp_path):
+    problems = mismatches(tmp_path, f"{LINE} | exit 2 -> 0\n",
+                          result("", code=2), result("", code=3))
+    assert problems == [f"`{LINE}`: unlisted change 'exit 2 -> 3'",
+                        f"`{LINE}`: listed change 'exit 2 -> 0' did not occur "
+                        "(observed 'exit 2 -> 3')"]
+
+
+def test_empty_list(tmp_path, capsys):
+    same, moved = result("a\n1\n"), result("a\n1.0000001\n")
+    assert mismatches(tmp_path, "", same, same) == []
+    # a numeric move is no listed kind of change, as without --expect
+    rec = od.compare(SPECTRUM, same, moved)
+    assert mismatches(tmp_path, "", same, moved) == [] and rec["changes"] == []
+    assert od.report([rec], False, []) == 0 and od.report([rec], True, []) == 1
+    assert mismatches(tmp_path, "", same, result("", code=3)) == \
+        [f"`{LINE}`: unlisted change 'exit 0 -> 3'"]
+
+
+def test_without_expect_a_listed_kind_still_fails(capsys):
+    rec = od.compare(SPECTRUM, result("", code=2), result("a\n1\n"))
+    assert od.report([rec], False) == 1
+
+
+@pytest.mark.parametrize("text", ["spectrum --n-modes 257 | exit 2 -> 0",
+                                  f"{LINE} exit 2 -> 0", f"{LINE} | rows a -> b",
+                                  f"{LINE} | stderr"])
+def test_bad_list_line(tmp_path, text):
+    with pytest.raises(SystemExit, match="expected.txt:1"):
+        expect(tmp_path, text)
+
+
+def test_listed_command_must_be_in_the_command_list(tmp_path):
+    problems = od.unexpected([], [], expect(tmp_path, f"{LINE} | header\n"))
+    assert problems == [f"listed command not in the command list: {LINE}"]
+
+
+def test_shipped_list_names_listed_commands():
+    commands, _ = od.read_commands(od.DEFAULT_COMMANDS)
+    expected = od.read_expected(od.DEFAULT_COMMANDS.with_name("output_expected.txt"))
+    assert set(expected) <= {(kind, tuple(args)) for kind, args in commands}

@@ -174,8 +174,8 @@ class TestStarSpectrum:
         assert np.abs(gram - np.eye(16)).max() < 1e-11
 
     def test_node_guard(self, three_mode):
-        with pytest.raises(ValueError):
-            spectrum_star2d(three_mode, n_modes=32, M=128)
+        with pytest.raises(ValueError, match="need >= 132"):
+            spectrum_star2d(three_mode, n_modes=33, M=128)
 
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_random_domain_spectrum(self, seed):
