@@ -3,9 +3,9 @@
 Usage: python3 scripts/output_diff.py --base DIR --head DIR [--strict] [--expect FILE]
 
 Each tree runs every command of `output_commands.txt` (next to this
-script) in one interpreter of its own, with OPENBLAS_NUM_THREADS=1 and
-ROBINLAB_THREADS=1, in a fresh working directory that holds the list's
-fixture files.  A list line is
+script) in one interpreter of its own, with OPENBLAS_NUM_THREADS=1, in
+a fresh working directory that holds the list's fixture files.  A list
+line is
 
     robinlab ARGS...      robinlab.cli.main(ARGS), as the console script runs it
     script PATH ARGS...   PATH (relative to the tree's root) run as __main__
@@ -18,9 +18,10 @@ and absolute change of a numeric column with the row where each occurs,
 and whether a text column (verdicts, statuses, booleans, labels) is
 equal.
 
-The exit code is 1 when an exit code, a table's header or row count, or
-a text column differs, and with --strict on any difference at all; else
-0.  The report is a short Markdown summary followed by one line of JSON.
+The exit code is 1 when an exit code, stderr (at equal exit codes), a
+table's header or row count, or a text column differs, and with --strict
+on any difference at all; else 0.  The report is a short Markdown
+summary followed by one line of JSON.
 
 With --expect FILE those changes are checked against a list of intended
 ones instead.  A line of FILE is
@@ -28,12 +29,12 @@ ones instead.  A line of FILE is
     COMMAND | CHANGE
 
 with COMMAND as written in `output_commands.txt` and CHANGE one of
-`exit A -> B`, `header`, `rows N -> M` or `column NAME` (a text
-column); `#` starts a comment.  An exit-code change stands for the whole
-command's output, and a table on one side only counts as a `header`
-change.  The run then fails on an observed change the file does not
-list, and on a listed change that did not occur or occurred otherwise
-(with --strict also on any difference at all).
+`exit A -> B`, `stderr`, `header`, `rows N -> M` or `column NAME` (a
+text column); `#` starts a comment.  An exit-code change stands for the
+whole command's output, and a table on one side only counts as a
+`header` change.  The run then fails on an observed change the file
+does not list, and on a listed change that did not occur or occurred
+otherwise (with --strict also on any difference at all).
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ def read_commands(path: Path) -> tuple[list, dict]:
     return commands, fixtures
 
 
-CHANGE = re.compile(r"(exit \S+ -> \S+|header|rows \d+ -> \d+|column \S+)")
+CHANGE = re.compile(r"(exit \S+ -> \S+|stderr|header|rows \d+ -> \d+|column \S+)")
 
 
 def read_expected(path: Path) -> dict:
@@ -127,7 +128,7 @@ def read_expected(path: Path) -> dict:
         if not sep or kind not in ("robinlab", "script") or not CHANGE.fullmatch(change):
             raise SystemExit(f"{path}:{n}: expected 'robinlab ARGS... | CHANGE' or 'script "
                              f"PATH ARGS... | CHANGE', with CHANGE one of 'exit A -> B', "
-                             f"'header', 'rows N -> M', 'column NAME'")
+                             f"'stderr', 'header', 'rows N -> M', 'column NAME'")
         expected.setdefault((kind, tuple(shlex.split(rest))), []).append(change)
     return expected
 
@@ -158,9 +159,7 @@ def start(tree: Path, commands: list, fixtures: dict, workdir: Path) -> subproce
         (workdir / name).write_text(text, encoding="utf-8")
     todo = workdir.with_suffix(".in")
     todo.write_text("".join(json.dumps(c) + "\n" for c in commands), encoding="utf-8")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", ROBINLAB_THREADS="1",
-               PYTHONPATH=str(tree / "src"))
-    env.pop("ROBINLAB_TRACE", None)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     with open(todo, encoding="utf-8") as stdin, \
             open(workdir.with_suffix(".jsonl"), "w", encoding="utf-8") as stdout:
         return subprocess.Popen([sys.executable, "-c", RUNNER, str(tree)], cwd=workdir,
@@ -250,6 +249,9 @@ def compare(cmd, base: dict, head: dict) -> dict:
     failures = [] if rec["exit_equal"] else ["exit code"]
     # the same changes in the syntax of an --expect list
     changes = [] if rec["exit_equal"] else [f"exit {base['code']} -> {head['code']}"]
+    if rec["exit_equal"] and not rec["stderr_equal"]:
+        failures.append("stderr")
+        changes.append("stderr")
     for part in ("out", "file"):
         if base[part] == head[part]:
             continue

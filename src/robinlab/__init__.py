@@ -57,7 +57,6 @@ from .shape_calculus import (
     j_variations,
     modal_coefficient,
     second_variation_ball,
-    solve_u_prime,
 )
 from .steklov import (
     STATUS_FAMILY,
@@ -94,7 +93,6 @@ __all__ = [
     "pole_scan", "series_pack", "solve_robin",
     "classify_sign", "finite_difference_check", "first_variation_general",
     "j_variations", "modal_coefficient", "second_variation_ball",
-    "solve_u_prime",
     "STATUS_FAMILY", "STATUS_NO_SOLUTION", "STATUS_UNIQUE",
     "annulus_radial_eigenvalue", "spectrum_annulus", "spectrum_ball",
     "spectrum_star2d", "tol_res",

@@ -76,22 +76,6 @@ def _rho_callable(d) -> tuple:
                          - np.asarray(d(t - 1e-6), float)) / 2e-6
 
 
-def _p1_gradients(x: np.ndarray):
-    """(det, b, c) of P1 triangles x (T, 3, 2): grad phi_j = (b_j, c_j), area det/2."""
-    v1 = x[:, 1] - x[:, 0]
-    v2 = x[:, 2] - x[:, 0]
-    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-    if np.any(det <= 0):
-        raise SolverError("mesh produced degenerate or flipped triangles")
-    bmat = np.stack([x[:, 1, 1] - x[:, 2, 1],
-                     x[:, 2, 1] - x[:, 0, 1],
-                     x[:, 0, 1] - x[:, 1, 1]], axis=1) / det[:, None]
-    cmat = np.stack([x[:, 2, 0] - x[:, 1, 0],
-                     x[:, 0, 0] - x[:, 2, 0],
-                     x[:, 1, 0] - x[:, 0, 0]], axis=1) / det[:, None]
-    return det, bmat, cmat
-
-
 def _edge_weights(p, q, r):
     """(area, w_qr, w_rp, w_pq) of triangles p, q, r given as (..., 2) arrays.
 
@@ -203,29 +187,6 @@ class _Mesh:
         outer[:, 3] = m00 + np.roll(m11, 1)
         outer[:, 4] = m01
         return Mb
-
-    def boundary_gradient_flux(self, u: np.ndarray, rho, drho):
-        """(normal derivative, curve speed) at boundary edge midpoints.
-
-        The derivative comes from raw P1 gradients: first-order accurate,
-        used only as an independent sanity residual.
-        """
-        n_t = self.n_t
-        lo = 1 + (self.n_r - 1) * n_t
-        jp = (np.arange(n_t) + 1) % n_t
-        tri = np.column_stack([lo - n_t + np.arange(n_t), lo + np.arange(n_t),
-                               lo + jp])
-        _, bmat, cmat = _p1_gradients(self.coords[tri])
-        uv = u[tri]
-        gx = (bmat * uv).sum(axis=1)
-        gy = (cmat * uv).sum(axis=1)
-        tm = self.thetas + np.pi / n_t
-        r = np.asarray(rho(tm), float)
-        rp = np.asarray(drho(tm), float)
-        q = np.sqrt(r * r + rp * rp)
-        nx = (r * np.cos(tm) + rp * np.sin(tm)) / q
-        ny = (r * np.sin(tm) - rp * np.cos(tm)) / q
-        return gx * nx + gy * ny, q
 
 
 # scipy's MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12(4), 1975)
@@ -393,22 +354,18 @@ def fem_dirichlet_T(d, h_max: float = 0.065, levels: int = 3) -> float:
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Robin solve on the finest mesh plus its refinement trail.
+    """Robin solve on the finest mesh with its extrapolated energy.
 
-    `energy` is the Richardson extrapolant of `levels`; `error` is the
-    last extrapolation jump.  `values` holds u at the finest mesh's
-    nodes, numbered as in `_Mesh`.  `boundary_residual` is the L2 boundary
-    norm of (normal derivative - alpha u) recomputed from raw interior
-    gradients, an O(h) indicator independent of the weak formulation.
-    `iterations` holds the MINRES iteration count of each level.
+    `energy` is the Richardson extrapolant of the levels' energies;
+    `error` is the last extrapolation jump.  `values` holds u at the
+    finest mesh's nodes, numbered as in `_Mesh`.  `iterations` holds the
+    MINRES iteration count of each level.
     """
 
     alpha: float
     energy: float
     error: float
-    levels: tuple[float, ...]
     values: np.ndarray
-    boundary_residual: float
     iterations: tuple[int, ...]
 
 
@@ -422,11 +379,11 @@ class FemRobin:
 
     def __init__(self, d, h_max: float = 0.065, levels: int = 3):
         _check_mesh_args(h_max, levels)
-        self._rho, self._drho = _rho_callable(d)
+        rho, drho = _rho_callable(d)
         self._levels = []
-        for mesh in _mesh_levels(self._rho, h_max, levels):
+        for mesh in _mesh_levels(rho, h_max, levels):
             K, f = mesh.assemble()
-            self._levels.append((mesh, K, mesh.boundary_mass(self._rho, self._drho), f))
+            self._levels.append((mesh, K, mesh.boundary_mass(rho, drho), f))
 
     def solve(self, alpha: float) -> FemSolution:
         """Robin energy E = -int u dx with exact-curve boundary mass.
@@ -448,12 +405,7 @@ class FemRobin:
                     f"Robin solution blowup at alpha={alpha}")
             vals.append(-float(f @ u))
         energy, err = _richardson(vals)
-        flux, q = mesh.boundary_gradient_flux(u, self._rho, self._drho)
-        ub = u[mesh.n_free:]
-        mid = 0.5 * (ub + np.roll(ub, -1))
-        w = q * (2.0 * np.pi / mesh.n_t)
-        bres = math.sqrt(float(((flux - alpha * mid) ** 2 * w).sum()))
-        return FemSolution(alpha, energy, err, tuple(vals), u, bres, tuple(iterations))
+        return FemSolution(alpha, energy, err, u, tuple(iterations))
 
 
 def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):

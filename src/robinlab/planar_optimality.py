@@ -34,10 +34,7 @@ __all__ = [
 class PWBound:
     """Torsion bound from (area, perimeter) alone; tight for the disc."""
 
-    area: float
-    perimeter: float
     defect: float          # y^2 = 1 - 4 pi A / L^2, in [0, 1)
-    R_tilde: float         # L / (2 pi)
     T_star: float          # upper bound on T(Omega)
     epsilon0_upper: float  # upper bound on T(Omega) - T(ball of equal area)
 
@@ -66,7 +63,7 @@ def pw_upper_bound(A: float, L: float) -> PWBound:
     t_star = 0.5 * math.pi * rt ** 4 * (
         0.5 * _xlogy(y2 ** 2, y2) - 0.75 * y2 ** 2 + y2 - 0.25)
     eps_up = 0.25 * math.pi * rt ** 4 * y2 * (1.0 + _xlogy(y2, y2) - y2)
-    return PWBound(A, L, y2, rt, t_star, eps_up)
+    return PWBound(y2, t_star, eps_up)
 
 
 def g(t: float) -> float:
@@ -101,9 +98,6 @@ class JThresholdReport:
     alpha0: float
     threshold: float
     satisfied: bool
-    defect: float
-    epsilon0: float
-    epsilon0_upper: float
 
 
 def theorem_J_check(d: Domain, *, T_omega: float | None = None,
@@ -117,9 +111,7 @@ def theorem_J_check(d: Domain, *, T_omega: float | None = None,
     rep = energy.alpha0(d, T_omega=T_omega, M=M)
     thr = threshold_alpha(d)
     ok = rep.alpha0 >= thr * (1.0 - 1e-9)
-    eps_up = pw_upper_bound(geo.volume(d), geo.surface_area(d)).epsilon0_upper
-    return JThresholdReport(rep.alpha0, thr, bool(ok), geo.surface_defect(d),
-                            rep.epsilon0, eps_up)
+    return JThresholdReport(rep.alpha0, thr, bool(ok))
 
 
 @dataclass(frozen=True)

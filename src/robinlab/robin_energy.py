@@ -23,8 +23,7 @@ from .errors import SolverError
 from .geometry import Domain
 from .layerpot import StarLayerOperator, operator_for
 from . import steklov as sk
-from .steklov import (SteklovBasis, _radial_g, _radial_g_prime, _radial_values,
-                      _shell_energy, tol_res)
+from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _shell_energy, tol_res
 from .torsion import solve_torsion, flux_coefficients
 
 __all__ = [
@@ -52,36 +51,28 @@ TAIL_FRACTION = 1e-6    # tail bound above this fraction of |E| is a hard error
 
 @dataclass(frozen=True)
 class RobinSolution:
-    """One Robin solve: status, energy, and a solution representative.
+    """One Robin solve: status and energy, with a star's boundary values.
 
-    The representative is the radial profile (c1, c2) on balls and
-    shells, and the nodal boundary values u on the grid of `operator`
-    on star domains.  For `Family` statuses it is the minimal/radial
-    member; every member shares the same energy because the resonant
-    eigenfunctions have zero mean.
+    On star domains `boundary_values` holds u at the nodes of
+    `operator`; balls and shells keep only the closed-form energy.  For
+    `Family` statuses every member shares the same energy because the
+    resonant eigenfunctions have zero mean.
     """
 
     domain: Domain
     alpha: float
     status: str
     energy: float
-    radial: tuple[float, float] | None = None    # u = -r^2/2n + c1 + c2 g(r)
     operator: object | None = None
     boundary_values: np.ndarray | None = None
-
-    def u_radial(self, r):
-        """Radial profile u(r) for balls and shells."""
-        return _radial_values(self, r)
 
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Series energy at one alpha, split by sign, with bookkeeping.
+    """Series energy at one alpha, split by sign: one ENERGY_COLUMNS row.
 
-    The first seven fields are the CSV contract (ENERGY_COLUMNS order).
-    `tail_bound` majorizes the truncated part of the series; `poles`
-    are the series pack's poles (`pole_scan`), and `pole_distance` is
-    the gap from alpha to the nearest of them.
+    `tail_bound` majorizes the truncated part of the series; the poles
+    are `pole_scan`'s.
     """
 
     alpha: float
@@ -91,10 +82,6 @@ class EnergyReport:
     E_total: float
     tail_bound: float
     status: str
-    poles: tuple[float, ...] = ()
-    pole_distance: float = math.inf
-    resonant_indices: tuple[int, ...] = ()
-    n_modes: int = 0
 
 
 def _default_basis(d: Domain, n_modes: int, M: int | None) -> SteklovBasis:
@@ -122,22 +109,20 @@ SERIES_CHUNK = 256
 class _SeriesPack:
     """The alpha-independent data of E(alpha) = T + sum a_i^2 / (alpha - mu_i).
 
-    Built once per domain; every alpha of a grid reads it.
-    `use` marks the modes summed (a star basis keeps its last pair for
-    the tail bound), `nonzero` the modes carrying torsion flux
-    (`steklov._carrying`), and `poles` their distinct eigenvalues,
-    rounded to 12 decimals.  `next_degree_mu` is the basis's
+    Built once per domain; every alpha of a grid reads it.  `nonzero`
+    marks the modes carrying torsion flux (`steklov._carrying`), and
+    `poles` their distinct eigenvalues, rounded to 12 decimals.  `next_degree_mu` is the basis's
     (`SteklovBasis.next_degree_mu`): a row that reaches it takes its
     status from `steklov._direct_status`, since a mode the basis omits
-    may resonate there.  `live_a2` and `live_mu` are
-    a_i^2 and mu_i over `use & nonzero`, in eigenvalue order.
+    may resonate there.  `live_a2` and `live_mu` are a_i^2 and mu_i
+    over the summed modes that carry flux, in eigenvalue order (a star
+    basis keeps its last mode for the tail bound only).
     """
 
     domain: Domain
     M: int | None                   # a star's node count: the split's trial grid
     a: np.ndarray
     mu: np.ndarray
-    use: np.ndarray
     nonzero: np.ndarray
     poles: tuple[float, ...]
     tail_mu_next: float | None      # star bases only
@@ -184,7 +169,7 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int | None = None,
     poles = tuple(sorted(set(round(float(m), 12) for m in mu[nonzero])))
     live = use & nonzero
     M = ts.operator.M if ts.operator is not None else None
-    return _SeriesPack(d, M, a, mu, use, nonzero, poles, tail_mu_next,
+    return _SeriesPack(d, M, a, mu, nonzero, poles, tail_mu_next,
                        basis.next_degree_mu, missing, ts.T, a[live] ** 2, mu[live])
 
 
@@ -216,16 +201,15 @@ def _finite_alphas(alphas) -> np.ndarray:
 def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
     """Series energies of one block of alphas, as energy_series computes them.
 
-    Returns (E_plus, E_minus, E_total, tail, status, resonant) with one
-    entry (row of `resonant`) per alpha.  A resonant alpha is Family
-    when every resonant mode carries no flux, and then sums the same
-    modes as an alpha off the spectrum; otherwise it is NoSolution with
-    NaN energies and no checks.  E_plus sums the positive terms, which
+    Returns (E_plus, E_minus, E_total, tail, status) with one entry per
+    alpha.  A resonant alpha is Family when every resonant mode carries
+    no flux, and then sums the same modes as an alpha off the spectrum;
+    otherwise it is NoSolution with NaN energies and no checks.  E_plus sums the positive terms, which
     are the live modes below alpha: a prefix, since mu is sorted.  The
     first alpha in grid order that fails a check raises; per alpha the
     checks run truncation, then tail, then sign.
     """
-    resonant, blocked, status = sk._resonance(pack.mu, alphas, pack.nonzero)
+    _, blocked, status = sk._resonance(pack.mu, alphas, pack.nonzero)
     for i in np.flatnonzero(pack.next_degree_mu - alphas < sk.tol_res(alphas)):
         status[i] = sk._direct_status(pack.domain, float(alphas[i]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -258,7 +242,7 @@ def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
                 f"series tail bound {tail[i]:.3e} exceeds {TAIL_FRACTION:.0e} of "
                 f"|E|={abs(E_total[i]):.3e}; increase n_modes")
         raise SolverError("sign split violated; series terms inconsistent")
-    return E_plus, E_minus, E_total, tail, status, resonant
+    return E_plus, E_minus, E_total, tail, status
 
 
 def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
@@ -280,7 +264,7 @@ def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
     rows = []
     for lo in range(0, alphas.size, SERIES_CHUNK):
         chunk = alphas[lo:lo + SERIES_CHUNK]
-        E_plus, E_minus, E_total, tail, status, _ = _series_rows(pack, chunk)
+        E_plus, E_minus, E_total, tail, status = _series_rows(pack, chunk)
         rows += zip(chunk.tolist(), [pack.T] * chunk.size, E_plus.tolist(),
                     E_minus.tolist(), E_total.tolist(), tail.tolist(),
                     status.tolist())
@@ -322,13 +306,10 @@ def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
     """
     _check_alpha(alpha)
     pack = series_pack(d, n_modes=n_modes, M=M, basis=basis)
-    E_plus, E_minus, E_total, tail, status, resonant = _series_rows(
+    E_plus, E_minus, E_total, tail, status = _series_rows(
         pack, np.array([alpha], dtype=float))
     return EnergyReport(alpha, pack.T, float(E_plus[0]), float(E_minus[0]),
-                        float(E_total[0]), float(tail[0]), str(status[0]),
-                        pack.poles, min((abs(alpha - p) for p in pack.poles), default=math.inf),
-                        tuple(int(i) + 1 for i in np.flatnonzero(resonant[0])),
-                        int(np.sum(pack.use)))
+                        float(E_total[0]), float(tail[0]), str(status[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +347,8 @@ def solve_robin(d: Domain, alpha: float, M: int | None = None, *,
     """Solve the Robin problem directly; the energy is -int u dx.
 
     The status comes from the steklov rule (`steklov._direct_status`).
-    Balls and shells use radial closed forms (Family representatives at
-    nonradial resonances, where the energy is still single-valued).
+    Balls and shells use the energies of their radial closed forms,
+    which stay single-valued at nonradial (Family) resonances.
     Star domains solve a single-layer boundary system at M nodes, or at
     the certified count when M is None (`layerpot.operator_for`, which
     raises SolverError when the boundary is not resolved); near a
@@ -383,12 +364,10 @@ def solve_robin(d: Domain, alpha: float, M: int | None = None, *,
         return RobinSolution(d, alpha, status, math.nan)
     n, R = d.dim, d.R
     if d.kind == "ball":
-        c1 = R ** 2 / (2 * n) - R / (alpha * n)
-        return RobinSolution(d, alpha, status, ball_energy(n, R, alpha), radial=(c1, 0.0))
+        return RobinSolution(d, alpha, status, ball_energy(n, R, alpha))
     if d.kind == "annulus":
         c1, c2 = _radial_robin_coefficients(d, alpha)
-        E = _shell_energy(n, R, d.kappa * R, c1, c2)
-        return RobinSolution(d, alpha, status, E, radial=(c1, c2))
+        return RobinSolution(d, alpha, status, _shell_energy(n, R, d.kappa * R, c1, c2))
     return _solve_robin_star(d, alpha, operator_for(d.rho, M, operator))
 
 

@@ -32,7 +32,6 @@ from .steklov import tol_res
 __all__ = [
     "VariationReport",
     "SignReport",
-    "ShapeDerivativeSolution",
     "JVariationReport",
     "FiniteDifferenceReport",
     "NormalSpeedFamily",
@@ -40,7 +39,6 @@ __all__ = [
     "first_variation_general",
     "second_variation_ball",
     "classify_sign",
-    "solve_u_prime",
     "j_variations",
     "finite_difference_check",
 ]
@@ -156,13 +154,7 @@ def _validate_modal(d: Domain, alpha: float, p: PerturbationField):
                       stacklevel=3)
         b = b.copy()
         b[ks == 1.0] = 0.0
-    # boundary components c_i of the state derivative u' and its saddle quadratic Q
-    live = ks >= 2.0
-    mu = ks / R
-    c = np.zeros_like(b)
-    c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
-    Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
-    return n, R, xi, b, ks, live, c, Q
+    return n, R, xi, b, ks, ks >= 2.0
 
 
 @dataclass(frozen=True)
@@ -200,7 +192,12 @@ def second_variation_ball(d: Domain, alpha: float,
     tol_res(alpha) of an eigenvalue k/R with k >= 2 is a SolverError
     (state derivative blows up), xi = 1 is fine.
     """
-    n, R, xi, b, ks, live, _, Q = _validate_modal(d, alpha, p)
+    n, R, xi, b, ks, live = _validate_modal(d, alpha, p)
+    # boundary components c_i of the state derivative u' and its saddle quadratic Q
+    mu = ks / R
+    c = np.zeros_like(b)
+    c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
+    Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
     dvals = np.zeros_like(b)
     dvals[live] = modal_coefficient(n, ks[live], xi)
     E_modal = float(np.sum(b[live] ** 2 * dvals[live]) / (alpha * n ** 2))
@@ -267,38 +264,7 @@ def classify_sign(d: Domain, alpha: float, p: PerturbationField) -> SignReport:
 
 
 # ---------------------------------------------------------------------------
-# state derivative and the surrogate functional
-
-
-@dataclass(frozen=True)
-class ShapeDerivativeSolution:
-    """Shape derivative of the Robin state around the ball.
-
-    `c` are boundary components of u' in the trace basis; Q is its
-    saddle quadratic; I_torsion is the second variation of the
-    surrogate J, a per-mode quadratic in the torsion-normalized
-    components t_i = (R/n) b_i.
-    """
-
-    alpha: float
-    xi: float
-    c: np.ndarray
-    Q: float
-    t: np.ndarray
-    I_torsion: float
-    M_values: np.ndarray
-    degrees: np.ndarray
-
-
-def solve_u_prime(d: Domain, alpha: float,
-                  p: PerturbationField) -> ShapeDerivativeSolution:
-    """Boundary expansion of u' plus the modal data built from it."""
-    n, R, xi, b, ks, live, c, Q = _validate_modal(d, alpha, p)
-    t = (R / n) * b
-    Mv = np.zeros_like(b)
-    Mv[live] = (ks[live] - 1.0) * (2.0 / R - (ks[live] + n - 1.0) / (alpha * R ** 2))
-    I_t = float(np.sum(t[live] ** 2 * Mv[live]))
-    return ShapeDerivativeSolution(alpha, xi, c, Q, t, I_t, Mv, ks.astype(int))
+# the surrogate functional
 
 
 @dataclass(frozen=True)
@@ -326,8 +292,10 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
     normalization of the speed (per-mode slack 2 (k_i-1)/R t_i^2 below,
     2 (k_i-1)^2/(n R) t_i^2 above).
     """
-    sol = solve_u_prime(d, alpha, p)
-    n, R = d.dim, d.R
+    n, R, _, b, ks, live = _validate_modal(d, alpha, p)
+    tsq = ((R / n) * b[live]) ** 2
+    m = (ks[live] - 1.0) * (2.0 / R - (ks[live] + n - 1.0) / (alpha * R ** 2))
+    I_t = float(np.sum(tsq * m))
     # Jdot from its two pieces (not by fiat): both scale with b_1 = 0
     area = geo.surface_area(d)
     oint_vn = float(p.b[0]) * math.sqrt(area)
@@ -335,15 +303,10 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
     S_dot = ((n - 1.0) / R) * oint_vn
     V = geo.volume(d)
     J_dot = T_dot + (2.0 * V * oint_vn * area - V ** 2 * S_dot) / (alpha * area ** 2)
-    ks = sol.degrees.astype(float)
-    live = ks >= 2.0
-    lt = np.zeros_like(ks)
-    lt[live] = (ks[live] - 1.0) * (ks[live] + n - 1.0) / R ** 2
-    tsq = np.asarray(sol.t) ** 2
-    lower = -float(np.sum(tsq[live] * lt[live])) / alpha
-    upper = (2.0 * R / n - 1.0 / alpha) * float(np.sum(tsq[live] * lt[live]))
-    return JVariationReport(J_dot, sol.I_torsion, lower, upper,
-                            sol.I_torsion - lower, upper - sol.I_torsion)
+    lt = (ks[live] - 1.0) * (ks[live] + n - 1.0) / R ** 2
+    lower = -float(np.sum(tsq * lt)) / alpha
+    upper = (2.0 * R / n - 1.0 / alpha) * float(np.sum(tsq * lt))
+    return JVariationReport(J_dot, I_t, lower, upper, I_t - lower, upper - I_t)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +356,8 @@ class NormalSpeedFamily:
 
 @dataclass(frozen=True)
 class FiniteDifferenceReport:
-    t_grid: np.ndarray
-    energies: np.ndarray
-    E0: float
     E_dot: float
     E_ddot: float
-    fit_residual: float
-    route: str
 
 
 def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
@@ -453,14 +411,12 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
         else:
             from . import oracle
             vals[:, j] = [s.energy for s in oracle.fem_robin_energy(dom, alphas)]
-    reports = [_fit_derivatives(t_grid, row, degree, route) for row in vals]
+    reports = [_fit_derivatives(t_grid, row, degree) for row in vals]
     return reports[0] if np.ndim(alpha) == 0 else reports
 
 
-def _fit_derivatives(t_grid: np.ndarray, vals: np.ndarray, degree: int,
-                     route: str) -> FiniteDifferenceReport:
+def _fit_derivatives(t_grid: np.ndarray, vals: np.ndarray,
+                     degree: int) -> FiniteDifferenceReport:
     V = np.vander(t_grid, degree + 1, increasing=True)
     coef = np.linalg.lstsq(V, vals, rcond=None)[0]
-    resid = float(np.max(np.abs(V @ coef - vals)))
-    return FiniteDifferenceReport(t_grid, vals, float(coef[0]), float(coef[1]),
-                                  2.0 * float(coef[2]), resid, route)
+    return FiniteDifferenceReport(float(coef[1]), 2.0 * float(coef[2]))

@@ -183,22 +183,6 @@ def _radial_g_prime(n: int, r):
     return 1.0 / r if n == 2 else (2 - n) * r ** (1 - n)
 
 
-def _radial_profile(n: int, r, c1: float, c2: float):
-    """-r^2/(2n) + c1 + c2 g(r) solves Delta u + 1 = 0; no g term when c2 = 0 (balls)."""
-    u = -r ** 2 / (2.0 * n) + c1
-    return u + c2 * _radial_g(n, r) if c2 else u
-
-
-def _radial_values(sol, r):
-    """The radial profile `sol.radial` = (c1, c2) of a ball or shell solve at radii r.
-
-    A solve without one (star domains, NoSolution) raises ValueError.
-    """
-    if sol.radial is None:
-        raise ValueError("no radial profile for this solve")
-    return _radial_profile(sol.domain.dim, np.asarray(r, dtype=float), *sol.radial)
-
-
 def _shell_energy(n: int, R: float, a: float, c1: float, c2: float) -> float:
     """-int of the radial profile over the shell a < |x| < R, exactly.
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry as geo
 from .geometry import Domain
 from .layerpot import StarLayerOperator, operator_for
-from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _radial_values, _shell_energy
+from .steklov import SteklovBasis, _radial_g, _radial_g_prime, _shell_energy
 
 __all__ = [
     "TorsionSolution",
@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TorsionSolution:
-    """Torsion function data: T, boundary flux, and a radial/nodal profile.
+    """Torsion function data: T and the boundary flux d_nu s.
 
     `flux` is a float (balls), an (outer, inner) pair (shells), or nodal
     values on the grid of `operator` (star domains, whose `thetas` and
@@ -39,7 +39,6 @@ class TorsionSolution:
     domain: Domain
     T: float
     flux: object
-    radial: tuple[float, float] | None = None    # (c1, c2): s = -r^2/2n + c1 + c2 g(r)
     operator: object | None = None
 
     @property
@@ -62,10 +61,6 @@ class TorsionSolution:
             s_out, s_in = geo.surface_components(d)
             return f(self.flux[0]) * s_out + f(self.flux[1]) * s_in
         return float(np.sum(f(self.flux) * self.operator.weights))
-
-    def s_radial(self, r):
-        """Radial profile s(r) for balls and shells."""
-        return _radial_values(self, r)
 
 
 def _annulus_coefficients(n: int, R: float, a: float) -> tuple[float, float]:
@@ -109,13 +104,13 @@ def solve_torsion(d: Domain, M: int | None = None, *,
     n, R = d.dim, d.R
     if d.kind == "ball":
         T = -geo.unit_ball_volume(n) * R ** (n + 2) / (n * (n + 2))
-        return TorsionSolution(d, T, -R / n, radial=(R ** 2 / (2.0 * n), 0.0))
+        return TorsionSolution(d, T, -R / n)
     if d.kind == "annulus":
         a = d.kappa * R
         c1, c2 = _annulus_coefficients(n, R, a)
         T = _shell_energy(n, R, a, c1, c2)
         sp = lambda r: -r / n + c2 * _radial_g_prime(n, r)
-        return TorsionSolution(d, T, (sp(R), -sp(a)), radial=(c1, c2))
+        return TorsionSolution(d, T, (sp(R), -sp(a)))
     op = operator_for(d.rho, M, operator)
     T, flux = _solve_star(op)
     return TorsionSolution(d, T, flux, operator=op)

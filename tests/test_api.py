@@ -1,7 +1,8 @@
 """Public names: every module's `__all__` resolves; the CLI import stays lean;
 the README's library quickstart runs; no module imports a name it never uses;
 no library module imports a thread or process module or reads the environment;
-every name in `robinlab.__all__` has a reader outside the tests."""
+every name in `robinlab.__all__` and every field of a report has a reader
+outside the tests."""
 
 import ast
 import contextlib
@@ -149,11 +150,48 @@ def _references(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_every_public_name_has_a_caller():
+def _reader_trees() -> list[ast.Module]:
+    """The library's possible readers: src/, scripts/, bench/ and the README's Python."""
     trees = [ast.parse(p.read_text()) for d in ("src/robinlab", "scripts", "bench")
              for p in sorted((ROOT / d).glob("*.py"))]
-    trees += [ast.parse(b) for b in
-              re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)]
-    read = set().union(*map(_references, trees))
+    return trees + [ast.parse(b) for b in
+                    re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)]
+
+
+def test_every_public_name_has_a_caller():
+    read = set().union(*map(_references, _reader_trees()))
     unread = {n for n in robinlab.__all__ if not n.startswith("__")} - read
     assert unread == set(TEST_ONLY_NAMES)
+
+
+# Dataclass fields that nothing outside the tests reads, kept for a reason
+UNREAD_FIELDS = {
+    "EnergyReport.E_plus": "the CSV contract of ENERGY_COLUMNS",
+    "EnergyReport.E_minus": "the CSV contract of ENERGY_COLUMNS",
+    "EnergyReport.tail_bound": "the CSV contract of ENERGY_COLUMNS",
+    "FemSolution.iterations": "the MINRES record of each level, for the FEM diagnostics",
+    "PWBound.epsilon0_upper": "the Payne-Weinberger deficit bound, which tests check "
+                              "against alpha0(d).epsilon0",
+}
+
+
+def _dataclass_members(tree: ast.Module) -> set[str]:
+    """`Class.name` of every field and public method of a module's dataclasses."""
+    out = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        decorators = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                      for d in cls.decorator_list}
+        if "dataclass" in decorators:
+            out |= {f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)}
+            out |= {f"{cls.name}.{stmt.name}" for stmt in cls.body
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+    return out
+
+
+def test_every_report_field_has_a_reader():
+    read = {n.attr for tree in _reader_trees() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    members = set().union(*(_dataclass_members(ast.parse(p.read_text()))
+                            for p in sorted((ROOT / "src" / "robinlab").glob("*.py"))))
+    assert {m for m in members if m.split(".")[1] not in read} == set(UNREAD_FIELDS)

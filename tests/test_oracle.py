@@ -70,11 +70,6 @@ class TestRobinEnergy:
         assert abs(sol.energy - series) < 1e-4
         assert sol.error > 1e-5
 
-    def test_boundary_residual_first_order(self, disc):
-        fine = fem_robin_energy(disc, 1.0)
-        coarse = fem_robin_energy(disc, 1.0, h_max=0.13)
-        assert 0 < fine.boundary_residual < coarse.boundary_residual
-
     def test_zero_alpha_rejected(self, disc):
         with pytest.raises(SolverError):
             fem_robin_energy(disc, 0.0)
@@ -240,13 +235,29 @@ def rmax_star(rmax: float) -> Domain:
     return Domain.star2d(TrigPoly(a0 * s, tuple(cos * s), tuple(sin * s)))
 
 
+def p1_gradients(x: np.ndarray):
+    """(det, b, c) of P1 triangles x (T, 3, 2): grad phi_j = (b_j, c_j), area det/2."""
+    v1 = x[:, 1] - x[:, 0]
+    v2 = x[:, 2] - x[:, 0]
+    det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
+    if np.any(det <= 0):
+        raise SolverError("mesh produced degenerate or flipped triangles")
+    bmat = np.stack([x[:, 1, 1] - x[:, 2, 1],
+                     x[:, 2, 1] - x[:, 0, 1],
+                     x[:, 0, 1] - x[:, 1, 1]], axis=1) / det[:, None]
+    cmat = np.stack([x[:, 2, 0] - x[:, 1, 0],
+                     x[:, 0, 0] - x[:, 2, 0],
+                     x[:, 1, 0] - x[:, 0, 0]], axis=1) / det[:, None]
+    return det, bmat, cmat
+
+
 def coo_assembly(mesh, rho, drho):
     """(K, f, Mb) as the oracle assembled them before its stencil, frozen.
 
     Nine COO entries per triangle from the P1 gradients, and four per
     boundary edge from 4-point Gauss quadrature on the exact curve.
     """
-    det, bmat, cmat = oracle._p1_gradients(mesh.coords[mesh.tris])
+    det, bmat, cmat = p1_gradients(mesh.coords[mesh.tris])
     area = 0.5 * det
     kloc = (bmat[:, :, None] * bmat[:, None, :]
             + cmat[:, :, None] * cmat[:, None, :]) * area[:, None, None]

@@ -120,6 +120,24 @@ def test_empty_list(tmp_path, capsys):
         [f"`{LINE}`: unlisted change 'exit 0 -> 3'"]
 
 
+def test_stderr_only_change_fails_unless_listed(tmp_path, capsys):
+    base = result("a\n1\n", err="poles: {0}\n")
+    head = result("a\n1\n", err="poles: {0, 5}\n")
+    rec = od.compare(SPECTRUM, base, head)
+    assert rec["bytes_equal"] and rec["failures"] == rec["changes"] == ["stderr"]
+    assert od.report([rec], False) == 1
+    problems = mismatches(tmp_path, "", base, head)
+    assert problems == [f"`{LINE}`: unlisted change 'stderr'"]
+    assert od.report([rec], False, problems) == 1
+    assert mismatches(tmp_path, f"{LINE} | stderr\n", base, head) == []
+
+
+def test_stderr_change_with_the_exit_code_is_the_exit_change():
+    rec = od.compare(SPECTRUM, result("a\n1\n"), result("", code=3, err="solver failure"))
+    assert rec["failures"] == ["exit code", "out: a table on one side only"]
+    assert rec["changes"] == ["exit 0 -> 3"]
+
+
 def test_without_expect_a_listed_kind_still_fails(capsys):
     rec = od.compare(SPECTRUM, result("", code=2), result("a\n1\n"))
     assert od.report([rec], False) == 1
@@ -127,7 +145,7 @@ def test_without_expect_a_listed_kind_still_fails(capsys):
 
 @pytest.mark.parametrize("text", ["spectrum --n-modes 257 | exit 2 -> 0",
                                   f"{LINE} exit 2 -> 0", f"{LINE} | rows a -> b",
-                                  f"{LINE} | stderr"])
+                                  f"{LINE} | stdout"])
 def test_bad_list_line(tmp_path, text):
     with pytest.raises(SystemExit, match="expected.txt:1"):
         expect(tmp_path, text)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as hst
 
 from robinlab import (
     Domain,
+    alpha0,
     corollary_disc_max,
     g,
     pw_upper_bound,
@@ -53,7 +54,6 @@ class TestPWBound:
     def test_disc_is_sharp(self):
         b = pw_upper_bound(math.pi, 2.0 * math.pi)
         assert b.defect == 0.0
-        assert b.R_tilde == pytest.approx(1.0)
         assert b.T_star == pytest.approx(-math.pi / 8.0, rel=1e-14)
         assert b.epsilon0_upper == 0.0
 
@@ -104,13 +104,15 @@ class TestThreshold:
             threshold_alpha(ball3)
 
     def test_theorem_check_ellipse(self, ellipse):
-        rep = theorem_J_check(ellipse)
+        crossover = alpha0(ellipse)
+        rep = theorem_J_check(ellipse, T_omega=crossover.T_omega)
         assert rep.satisfied
         assert rep.alpha0 == pytest.approx(1.51270077, rel=1e-6)
         assert rep.threshold == pytest.approx(1.05179033, rel=1e-6)
-        assert rep.epsilon0 <= rep.epsilon0_upper
-        assert rep.epsilon0_upper == pytest.approx(0.0101079712, rel=1e-6)
-        assert rep.defect == pytest.approx(surface_defect(ellipse))
+        bound = pw_upper_bound(volume(ellipse), surface_area(ellipse))
+        assert crossover.epsilon0 <= bound.epsilon0_upper
+        assert bound.epsilon0_upper == pytest.approx(0.0101079712, rel=1e-6)
+        assert bound.defect == pytest.approx(surface_defect(ellipse))
 
     def test_theorem_check_disc(self, disc):
         rep = theorem_J_check(disc)
@@ -119,9 +121,10 @@ class TestThreshold:
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_threshold_below_crossover(self, seed):
         d = random_star_domain(np.random.default_rng(seed))
-        rep = theorem_J_check(d, M=128)
-        assert rep.satisfied
-        assert rep.epsilon0 <= rep.epsilon0_upper + 1e-12
+        crossover = alpha0(d, M=128)
+        assert theorem_J_check(d, T_omega=crossover.T_omega).satisfied
+        bound = pw_upper_bound(volume(d), surface_area(d))
+        assert crossover.epsilon0 <= bound.epsilon0_upper + 1e-12
 
 
 class TestDiscMax:

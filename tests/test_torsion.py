@@ -41,16 +41,6 @@ class TestClosedForms:
         assert ts.flux[0] == pytest.approx(-5.0 / 24.0, rel=1e-13)
         assert ts.flux[1] == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
-    def test_radial_profile_vanishes_on_boundary(self, shell):
-        ts = solve_torsion(shell)
-        assert ts.s_radial(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ts.s_radial(0.5) == pytest.approx(0.0, abs=1e-15)
-        assert ts.s_radial(0.75) > 0.0
-
-    def test_ball_center_value(self):
-        ts = solve_torsion(Domain.ball(2, 1.0))
-        assert ts.s_radial(0.0) == pytest.approx(0.25)
-
 
 class TestStarSolve:
     def test_ellipse_exact(self, ellipse):
