@@ -4,7 +4,9 @@ Usage: python3 scripts/output_diff.py --base DIR --head DIR [--strict] [--expect
 
 Each tree runs every command of `output_commands.txt` (next to this
 script) in one interpreter of its own, with OPENBLAS_NUM_THREADS=1, in
-a fresh working directory that holds the list's fixture files.  A list
+a fresh working directory that holds the list's fixture files.  Each
+tree's root path in stderr (the file of a Python warning) reads as
+`<tree>`, so a warning compares equal across the two trees.  A list
 line is
 
     robinlab ARGS...      robinlab.cli.main(ARGS), as the console script runs it
@@ -166,12 +168,18 @@ def start(tree: Path, commands: list, fixtures: dict, workdir: Path) -> subproce
                                 env=env, stdin=stdin, stdout=stdout)
 
 
-def collect(proc: subprocess.Popen, workdir: Path, count: int) -> list[dict]:
+ROOT_TOKEN = "<tree>"
+
+
+def collect(proc: subprocess.Popen, workdir: Path, count: int, tree: Path) -> list[dict]:
+    """The results of `start`, with `tree`'s root path in stderr as ROOT_TOKEN."""
     proc.wait()
     lines = workdir.with_suffix(".jsonl").read_text(encoding="utf-8").splitlines()
     results = [json.loads(line) for line in lines if line.startswith("{")]
     if proc.returncode != 0 or len(results) != count:
         raise SystemExit(f"the runner stopped after {len(results)} of {count} commands")
+    for res in results:
+        res["err"] = res["err"].replace(str(tree), ROOT_TOKEN)
     return results
 
 
@@ -335,9 +343,10 @@ def main(argv=None) -> int:
     expected = None if args.expect is None else read_expected(args.expect)
     with tempfile.TemporaryDirectory(prefix="output_diff_") as tmp:
         dirs = [Path(tmp) / "base", Path(tmp) / "head"]
-        procs = [start(tree.resolve(), commands, fixtures, d)
-                 for tree, d in zip((args.base, args.head), dirs)]
-        base, head = [collect(p, d, len(commands)) for p, d in zip(procs, dirs)]
+        trees = [args.base.resolve(), args.head.resolve()]
+        procs = [start(tree, commands, fixtures, d) for tree, d in zip(trees, dirs)]
+        base, head = [collect(p, d, len(commands), tree)
+                      for p, d, tree in zip(procs, dirs, trees)]
     records = [compare(c, b, h) for c, b, h in zip(commands, base, head)]
     problems = None if expected is None else unexpected(commands, records, expected)
     return report(records, args.strict, problems)

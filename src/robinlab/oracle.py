@@ -31,7 +31,11 @@ the Robin block is indefinite, and the modes whose factorization meets
 a non-positive pivot are inverted in absolute value, which keeps the
 preconditioner positive definite (Vecharynski & Knyazev, SIAM J. Sci.
 Comput. 35(2), 2013).  On the disc the average is the block itself, and
-MINRES stops within a few iterations.
+MINRES stops within a few iterations.  The Richardson levels are solved
+by nested iteration (Brandt, Math. Comp. 31(138), 1977): each level
+after the first starts MINRES from the previous level's solution,
+interpolated onto the doubled mesh, so it needs fewer iterations to the
+same stopping test.
 """
 from __future__ import annotations
 
@@ -57,9 +61,9 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 # Stencil slots of ring node (i, j), in the order of their mesh numbers:
 # (i-1, j-1), (i-1, j), (i, j-1), (i, j), (i, j+1), (i+1, j), (i+1, j+1).
 # On the first ring both inner slots are the centre; the coupling sits in
-# the (i-1, j) slot.  The stencil values of a mesh are one flat array:
-# slot s of ring node (i, j) at ((i-1) n_t + j) * 7 + s, the centre's
-# diagonal last.
+# the (i-1, j) slot.  The stencil values of a mesh are one flat array,
+# slot-major: slot s of ring node (i, j) at (s n_r + i - 1) n_t + j, the
+# centre's diagonal last.
 _SLOT_RING = np.array([-1, -1, 0, 0, 0, 1, 1])
 _SLOT_ANGLE = np.array([-1, 0, -1, 0, 1, 0, 1])
 
@@ -111,15 +115,6 @@ class _Mesh:
         self.thetas = thetas
         self.n_free = 1 + (n_r - 1) * n_t
 
-        j = np.arange(n_t)
-        jp = np.roll(j, -1)
-        a = 1 + np.arange(n_r - 1)[:, None] * n_t + j
-        b = a - j + jp
-        fan = np.column_stack([np.zeros(n_t, dtype=int), 1 + j, 1 + jp])
-        quads = np.stack([np.stack([a, a + n_t, b + n_t], axis=-1),
-                          np.stack([a, b + n_t, b], axis=-1)], axis=1)
-        self.tris = np.vstack([fan, quads.reshape(-1, 3)])
-
     @property
     def n_stencil(self) -> int:
         return 7 * self.n_r * self.n_t + 1
@@ -145,17 +140,18 @@ class _Mesh:
         diag = t1c + t2b
         ring = t1a + np.concatenate([t2e[1:], np.zeros((1, n_t))])
 
-        S = np.zeros((n_r, n_t, 7))                   # row q: ring q+1's nodes
-        S[:, :, 0] = np.roll(diag, 1, axis=1)
-        S[:, :, 1] = radial
-        S[0, :, 1] += S[0, :, 0]                      # both fan edges reach the centre
-        S[0, :, 0] = 0.0
-        S[:, :, 2] = np.roll(ring, 1, axis=1)
-        S[:, :, 4] = ring
-        S[:-1, :, 5] = radial[1:]
-        S[:-1, :, 6] = diag[1:]
-        S[:, :, 3] = -S.sum(axis=2)
-        K = np.append(S.ravel(), -S[0, :, 1].sum())
+        K = np.zeros(self.n_stencil)
+        S = K[:-1].reshape(7, n_r, n_t)               # slot, row q: ring q+1's nodes
+        S[0] = np.roll(diag, 1, axis=1)
+        S[1] = radial
+        S[1, 0] += S[0, 0]                            # both fan edges reach the centre
+        S[0, 0] = 0.0
+        S[2] = np.roll(ring, 1, axis=1)
+        S[4] = ring
+        S[5, :-1] = radial[1:]
+        S[6, :-1] = diag[1:]
+        S[3] = -S.sum(axis=0)
+        K[-1] = -S[1, 0].sum()
 
         quad = area1 + area2
         f = np.empty(self.coords.shape[0])
@@ -182,10 +178,10 @@ class _Mesh:
         m01 = (w * n0 * n1).sum(axis=1)
         m11 = (w * n1 * n1).sum(axis=1)
         Mb = np.zeros(self.n_stencil)
-        outer = Mb[7 * (self.n_r - 1) * n_t:-1].reshape(n_t, 7)
-        outer[:, 2] = np.roll(m01, 1)
-        outer[:, 3] = m00 + np.roll(m11, 1)
-        outer[:, 4] = m01
+        outer = Mb[:-1].reshape(7, self.n_r, n_t)[:, -1]
+        outer[2] = np.roll(m01, 1)
+        outer[3] = m00 + np.roll(m11, 1)
+        outer[4] = m01
         return Mb
 
 
@@ -202,29 +198,34 @@ class _Stencil:
 
     The block holds the centre (if lo == 1) and rings lo..hi; a block
     vector is the centre's value (if any), then the rings' values ring
-    by ring.  `apply` runs the slots on the (ring, angle) array, with
-    no sparse matrix.
+    by ring.  `apply` copies the rings into a padded (ring, angle)
+    buffer, a zero ghost ring on each side and each ring's ends wrapped
+    around, so every slot's neighbours are one fixed view of it.
     """
 
     def __init__(self, mesh: _Mesh, data: np.ndarray, lo: int, hi: int):
         self.c, self.m, self.n_t = int(lo == 1), hi - lo + 1, mesh.n_t
-        S = data[7 * (lo - 1) * self.n_t:7 * hi * self.n_t].reshape(self.m, self.n_t, 7)
-        self.slots = np.ascontiguousarray(S.transpose(2, 0, 1))
+        self.slots = data[:-1].reshape(7, mesh.n_r, self.n_t)[:, lo - 1:hi]
         self.centre = float(data[-1])
+        self.padded = np.zeros((self.m + 2, self.n_t + 2))
+        self.neighbours = [self.padded[1 + r:1 + r + self.m, 1 + a:1 + a + self.n_t]
+                           for r, a in zip(_SLOT_RING, _SLOT_ANGLE)]
+        self.product = np.empty((self.m, self.n_t))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The block times x."""
-        c, m = self.c, self.m
-        X = x[c:].reshape(m, self.n_t)
-        shifted = {a: np.roll(X, -a, axis=1) if a else X for a in (-1, 0, 1)}
-        Y = np.zeros_like(X)
-        for s, (r, a) in enumerate(zip(_SLOT_RING, _SLOT_ANGLE)):
-            rows = slice(max(0, -r), m - max(0, r))
-            Y[rows] += self.slots[s, rows] * shifted[a][max(0, r):m + min(0, r)]
-        if not c:
-            return Y.ravel()
-        Y[0] += self.slots[1, 0] * x[0]
-        return np.concatenate([[self.centre * x[0] + self.slots[1, 0] @ X[0]], Y.ravel()])
+        c, P = self.c, self.padded
+        P[1:-1, 1:-1] = x[c:].reshape(self.m, self.n_t)
+        P[1:-1, 0], P[1:-1, -1] = P[1:-1, -2], P[1:-1, 1]
+        y = np.empty(x.size)
+        Y = y[c:].reshape(self.m, self.n_t)
+        np.multiply(self.slots[0], self.neighbours[0], out=Y)
+        for slot, nbr in zip(self.slots[1:], self.neighbours[1:]):
+            Y += np.multiply(slot, nbr, out=self.product)
+        if c:
+            y[0] = self.centre * x[0] + self.slots[1, 0] @ x[1:1 + self.n_t]
+            Y[0] += self.slots[1, 0] * x[0]
+        return y
 
 
 class _Block(_Stencil):
@@ -265,31 +266,36 @@ class _Block(_Stencil):
             self.eig[k] = vec, 1.0 / np.abs(lam)
             piv[:, k], ratio[:, k] = 1.0, 0.0
         self.piv, self.ratio, self.upper = piv, ratio, ratio[1:].conj()
+        self.row = np.empty(z.size, dtype=complex)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """|P|^-1 r."""
-        c, m, n_t = self.c, self.m, self.n_t
+        c, m, n_t, row = self.c, self.m, self.n_t, self.row
         B = np.zeros((c + m, n_t // 2 + 1), dtype=complex)
         B[c:] = np.fft.rfft(r[c:].reshape(m, n_t), axis=1)
         if c:
             B[0, 0] = math.sqrt(n_t) * r[0]
         dense = [(k, vec @ (inv * (vec.conj().T @ B[:, k])))
                  for k, (vec, inv) in self.eig.items()]
+        rows = list(B)
         for i in range(1, c + m):
-            B[i] -= self.ratio[i] * B[i - 1]
+            np.subtract(rows[i], np.multiply(self.ratio[i], rows[i - 1], out=row), out=rows[i])
         B /= self.piv
         for i in range(c + m - 2, -1, -1):
-            B[i] -= self.upper[i] * B[i + 1]
+            np.subtract(rows[i], np.multiply(self.upper[i], rows[i + 1], out=row), out=rows[i])
         for k, col in dense:
             B[:, k] = col
         out = np.fft.irfft(B[c:], n_t, axis=1).ravel()
         return np.concatenate([[B[0, 0].real / math.sqrt(n_t)], out]) if c else out
 
-    def solve(self, b: np.ndarray) -> tuple:
-        """(x, iterations) with the block times x = b, by preconditioned MINRES."""
+    def solve(self, b: np.ndarray, x0: np.ndarray | None) -> tuple:
+        """(x, iterations) with the block times x = b, by preconditioned MINRES from x0.
+
+        x0 None starts from zero.
+        """
         n, steps = b.size, []
         op = lambda f: spla.LinearOperator((n, n), matvec=f, dtype=float)
-        x, info = spla.minres(op(self.apply), b, rtol=_RTOL, maxiter=_MAXITER,
+        x, info = spla.minres(op(self.apply), b, x0, rtol=_RTOL, maxiter=_MAXITER,
                               M=op(self.precondition),
                               callback=lambda _: steps.append(None))
         if info:
@@ -335,6 +341,25 @@ def _richardson(values: list) -> tuple:
     return ex[-1], abs(ex[-1] - ex[-2])
 
 
+def _prolong(u: np.ndarray, mesh: _Mesh) -> np.ndarray:
+    """u at the nodes of `mesh`, interpolated onto every node of the doubled mesh.
+
+    Node (i, j), on ring i (ring 0 the centre) at angle j, is node
+    (2i, 2j) of the doubled mesh; the nodes between are linear in ring
+    index and in angle.  A u that stops after the free nodes is zero on
+    the boundary ring.
+    """
+    n_t, n_r = mesh.n_t, mesh.n_r
+    U = np.zeros((n_r + 1, n_t))
+    U[0] = u[0]
+    U[1:].reshape(-1)[:u.size - 1] = u[1:]
+    F = np.empty((2 * n_r + 1, 2 * n_t))
+    F[::2, ::2] = U
+    F[::2, 1::2] = 0.5 * (U + np.roll(U, -1, axis=1))
+    F[1::2] = 0.5 * (F[:-1:2] + F[2::2])
+    return np.concatenate([[u[0]], F[1:].ravel()])
+
+
 def fem_dirichlet_T(d, h_max: float = 0.065, levels: int = 3) -> float:
     """Torsion energy T = -int s dx by P1 elements, Richardson-extrapolated.
 
@@ -343,29 +368,30 @@ def fem_dirichlet_T(d, h_max: float = 0.065, levels: int = 3) -> float:
     """
     _check_mesh_args(h_max, levels)
     rho, _ = _rho_callable(d)
-    vals = []
+    vals, coarse = [], None
     for mesh in _mesh_levels(rho, h_max, levels):
         K, f = mesh.assemble()
         nf = mesh.n_free
-        u, _ = _Block(mesh, K, 1, mesh.n_r - 1).solve(f[:nf])
+        x0 = None if coarse is None else _prolong(u, coarse)[:nf]
+        u, _ = _Block(mesh, K, 1, mesh.n_r - 1).solve(f[:nf], x0)
         vals.append(-float(f[:nf] @ u))
+        coarse = mesh
     return _richardson(vals)[0]
 
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Robin solve on the finest mesh with its extrapolated energy.
+    """The Robin energy of one alpha, extrapolated over the doubled meshes.
 
     `energy` is the Richardson extrapolant of the levels' energies;
-    `error` is the last extrapolation jump.  `values` holds u at the
-    finest mesh's nodes, numbered as in `_Mesh`.  `iterations` holds the
-    MINRES iteration count of each level.
+    `error` is the last extrapolation jump.  `iterations` holds the
+    MINRES iteration count of each level, coarsest first; every level
+    after the first starts from the previous level's solution.
     """
 
     alpha: float
     energy: float
     error: float
-    values: np.ndarray
     iterations: tuple[int, ...]
 
 
@@ -374,7 +400,8 @@ class FemRobin:
 
     Each level's mesh, stiffness, load and boundary mass are built once,
     here; `solve` then costs one preconditioner and one MINRES solve per
-    level and alpha.
+    level and alpha, each level after the first started from the
+    previous one's solution.
     """
 
     def __init__(self, d, h_max: float = 0.065, levels: int = 3):
@@ -393,9 +420,10 @@ class FemRobin:
         """
         if alpha == 0.0:
             raise SolverError("alpha = 0 has no solution (incompatible flux)")
-        vals, iterations = [], []
+        vals, iterations, coarse = [], [], None
         for mesh, K, Mb, f in self._levels:
-            u, its = _Block(mesh, K - alpha * Mb, 1, mesh.n_r).solve(f)
+            x0 = None if coarse is None else _prolong(u, coarse)
+            u, its = _Block(mesh, K - alpha * Mb, 1, mesh.n_r).solve(f, x0)
             iterations.append(its)
             if not np.all(np.isfinite(u)):
                 raise SolverError(f"singular Robin system at alpha={alpha}")
@@ -404,8 +432,9 @@ class FemRobin:
                 raise SolverError(
                     f"Robin solution blowup at alpha={alpha}")
             vals.append(-float(f @ u))
+            coarse = mesh
         energy, err = _richardson(vals)
-        return FemSolution(alpha, energy, err, u, tuple(iterations))
+        return FemSolution(alpha, energy, err, tuple(iterations))
 
 
 def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):
@@ -454,8 +483,8 @@ def steklov_residual(basis, sample_density: int = 256,
         flux = []
         for gi in g:
             v = np.concatenate([np.zeros(nf), gi])
-            v[:nf] = free.solve(-full.apply(v)[:nf])[0]
-            flux.append(outer.solve(full.apply(v)[nf:])[0])
+            v[:nf] = free.solve(-full.apply(v)[:nf], None)[0]
+            flux.append(outer.solve(full.apply(v)[nf:], None)[0])
         fluxes.append(np.array(flux))
         traces.append(g)
     coarse_flux, _ = _richardson([fluxes[0], fluxes[1][:, ::2]])

@@ -164,7 +164,6 @@ class TestFemBuildCounts:
             ref = fem_robin_energy(disc, a, h_max=0.2)
             assert sol.alpha == a and sol.iterations == ref.iterations
             assert sol.energy == ref.energy and sol.error == ref.error
-            assert np.array_equal(sol.values, ref.values)
 
     def test_oracle_verify_bytes_identical_reruns(self, capsys):
         outs = []

@@ -154,12 +154,47 @@ class TestSolver:
         rho, _ = oracle._rho_callable(disc)
         for mesh in oracle._mesh_levels(rho, 0.065, 3):
             K, f = mesh.assemble()
-            _, its = oracle._Block(mesh, K, 1, mesh.n_r - 1).solve(f[:mesh.n_free])
+            _, its = oracle._Block(mesh, K, 1, mesh.n_r - 1).solve(f[:mesh.n_free], None)
             assert its <= 4
         fem = oracle.FemRobin(disc)
         for a in (-1.0, 0.5, 5.0):
             sol = fem.solve(a)
             assert len(sol.iterations) == 3 and max(sol.iterations) <= 4
+
+    def test_prolongation_is_linear_in_ring_index_and_angle(self, ellipse):
+        rho, _ = oracle._rho_callable(ellipse)
+        coarse, fine = oracle._doubled_meshes(rho, 32, 2)
+        g = np.random.default_rng(1).standard_normal(coarse.n_t)
+        G = np.empty(fine.n_t)
+        G[::2], G[1::2] = g, 0.5 * (g + np.roll(g, -1))
+        # 0.3 + ring index times a function of the angle, on both meshes
+        U = 0.3 + np.arange(coarse.n_r + 1)[:, None] * g
+        F = 0.3 + np.arange(fine.n_r + 1)[:, None] / 2.0 * G
+        u, want = np.append(0.3, U[1:]), np.append(0.3, F[1:])
+        assert np.abs(oracle._prolong(u, coarse) - want).max() <= 1e-14
+        # a u that stops after the free nodes is zero on the boundary ring
+        got = oracle._prolong(u[:coarse.n_free], coarse)
+        inner = fine.n_free - fine.n_t
+        assert np.abs(got[:inner] - want[:inner]).max() <= 1e-14
+        assert np.abs(got[inner:fine.n_free] - 0.5 * F[-3]).max() <= 1e-14
+        assert not got[fine.n_free:].any()
+
+    def test_nested_start_matches_a_cold_start(self, monkeypatch):
+        # the tolerance was fixed before the first run: the start moves only
+        # where MINRES stops, against _RTOL = 1e-15
+        star, alphas = rmax_star(1.1), [0.3, -1.0, 5.0]
+        nested = fem_robin_energy(star, alphas)
+        T = fem_dirichlet_T(star)
+        for sol in nested[:2]:
+            first, *finer = sol.iterations
+            assert max(finer) < first
+        solve = oracle._Block.solve
+        monkeypatch.setattr(oracle._Block, "solve",
+                            lambda self, b, x0: solve(self, b, None))
+        for sol, cold in zip(nested, fem_robin_energy(star, alphas)):
+            assert sol.energy == pytest.approx(cold.energy, rel=1e-10, abs=0)
+            assert sol.iterations[0] == cold.iterations[0]
+        assert T == pytest.approx(fem_dirichlet_T(star), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("alpha", [5.0, 2.0])
     def test_indefinite_ellipse_converges_under_the_cap(self, ellipse, alpha):
@@ -222,7 +257,7 @@ def assert_matches_colamd_spsolve(d, nodes: int) -> None:
     cases.append((oracle._Block(mesh, K, 1, mesh.n_r - 1), f[:nf],
                   K_ref[idx][:, idx], f_ref[idx]))
     for block, b, A_ref, b_ref in cases:
-        got, _ = block.solve(b)
+        got, _ = block.solve(b, None)
         ref = spla.spsolve(A_ref.tocsc(), b_ref, permc_spec="COLAMD")
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -251,22 +286,40 @@ def p1_gradients(x: np.ndarray):
     return det, bmat, cmat
 
 
+def p1_triangles(mesh) -> np.ndarray:
+    """Node numbers (T, 3) of the mesh's triangles, counterclockwise.
+
+    The centre fan, then per quad row (i, j), (i+1, j), (i+1, j+1) and
+    (i, j), (i+1, j+1), (i, j+1).
+    """
+    n_t, n_r = mesh.n_t, mesh.n_r
+    j = np.arange(n_t)
+    jp = np.roll(j, -1)
+    a = 1 + np.arange(n_r - 1)[:, None] * n_t + j
+    b = a - j + jp
+    fan = np.column_stack([np.zeros(n_t, dtype=int), 1 + j, 1 + jp])
+    quads = np.stack([np.stack([a, a + n_t, b + n_t], axis=-1),
+                      np.stack([a, b + n_t, b], axis=-1)], axis=1)
+    return np.vstack([fan, quads.reshape(-1, 3)])
+
+
 def coo_assembly(mesh, rho, drho):
     """(K, f, Mb) as the oracle assembled them before its stencil, frozen.
 
     Nine COO entries per triangle from the P1 gradients, and four per
     boundary edge from 4-point Gauss quadrature on the exact curve.
     """
-    det, bmat, cmat = p1_gradients(mesh.coords[mesh.tris])
+    tris = p1_triangles(mesh)
+    det, bmat, cmat = p1_gradients(mesh.coords[tris])
     area = 0.5 * det
     kloc = (bmat[:, :, None] * bmat[:, None, :]
             + cmat[:, :, None] * cmat[:, None, :]) * area[:, None, None]
-    rows = np.repeat(mesh.tris, 3, axis=1).ravel()
-    cols = np.tile(mesh.tris, (1, 3)).ravel()
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
     n = mesh.coords.shape[0]
     K = sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     f = np.zeros(n)
-    np.add.at(f, mesh.tris.ravel(), np.repeat(area / 3.0, 3))
+    np.add.at(f, tris.ravel(), np.repeat(area / 3.0, 3))
 
     gx, gw = np.polynomial.legendre.leggauss(4)
     dt = 2.0 * np.pi / mesh.n_t
@@ -302,10 +355,11 @@ def stencil_matrix(mesh, data):
                    + (angle[:, None] + oracle._SLOT_ANGLE) % n_t + 1)
     keep = nbr_ring <= n_r
     rows = np.repeat(1 + np.arange(n_r * n_t)[:, None], 7, axis=1)[keep]
-    vals = data[:-1].reshape(-1, 7)[keep]
+    slots = data[:-1].reshape(7, n_r * n_t)
+    vals = slots.T[keep]
     rows = np.concatenate([rows, np.zeros(n_t + 1, dtype=int)])
     cols = np.concatenate([nbr[keep], 1 + np.arange(n_t), [0]])
-    vals = np.concatenate([vals, data[7 * np.arange(n_t) + 1], data[-1:]])
+    vals = np.concatenate([vals, slots[1, :n_t], data[-1:]])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -322,3 +376,22 @@ class TestStencil:
                              (stencil_matrix(mesh, Mb), Mb_ref)):
                 assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
             assert np.abs(f - f_ref).max() <= 1e-14 * np.abs(f_ref).max()
+
+    @pytest.mark.parametrize("name", ["disc", "ellipse", "wobbly"])
+    def test_apply_matches_stencil_matrix(self, request, name):
+        rho, drho = oracle._rho_callable(request.getfixturevalue(name))
+        rng = np.random.default_rng(2)
+        for mesh in oracle._mesh_levels(rho, 0.065, 3):
+            K, _ = mesh.assemble()
+            data = K - 0.7 * mesh.boundary_mass(rho, drho)
+            A = stencil_matrix(mesh, data)
+            n_t, n_r = mesh.n_t, mesh.n_r
+            # the blocks in use: Robin, Dirichlet and steklov_residual's outer ring
+            for lo, hi in ((1, n_r), (1, n_r - 1), (n_r, n_r)):
+                idx = np.arange(1 + (lo - 1) * n_t, 1 + hi * n_t)
+                if lo == 1:
+                    idx = np.append(0, idx)
+                x = rng.standard_normal(idx.size)
+                ref = A[idx][:, idx] @ x
+                got = oracle._Stencil(mesh, data, lo, hi).apply(x)
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -138,6 +138,20 @@ def test_stderr_change_with_the_exit_code_is_the_exit_change():
     assert rec["changes"] == ["exit 0 -> 3"]
 
 
+def test_warning_reads_the_same_from_two_roots(tmp_path):
+    # one tree under two root paths: each warning names its own root's file
+    root = SCRIPT.parents[1]
+    other = tmp_path / "other"
+    other.symlink_to(root, target_is_directory=True)
+    warns = ("robinlab", ["second-variation", "--alpha", "0.7", "--modes", "k1=1,k2=1"])
+    runs = [(od.start(tree, [warns], {}, tmp_path / name), tmp_path / name, tree)
+            for tree, name in ((root, "base"), (other, "head"))]
+    base, head = [od.collect(proc, work, 1, tree)[0] for proc, work, tree in runs]
+    assert base["err"].startswith(f"{od.ROOT_TOKEN}/src/robinlab/shape_calculus.py:")
+    assert "translations" in base["err"]
+    assert od.compare(warns, base, head)["identical"]
+
+
 def test_without_expect_a_listed_kind_still_fails(capsys):
     rec = od.compare(SPECTRUM, result("", code=2), result("a\n1\n"))
     assert od.report([rec], False) == 1
