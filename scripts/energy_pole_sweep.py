@@ -18,7 +18,6 @@ from robinlab import (
     ellipse_domain,
     energy_direct,
     energy_series_grid,
-    pole_scan,
     random_star_domain,
     series_pack,
 )
@@ -56,7 +55,7 @@ def main() -> None:
     d = build_domain(cfg)
     # the series side: basis, torsion and flux coefficients once for the sweep
     pack = series_pack(d, n_modes=cfg.n_modes, M=cfg.nodes)
-    poles = pole_scan(d, pack=pack)
+    poles = pack.poles
     print(f"domain: {cfg.domain}   poles: {[round(p, 6) for p in poles]}")
 
     # sweep past the first few poles, staying well below the truncation

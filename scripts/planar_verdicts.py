@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robinlab import (
+    alpha0,
     corollary_disc_max,
     fem_dirichlet_T,
     low_alpha,
@@ -44,10 +45,10 @@ def run(cfg: CorpusConfig) -> int:
         A, L = volume(d), surface_area(d)
         bound = pw_upper_bound(A, L)
         T_fem = fem_dirichlet_T(d)
-        jrep = theorem_J_check(d, T_omega=T_fem)
+        jrep = theorem_J_check(d, alpha0(d, T_omega=T_fem))
         pack = series_pack(d)       # one basis and torsion per domain
         alpha = low_alpha(d, float(pack.mu[1]))
-        crep = corollary_disc_max(d, alpha, pack=pack)
+        crep = corollary_disc_max(pack, alpha)
         ok = (T_fem <= bound.T_star and crep.gap >= 0.0
               and crep.chain_ok and jrep.satisfied)
         bad += not ok

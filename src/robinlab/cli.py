@@ -8,7 +8,7 @@ thread.  `energy` and `split` skip the alphas of their grid that fall
 within the resonance tolerance of an energy pole, logging each
 exclusion to stderr (a grid with every alpha excluded prints the header
 only).  The commands that solve one alpha at a time (`first-variation`,
-`oracle-verify`) exit 3 at such an alpha with "no Robin solution".
+`corollary-check`, `oracle-verify`) exit 3 there: "no Robin solution".
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure.
 """
 from __future__ import annotations
@@ -268,7 +268,7 @@ def _cmd_alpha0(args) -> int:
     d = _domain_from_args(args)
     rep = energy.alpha0(d, M=args.nodes)
     if d.dim == 2 and d.kind != "annulus":
-        thr = pw.theorem_J_check(d, T_omega=rep.T_omega)
+        thr = pw.theorem_J_check(d, rep)
         threshold, ok = thr.threshold, thr.satisfied
     else:
         threshold, ok = math.nan, True
@@ -373,7 +373,7 @@ def _cmd_corollary_check(args) -> int:
         alphas = [pw.low_alpha(d, float(pack.mu[1]))]
     rows = []
     for a in alphas:
-        rep = pw.corollary_disc_max(d, a, pack=pack)
+        rep = pw.corollary_disc_max(pack, a)
         ok = rep.gap >= -1e-9 * max(1.0, abs(rep.E_ball))
         rows.append((a, rep.E_domain, rep.E_ball, rep.gap, rep.mu2,
                      rep.weinstock, rep.inv_R, rep.chain_ok, ok))
@@ -388,11 +388,7 @@ def _cmd_oracle_verify(args) -> int:
     fem = oracle.FemRobin(d, h_max=args.h_max)
     rows = []
     for a in map(float, _alphas_from_args(args)):
-        # one-row grids keep energy_series' per-alpha error order
-        row, = energy.energy_series_grid(pack, [a])
-        if row[energy.ENERGY_COLUMNS.index("status")] == sk.STATUS_NO_SOLUTION:
-            raise SolverError(f"no Robin solution at alpha={a}")
-        E_series = row[energy.ENERGY_COLUMNS.index("E_total")]
+        E_series = energy._series_energy(pack, a)
         fs = oracle.fem_robin_energy(fem, a)
         diff = abs(E_series - fs.energy)
         ok = diff <= max(10.0 * fs.error, 1e-7 * max(1.0, abs(E_series)))
@@ -410,9 +406,9 @@ def _cmd_corpus(args) -> int:
         pack = pw.corollary_pack(d, args.n_modes, args.nodes)
         mu2 = float(pack.mu[1])
         a = pw.low_alpha(d, mu2)
-        rep = pw.corollary_disc_max(d, a, pack=pack)
+        rep = pw.corollary_disc_max(pack, a)
         E_dom, E_ball = rep.E_domain, rep.E_ball
-        J_dom = energy.j_functional(d, a, T_omega=pack.T)
+        J_dom = energy.j_functional(d, a, pack.T)
         tol = 1e-9 * max(1.0, abs(E_ball))
         rows.append((idx, d.R, mu2, a, E_dom, E_ball, E_dom <= E_ball + tol,
                      J_dom, E_ball, J_dom <= E_ball + tol))

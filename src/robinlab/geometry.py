@@ -297,8 +297,8 @@ def _planar_rho(d: Domain) -> TrigPoly:
     return TrigPoly.constant(d.R) if d.kind == "ball" else d.rho
 
 
-def boundary_grid(d: Domain, M: int = DEFAULT_BOUNDARY_NODES) -> BoundaryGrid:
-    """Boundary nodes/weights for a planar ball or Star2D domain."""
+def boundary_grid(d: Domain, M: int) -> BoundaryGrid:
+    """Boundary nodes/weights at M angles for a planar ball or Star2D domain."""
     rho = _planar_rho(d)
     return _curve_from_radii(np.linspace(0.0, 2.0 * np.pi, M, endpoint=False),
                              *(rho._on_grid(M, order) for order in range(3)))
@@ -432,16 +432,38 @@ def domain_to_dict(d: Domain) -> dict:
     return out
 
 
-def domain_from_dict(obj: dict) -> Domain:
-    kind = obj["kind"]
-    if kind == "ball":
-        return Domain.ball(int(obj["dim"]), float(obj["R"]))
-    if kind == "annulus":
-        return Domain.annulus(int(obj["dim"]), float(obj["R"]), float(obj["kappa"]))
-    if kind == "star2d":
-        rc = obj["rho_coeffs"]
-        rho = TrigPoly(float(rc["a0"]), tuple(rc.get("cos", ())),
-                       tuple(rc.get("sin", ())))
-        return Domain.star2d(rho)
-    raise ValueError(f"unknown domain kind {kind!r}")
+def _entry(obj: dict, key: str, convert):
+    """`convert(obj[key])`; a missing key, or a value `convert` rejects, raises ValueError."""
+    if key not in obj:
+        raise ValueError(f"the domain has no key {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"the domain's key {key!r} holds a bad value {obj[key]!r}") from None
 
+
+def _float_list(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(float(v) for v in value)
+
+
+def domain_from_dict(obj: dict) -> Domain:
+    """The domain a `domain_to_dict` object describes.
+
+    A missing key, or a value of the wrong type, raises ValueError
+    naming the key; so does an object that is not a dict.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a domain is a JSON object, got {type(obj).__name__}")
+    kind = _entry(obj, "kind", str)
+    if kind == "ball":
+        return Domain.ball(_entry(obj, "dim", int), _entry(obj, "R", float))
+    if kind == "annulus":
+        return Domain.annulus(_entry(obj, "dim", int), _entry(obj, "R", float),
+                              _entry(obj, "kappa", float))
+    if kind == "star2d":
+        rc = _entry(obj, "rho_coeffs", dict)
+        cos, sin = (_entry(rc, k, _float_list) if k in rc else () for k in ("cos", "sin"))
+        return Domain.star2d(TrigPoly(_entry(rc, "a0", float), cos, sin))
+    raise ValueError(f"unknown domain kind {kind!r}")

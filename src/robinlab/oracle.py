@@ -303,11 +303,13 @@ class _Block(_Stencil):
         return x, len(steps)
 
 
-def _check_mesh_args(h_max: float, levels: int) -> None:
+# Richardson levels of every FEM energy: the coarsest mesh and two doublings
+_LEVELS = 3
+
+
+def _check_mesh_args(h_max: float) -> None:
     if not (math.isfinite(h_max) and h_max > 0):
         raise ValueError(f"h_max must be finite and positive, got {h_max}")
-    if levels < 2:
-        raise ValueError(f"Richardson extrapolation needs levels >= 2, got {levels}")
 
 
 def _doubled_meshes(rho, n_t0: int, levels: int):
@@ -324,10 +326,11 @@ def _doubled_meshes(rho, n_t0: int, levels: int):
         yield _Mesh(rho, n_t0 * 2 ** lv, n_r0 * 2 ** lv)
 
 
-def _mesh_levels(rho, h_max: float, levels: int):
+def _mesh_levels(rho, h_max: float):
+    """The _LEVELS doubled meshes of rho, about h_max apart on the coarsest boundary."""
     rmax = float(np.asarray(rho(np.linspace(0, 2 * np.pi, 720)), float).max())
     n_t0 = max(32, int(math.ceil(2.0 * np.pi * rmax / (4.0 * h_max))) * 4)
-    return _doubled_meshes(rho, n_t0, levels)
+    return _doubled_meshes(rho, n_t0, _LEVELS)
 
 
 def _richardson(values: list) -> tuple:
@@ -360,23 +363,35 @@ def _prolong(u: np.ndarray, mesh: _Mesh) -> np.ndarray:
     return np.concatenate([[u[0]], F[1:].ravel()])
 
 
-def fem_dirichlet_T(d, h_max: float = 0.065, levels: int = 3) -> float:
+def _nested_solves(systems):
+    """(mesh, load, u, iterations) of each level, coarsest first, by nested iteration.
+
+    `systems` yields each level's (mesh, block, load).  The first
+    level's MINRES starts from zero, every later one from the previous
+    level's solution prolonged onto its mesh and cut to its block (the
+    free nodes, or all of them).
+    """
+    u = coarse = None
+    for mesh, block, f in systems:
+        x0 = None if coarse is None else _prolong(u, coarse)[:f.size]
+        u, its = block.solve(f, x0)
+        del block                   # freed before the next level builds its own
+        yield mesh, f, u, its
+        coarse = mesh
+
+
+def fem_dirichlet_T(d, h_max: float = 0.065) -> float:
     """Torsion energy T = -int s dx by P1 elements, Richardson-extrapolated.
 
     `d` is a planar Domain or a plain callable theta -> radius (which
     permits non-smooth boundaries such as squares).
     """
-    _check_mesh_args(h_max, levels)
+    _check_mesh_args(h_max)
     rho, _ = _rho_callable(d)
-    vals, coarse = [], None
-    for mesh in _mesh_levels(rho, h_max, levels):
-        K, f = mesh.assemble()
-        nf = mesh.n_free
-        x0 = None if coarse is None else _prolong(u, coarse)[:nf]
-        u, _ = _Block(mesh, K, 1, mesh.n_r - 1).solve(f[:nf], x0)
-        vals.append(-float(f[:nf] @ u))
-        coarse = mesh
-    return _richardson(vals)[0]
+    levels = ((mesh, *mesh.assemble()) for mesh in _mesh_levels(rho, h_max))
+    systems = ((mesh, _Block(mesh, K, 1, mesh.n_r - 1), f[:mesh.n_free])
+               for mesh, K, f in levels)
+    return _richardson([-float(f @ u) for _, f, u, _ in _nested_solves(systems)])[0]
 
 
 @dataclass(frozen=True)
@@ -398,57 +413,45 @@ class FemSolution:
 class FemRobin:
     """The P1 Robin problem of a planar domain on its doubled meshes.
 
-    Each level's mesh, stiffness, load and boundary mass are built once,
-    here; `solve` then costs one preconditioner and one MINRES solve per
-    level and alpha, each level after the first started from the
-    previous one's solution.
+    `d` is a planar Domain or a plain callable theta -> radius.  Each
+    level's mesh, stiffness, load and boundary mass are built once,
+    here; `fem_robin_energy` then costs one preconditioner and one
+    MINRES solve per level and alpha.
     """
 
-    def __init__(self, d, h_max: float = 0.065, levels: int = 3):
-        _check_mesh_args(h_max, levels)
+    def __init__(self, d, h_max: float = 0.065):
+        _check_mesh_args(h_max)
         rho, drho = _rho_callable(d)
         self._levels = []
-        for mesh in _mesh_levels(rho, h_max, levels):
+        for mesh in _mesh_levels(rho, h_max):
             K, f = mesh.assemble()
             self._levels.append((mesh, K, mesh.boundary_mass(rho, drho), f))
 
-    def solve(self, alpha: float) -> FemSolution:
-        """Robin energy E = -int u dx with exact-curve boundary mass.
 
-        Raises SolverError if the discrete solution norm indicates a
-        resonance blowup (alpha too close to a Steklov eigenvalue).
-        """
-        if alpha == 0.0:
-            raise SolverError("alpha = 0 has no solution (incompatible flux)")
-        vals, iterations, coarse = [], [], None
-        for mesh, K, Mb, f in self._levels:
-            x0 = None if coarse is None else _prolong(u, coarse)
-            u, its = _Block(mesh, K - alpha * Mb, 1, mesh.n_r).solve(f, x0)
-            iterations.append(its)
-            if not np.all(np.isfinite(u)):
-                raise SolverError(f"singular Robin system at alpha={alpha}")
-            scale = max(float(np.abs(mesh.coords).max()) ** 2, 1.0 / abs(alpha))
-            if float(np.abs(u).max()) > 1e10 * scale:
-                raise SolverError(
-                    f"Robin solution blowup at alpha={alpha}")
-            vals.append(-float(f @ u))
-            coarse = mesh
-        energy, err = _richardson(vals)
-        return FemSolution(alpha, energy, err, tuple(iterations))
+def fem_robin_energy(fem: FemRobin, alpha: float) -> FemSolution:
+    """Robin energy E = -int u dx by P1 elements with exact-curve boundary mass.
 
-
-def fem_robin_energy(d, alpha, h_max: float = 0.065, levels: int = 3):
-    """Robin energy E = -int u dx by P1 elements, Richardson-extrapolated.
-
-    `d` is a planar Domain, a plain callable theta -> radius, or a
-    FemRobin, whose meshes serve as built (h_max and levels are then
-    not read).  `alpha` is a float, giving one FemSolution, or a
-    sequence, giving one per alpha from meshes and matrices built once.
-    Raises SolverError on a resonance blowup, see `FemRobin.solve`.
+    Solved on the levels of `fem`, each level after the first started
+    from the previous one's solution, and Richardson-extrapolated.
+    Raises SolverError if the discrete solution norm indicates a
+    resonance blowup (alpha too close to a Steklov eigenvalue).
     """
-    fem = d if isinstance(d, FemRobin) else FemRobin(d, h_max, levels)
-    sols = [fem.solve(float(a)) for a in np.atleast_1d(alpha)]
-    return sols[0] if np.ndim(alpha) == 0 else sols
+    if alpha == 0.0:
+        raise SolverError("alpha = 0 has no solution (incompatible flux)")
+    systems = ((mesh, _Block(mesh, K - alpha * Mb, 1, mesh.n_r), f)
+               for mesh, K, Mb, f in fem._levels)
+    vals, iterations = [], []
+    for mesh, f, u, its in _nested_solves(systems):
+        iterations.append(its)
+        if not np.all(np.isfinite(u)):
+            raise SolverError(f"singular Robin system at alpha={alpha}")
+        scale = max(float(np.abs(mesh.coords).max()) ** 2, 1.0 / abs(alpha))
+        if float(np.abs(u).max()) > 1e10 * scale:
+            raise SolverError(
+                f"Robin solution blowup at alpha={alpha}")
+        vals.append(-float(f @ u))
+    energy, err = _richardson(vals)
+    return FemSolution(alpha, energy, err, tuple(iterations))
 
 
 def steklov_residual(basis, sample_density: int = 256,

@@ -100,15 +100,13 @@ class JThresholdReport:
     satisfied: bool
 
 
-def theorem_J_check(d: Domain, *, T_omega: float | None = None,
-                    M: int | None = None) -> JThresholdReport:
+def theorem_J_check(d: Domain, rep: energy.Alpha0Report) -> JThresholdReport:
     """Verify alpha0(Omega) >= (2/R) g(y^2) for a planar domain.
 
-    The crossover alpha0 uses the computed torsion deficit; the
-    threshold uses only area and perimeter.  `satisfied` allows a
-    1e-9 relative slack for quadrature noise.
+    `rep` is d's `alpha0` report, whose crossover uses the computed
+    torsion deficit; the threshold uses only area and perimeter.
+    `satisfied` allows a 1e-9 relative slack for quadrature noise.
     """
-    rep = energy.alpha0(d, T_omega=T_omega, M=M)
     thr = threshold_alpha(d)
     ok = rep.alpha0 >= thr * (1.0 - 1e-9)
     return JThresholdReport(rep.alpha0, thr, bool(ok))
@@ -142,27 +140,22 @@ def low_alpha(d: Domain, mu2: float) -> float:
     return min(1.0 / math.sqrt(geo.volume(d) / math.pi), 0.9 * mu2)
 
 
-def corollary_disc_max(d: Domain, alpha: float, *, n_modes: int = 32,
-                       M: int | None = None,
-                       pack: energy._SeriesPack | None = None) -> DiscMaxReport:
+def corollary_disc_max(pack: energy._SeriesPack, alpha: float) -> DiscMaxReport:
     """Energy comparison with the equal-area disc for 0 < alpha < mu_2(Omega).
 
     Inside that window the disc maximizes E among equal-area planar
     domains; the report carries both energies and the Weinstock chain
-    mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  Pass
-    `corollary_pack(d, n_modes, M)` as `pack` to reuse it across alphas.
-    The node count is the series pack's, which `layerpot.operator_for`
-    picks without M and checks when given (SolverError when unresolved).
+    mu_2(Omega) <= 2 pi / L <= 1/R that calibrates the window.  `pack`
+    is `corollary_pack(d, n_modes, M)`, built once for every alpha of d.
+    An alpha outside the window raises ValueError, and one that the
+    series resonates with (NoSolution) raises SolverError.
     """
-    if pack is None:
-        pack = corollary_pack(d, n_modes, M)
     d = pack.domain
     mu2 = float(pack.mu[1])
     if not 0.0 < alpha < mu2:
         raise ValueError(
             f"alpha={alpha} outside the validity window (0, mu_2={mu2:.6g})")
-    row, = energy.energy_series_grid(pack, [alpha])
-    E_dom = row[energy.ENERGY_COLUMNS.index("E_total")]
+    E_dom = energy._series_energy(pack, alpha)
     R = d.R                       # the equal-area radius of a star domain
     E_ball = energy.ball_energy(2, R, alpha)
     L = geo.surface_area(d)

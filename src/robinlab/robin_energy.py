@@ -142,7 +142,8 @@ def series_pack(d: Domain, *, n_modes: int = 32, M: int | None = None,
     the basis's, and `layerpot.operator_for` picks it without M and
     checks an explicit M.  An unresolved boundary raises SolverError.
     `flux_coefficients` runs here, once.  Pass the result to
-    `energy_series_grid`, `split_variational_grid` or `pole_scan(pack=)`.
+    `energy_series_grid` or `split_variational_grid`; its `poles` are
+    the energy poles.
 
     Raises
     ------
@@ -248,15 +249,19 @@ def _series_rows(pack: _SeriesPack, alphas: np.ndarray):
 def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
     """Series rows (ENERGY_COLUMNS order) over an alpha grid, in grid order.
 
-    Each row equals the ENERGY_COLUMNS fields of `energy_series(d, alpha,
-    basis=)` bit for bit.  The grid is evaluated as numpy broadcasts over
-    blocks of SERIES_CHUNK alphas, so `flux_coefficients` and the pole set
-    are computed once (in `pack`) for the whole grid.
+    Each row equals the row of its alpha's one-alpha grid bit for bit.
+    The grid is evaluated as numpy broadcasts over blocks of SERIES_CHUNK
+    alphas, so `flux_coefficients` and the pole set are computed once (in
+    `pack`) for the whole grid.  A row's `status` is Unique away from the
+    spectrum; at a resonant eigenvalue it is Family when every resonant
+    flux component vanishes (the term is dropped; all family members
+    share one energy) and NoSolution otherwise (energies become NaN).
 
     Raises
     ------
     SolverError
-        The error energy_series raises at the first failing alpha.
+        At the first failing alpha: its truncation tail bound exceeds
+        1e-6 of |E|, or it is not below the truncation eigenvalue.
     ValueError
         If an alpha is NaN or infinite.
     """
@@ -271,45 +276,29 @@ def energy_series_grid(pack: _SeriesPack, alphas) -> list[tuple]:
     return rows
 
 
-def energy_series(d: Domain, alpha: float, *, n_modes: int = 32,
-                  M: int | None = None,
-                  basis: SteklovBasis | None = None) -> EnergyReport:
+def energy_series(d: Domain, alpha: float) -> EnergyReport:
     """Spectral-series energy with sign split and truncation audit.
 
-    Parameters
-    ----------
-    d, alpha : domain and Robin parameter (alpha != 0 for solvability).
-    n_modes, M : star-domain basis size and node count, picked without M
-        and checked when given by `layerpot.operator_for`.
-    basis : precomputed Steklov basis; the torsion is solved on
-        `basis.operator`, which must be d's (at M nodes when M is given).
-
-    Returns
-    -------
-    EnergyReport
-        `status` is Unique away from the spectrum; at a resonant
-        eigenvalue it is Family when every resonant flux component
-        vanishes (the term is dropped; all family members share one
-        energy) and NoSolution otherwise (energies become NaN).
-
-    This is the one-row case of `energy_series_grid`; for many alphas on
-    one domain, build `series_pack` once and evaluate the grid.
-
-    Raises
-    ------
-    SolverError
-        If the truncation tail bound exceeds 1e-6 of |E|, or the
-        boundary is not resolved (past 2048 nodes, or at an explicit M).
-    ValueError
-        If alpha is NaN or infinite, or a star basis has fewer than 2
-        modes.
+    The row of the one-alpha `energy_series_grid` on d's default
+    `series_pack` (32 modes, node count picked by `layerpot.operator_for`);
+    it raises what the pack and the grid raise.  For many alphas, or
+    another basis or node count, build the pack once and evaluate the
+    grid.  A NaN or infinite alpha raises ValueError before the pack is
+    built.
     """
     _check_alpha(alpha)
-    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis)
-    E_plus, E_minus, E_total, tail, status = _series_rows(
-        pack, np.array([alpha], dtype=float))
-    return EnergyReport(alpha, pack.T, float(E_plus[0]), float(E_minus[0]),
-                        float(E_total[0]), float(tail[0]), str(status[0]))
+    return EnergyReport(*energy_series_grid(series_pack(d), [alpha])[0])
+
+
+def _series_energy(pack: _SeriesPack, alpha: float) -> float:
+    """E_total of the one-alpha grid at alpha; a NoSolution alpha raises SolverError.
+
+    One-row grids keep the per-alpha error order of `energy_series`.
+    """
+    *_, E_total, _, status = energy_series_grid(pack, [alpha])[0]
+    if status == sk.STATUS_NO_SOLUTION:
+        raise SolverError(f"no Robin solution at alpha={alpha}")
+    return E_total
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +459,7 @@ def split_variational_grid(pack: _SeriesPack, alphas) -> tuple[np.ndarray, np.nd
     return e_plus, e_minus_bound
 
 
-def energy_split_variational(d: Domain, alpha: float, *,
-                             basis: SteklovBasis | None = None,
-                             n_modes: int = 32,
-                             M: int | None = None) -> tuple[float, float]:
+def energy_split_variational(d: Domain, alpha: float) -> tuple[float, float]:
     """(E_plus via its maximizer, trial upper bound for E_minus).
 
     E_plus is re-derived by evaluating the saddle quadratic
@@ -481,13 +467,11 @@ def energy_split_variational(d: Domain, alpha: float, *,
     maximizer on the unstable subspace, rather than summing the series.
     The E_minus bound evaluates Q at the optimally-scaled harmonic trial
     v(x) = x - c with c the boundary barycenter (valid below mu_2; NaN
-    when the trial's quadratic form loses positivity).  The torsion is
-    solved on `basis.operator` as in `energy_series`.  This is the
-    one-alpha case of `split_variational_grid`.
+    when the trial's quadratic form loses positivity).  This is the
+    one-alpha `split_variational_grid` on d's default `series_pack`.
     """
     _check_alpha(alpha)
-    pack = series_pack(d, n_modes=n_modes, M=M, basis=basis)
-    e_plus, e_minus_bound = split_variational_grid(pack, [alpha])
+    e_plus, e_minus_bound = split_variational_grid(series_pack(d), [alpha])
     return float(e_plus[0]), float(e_minus_bound[0])
 
 
@@ -495,16 +479,11 @@ def energy_split_variational(d: Domain, alpha: float, *,
 # the J functional and the crossover threshold
 
 
-def j_functional(d: Domain, alpha: float, *, T_omega: float | None = None,
-                 M: int | None = None) -> float:
-    """J = T + |Omega|^2 / (alpha |dOmega|), the two-term energy surrogate.
-
-    T is `T_omega` when given, else `solve_torsion(d, M)`.
-    """
+def j_functional(d: Domain, alpha: float, T_omega: float) -> float:
+    """J = T + |Omega|^2 / (alpha |dOmega|), the two-term energy surrogate, at T = T_omega."""
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
-    T = solve_torsion(d, M).T if T_omega is None else T_omega
-    return T + geo.volume(d) ** 2 / (alpha * geo.surface_area(d))
+    return T_omega + geo.volume(d) ** 2 / (alpha * geo.surface_area(d))
 
 
 @dataclass(frozen=True)
@@ -541,12 +520,10 @@ def alpha0(d: Domain, *, T_omega: float | None = None,
     return Alpha0Report(vol ** 2 * gap / eps0, eps0, R, T_omega, T_ball, gap)
 
 
-def pole_scan(d: Domain, *, n_modes: int = 32, M: int | None = None,
-              pack: _SeriesPack | None = None) -> tuple[float, ...]:
+def pole_scan(d: Domain) -> tuple[float, ...]:
     """Eigenvalues that are true energy poles (nonzero flux component).
 
-    Returns the poles of `pack`, or of `series_pack(d, n_modes=, M=)`,
-    whose star node count `layerpot.operator_for` picks or checks;
-    rounded to 12 decimals.
+    The poles of d's default `series_pack`, rounded to 12 decimals; a
+    pack built once for other reads holds the same tuple as `poles`.
     """
-    return (pack or series_pack(d, n_modes=n_modes, M=M)).poles
+    return series_pack(d).poles

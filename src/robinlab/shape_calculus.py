@@ -48,8 +48,8 @@ __all__ = [
 # first variation
 
 
-def first_variation_general(d: Domain, alpha, vn, M: int | None = None):
-    """Hadamard derivative of E under normal speed vn.
+def first_variation_general(d: Domain, alphas, vn, M: int | None = None) -> list[float]:
+    """Hadamard derivative of E under normal speed vn, one per alpha of `alphas`.
 
     Edot = oint vn [ |grad u|^2 - 2u - 2 alpha^2 u^2 - alpha(n-1) u^2 H ] dS
     with H the mean curvature (1/R on a sphere).  `vn` is a callable of
@@ -57,23 +57,23 @@ def first_variation_general(d: Domain, alpha, vn, M: int | None = None):
     since their perturbations move two boundaries); a planar ball field
     p enters as `NormalSpeedFamily.from_perturbation(p, R).vdotnu`.
 
-    `alpha` is a number, giving one float, or a sequence of numbers,
-    giving a list in the same order.  The alphas are solved in order,
-    and the first that fails raises: a NoSolution alpha raises
-    SolverError before any operator is built for it.  A star solves
-    every alpha on one layer operator, built by its first solve at M
-    nodes, or at the certified count when M is None, so a list gives
-    exactly the values of the scalar calls.  A ball integrates a
-    callable speed at M nodes (DEFAULT_BOUNDARY_NODES when None).
+    The alphas are solved in order, and the first that fails raises
+    SolverError: at NoSolution, before any operator is built for it, or
+    at a value that is not finite.  A star solves them on one operator,
+    built by the first solve at M nodes (None: the certified count); a
+    ball integrates a callable speed at M nodes (None: 256, the default).
     """
     if d.kind == "annulus":
         raise ValueError("first variation on shells is not supported")
     values, op = [], None
-    for a in [alpha] if np.ndim(alpha) == 0 else alpha:
+    for a in alphas:
         sol = energy._solve_or_raise(d, a, M, op)
         op = sol.operator
-        values.append(_edot(sol, vn, M))
-    return values[0] if np.ndim(alpha) == 0 else values
+        with np.errstate(over="ignore", invalid="ignore"):     # overflow raises below
+            values.append(_edot(sol, vn, M))
+        if not math.isfinite(values[-1]):
+            raise SolverError(f"first variation at alpha={a} is not finite: {values[-1]}")
+    return values
 
 
 def _edot(sol, vn, M: int | None) -> float:
@@ -171,9 +171,9 @@ class VariationReport:
     degrees: np.ndarray
     b: np.ndarray
 
-    def agreement_ok(self, tol: float = 1e-10) -> bool:
+    def agreement_ok(self) -> bool:
         scale = max(abs(self.E_ddot), abs(self.E_ddot_radial), 1.0)
-        return self.route_gap <= tol * scale
+        return self.route_gap <= 1e-10 * scale
 
 
 def second_variation_ball(d: Domain, alpha: float,
@@ -283,7 +283,8 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
     Jdot vanishes for volume-preserving speeds: the torsion term
     contributes -oint |grad s|^2 vn and the area term balances it
     through Sdot = ((n-1)/R) oint vn; both are proportional to b_1 = 0.
-    Jddot = I(t) = sum t_i^2 M_i with t_i = (R/n) b_i and
+    A value that is not finite (an overflowing amplitude) raises
+    SolverError.  Jddot = I(t) = sum t_i^2 M_i with t_i = (R/n) b_i and
     M_i = (k_i - 1)(2/R - (k_i + n - 1)/(alpha R^2)), bracketed by
 
         -(1/alpha) sum t_i^2 Lt_i  <=  I  <=  (2R/n - 1/alpha) sum t_i^2 Lt_i,
@@ -292,21 +293,25 @@ def j_variations(d: Domain, alpha: float, p: PerturbationField) -> JVariationRep
     normalization of the speed (per-mode slack 2 (k_i-1)/R t_i^2 below,
     2 (k_i-1)^2/(n R) t_i^2 above).
     """
-    n, R, _, b, ks, live = _validate_modal(d, alpha, p)
-    tsq = ((R / n) * b[live]) ** 2
-    m = (ks[live] - 1.0) * (2.0 / R - (ks[live] + n - 1.0) / (alpha * R ** 2))
-    I_t = float(np.sum(tsq * m))
-    # Jdot from its two pieces (not by fiat): both scale with b_1 = 0
-    area = geo.surface_area(d)
-    oint_vn = float(p.b[0]) * math.sqrt(area)
-    T_dot = -(R / n) ** 2 * oint_vn
-    S_dot = ((n - 1.0) / R) * oint_vn
-    V = geo.volume(d)
-    J_dot = T_dot + (2.0 * V * oint_vn * area - V ** 2 * S_dot) / (alpha * area ** 2)
-    lt = (ks[live] - 1.0) * (ks[live] + n - 1.0) / R ** 2
-    lower = -float(np.sum(tsq * lt)) / alpha
-    upper = (2.0 * R / n - 1.0 / alpha) * float(np.sum(tsq * lt))
-    return JVariationReport(J_dot, I_t, lower, upper, I_t - lower, upper - I_t)
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow raises below
+        n, R, _, b, ks, live = _validate_modal(d, alpha, p)
+        tsq = ((R / n) * b[live]) ** 2
+        m = (ks[live] - 1.0) * (2.0 / R - (ks[live] + n - 1.0) / (alpha * R ** 2))
+        I_t = float(np.sum(tsq * m))
+        # Jdot from its two pieces (not by fiat): both scale with b_1 = 0
+        area = geo.surface_area(d)
+        oint_vn = float(p.b[0]) * math.sqrt(area)
+        T_dot = -(R / n) ** 2 * oint_vn
+        S_dot = ((n - 1.0) / R) * oint_vn
+        V = geo.volume(d)
+        J_dot = T_dot + (2.0 * V * oint_vn * area - V ** 2 * S_dot) / (alpha * area ** 2)
+        lt = (ks[live] - 1.0) * (ks[live] + n - 1.0) / R ** 2
+        lower = -float(np.sum(tsq * lt)) / alpha
+        upper = (2.0 * R / n - 1.0 / alpha) * float(np.sum(tsq * lt))
+        values = (J_dot, I_t, lower, upper, I_t - lower, upper - I_t)
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"J variations at alpha={alpha} are not finite")
+    return JVariationReport(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +365,10 @@ class FiniteDifferenceReport:
     E_ddot: float
 
 
-def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
+def finite_difference_check(family: NormalSpeedFamily, alphas, t_grid,
                             route: str = "series", degree: int = 2,
-                            n_modes: int = 32, M: int | None = None):
-    """Fit E(t) on the family by least squares and read off derivatives.
+                            n_modes: int = 32, M: int | None = None) -> list:
+    """Fit E(t) on the family by least squares and read off derivatives, per alpha.
 
     route: "series" (spectral, `robin_energy.series_pack`), "direct"
     (boundary solve), or "fem" (the independent finite-element oracle,
@@ -375,17 +380,16 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
     must be finite with at least degree + 1 distinct steps (ValueError
     otherwise), so the fit determines E''.
 
-    `alpha` is a number, giving one FiniteDifferenceReport, or a
-    sequence of numbers, giving a list of reports in the same order.
-    Every alpha shares the family members: each member's series pack
-    (series), layer operator (direct) or meshes and matrices (fem) are
-    built once for all alphas, so a list gives exactly the reports of
-    the scalar calls.
+    `alphas` is a sequence of numbers, giving one report each, in the
+    same order.  Every alpha shares the family members: each member's
+    series pack (series), layer operator (direct) or meshes and matrices
+    (fem) are built once for all alphas, so each report is the one a
+    one-alpha list gives.
     A NaN or infinite alpha raises ValueError.
     """
     if route not in ("series", "direct", "fem"):
         raise ValueError(f"unknown route {route!r}")
-    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    alphas = [float(a) for a in alphas]
     for a in alphas:
         energy._check_alpha(a)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -410,9 +414,9 @@ def finite_difference_check(family: NormalSpeedFamily, alpha, t_grid,
                 vals[i, j] = energy.energy_direct(dom, a, operator=op)
         else:
             from . import oracle
-            vals[:, j] = [s.energy for s in oracle.fem_robin_energy(dom, alphas)]
-    reports = [_fit_derivatives(t_grid, row, degree) for row in vals]
-    return reports[0] if np.ndim(alpha) == 0 else reports
+            fem = oracle.FemRobin(dom)
+            vals[:, j] = [oracle.fem_robin_energy(fem, a).energy for a in alphas]
+    return [_fit_derivatives(t_grid, row, degree) for row in vals]
 
 
 def _fit_derivatives(t_grid: np.ndarray, vals: np.ndarray,

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from robinlab import (Domain, PerturbationField, TrigPoly, ball_mode_degrees, ellipse_domain,
-                      random_star_domain)
+                      energy_series_grid, random_star_domain, series_pack)
+from robinlab.robin_energy import EnergyReport
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=25, derandomize=True)
@@ -38,6 +39,15 @@ def wobbly():
 @pytest.fixture(scope="session")
 def three_mode():
     return Domain.star2d(TrigPoly(1.0, (0.0, 0.12, 0.08), (0.0, 0.0, 0.05)))
+
+
+def series_report(d, alpha, **pack_kw) -> EnergyReport:
+    """The series energy of one alpha on `series_pack(d, **pack_kw)`.
+
+    `energy_series` on a pack of another basis or node count than d's
+    default one: the row of the one-alpha grid.
+    """
+    return EnergyReport(*energy_series_grid(series_pack(d, **pack_kw), [alpha])[0])
 
 
 def random_perturbation(rng: np.random.Generator, n: int,

@@ -29,6 +29,7 @@ from robinlab import (
     pw_upper_bound,
     random_star_domain,
     second_variation_ball,
+    solve_torsion,
     spectrum_star2d,
     surface_area,
     threshold_alpha,
@@ -112,13 +113,13 @@ def test_c04_ellipse_second_variation(capsys):
                      + (1.0 - alpha) / (2.0 * (2.0 - alpha))) * math.pi
             rep = second_variation_ball(Domain.ball(2, 1.0), alpha, p)
             assert abs(rep.E_ddot - exact) <= 1e-10 * max(1.0, abs(exact))
-            assert rep.agreement_ok(1e-10)
+            assert rep.agreement_ok()
         exact1 = -3.0 * math.pi / 4.0
         fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         steps = [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03]
         for route in ("series", "fem"):
-            fd = finite_difference_check(fam, 1.0, steps, route=route,
-                                         degree=3)
+            fd, = finite_difference_check(fam, [1.0], steps, route=route,
+                                          degree=3)
             assert abs(fd.E_ddot - exact1) < 0.01 * abs(exact1)
         assert modal_coefficient(2, 2, 2.0 - 1e-9) < 0
         assert modal_coefficient(2, 2, 2.0 + 1e-9) > 0
@@ -192,7 +193,7 @@ def test_c09_crossover_from_fem(capsys):
         ball = Domain.ball(2, rep.R)
         for a, side in ((rep.alpha0 / 2.0, -1.0), (2.0 * rep.alpha0, 1.0)):
             gap = (j_functional(ell, a, T_omega=T_fem)
-                   - j_functional(ball, a))
+                   - j_functional(ball, a, solve_torsion(ball).T))
             assert side * gap > 0
         assert rep.alpha0 >= threshold_alpha(ell)
 
@@ -209,8 +210,8 @@ def test_c10_first_variation_zero(capsys):
             coeffs = rng.uniform(-0.04, 0.04, size=8)
             eta = TrigPoly(0.0, (0.0, *coeffs[:4]), (0.0, *coeffs[4:]))
             fam = NormalSpeedFamily(eta, 1.0)
-            analytic = first_variation_general(disc, 0.5, fam.vdotnu)
+            analytic, = first_variation_general(disc, [0.5], fam.vdotnu)
             assert abs(analytic) < 1e-12
-            fd = finite_difference_check(fam, 0.5, steps, route="series",
-                                         degree=3, n_modes=24, M=192)
+            fd, = finite_difference_check(fam, [0.5], steps, route="series",
+                                          degree=3, n_modes=24, M=192)
             assert abs(fd.E_dot) < 1e-4 * scale

@@ -2,7 +2,7 @@
 the README's library quickstart runs; no module imports a name it never uses;
 no library module imports a thread or process module or reads the environment;
 every name in `robinlab.__all__` and every field of a report has a reader
-outside the tests."""
+outside the tests, and every parameter default a caller there that sets it."""
 
 import ast
 import contextlib
@@ -206,3 +206,68 @@ def test_every_report_field_has_a_reader():
     unread = {f for f in fields if f.split(".")[1] not in read_as_value}
     unread |= {m for m in methods if m.split(".")[1] not in read}
     assert unread == set(UNREAD_FIELDS)
+
+
+# Parameters with a default that no call outside the tests sets, kept for a reason
+UNSET_DEFAULTS = {
+    "pin_single_thread.dirs": "a test seam: a directory without OpenBLAS",
+    "series_pack.basis": "tests build packs on bases other than the default, such as "
+                         "the 3-D ball to degree 60 of TestOneStatusRule",
+    "steklov_residual.sample_density": "a check the tests run (TEST_ONLY_NAMES); "
+                                       "ROADMAP item 11 decides it",
+    "steklov_residual.n_modes": "a check the tests run (TEST_ONLY_NAMES); "
+                                "ROADMAP item 11 decides it",
+    "TrigPoly.__call__.order": "called as rho(t, order=1), on an object the name "
+                               "match cannot see",
+}
+
+
+def _defaults(tree: ast.Module) -> dict[str, tuple[str, str, int | None]]:
+    """Every parameter with a default: `owner.name` -> (callee, name, position).
+
+    The callee is the function's name, or its class's for `__init__`; the
+    position counts the positional arguments of a call (a method's `self`
+    is not one), None for a keyword-only parameter.
+    """
+    owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+              for f in c.body if isinstance(f, ast.FunctionDef)}
+    out = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")      # no call names a lambda
+        cls = owners.get(id(fn))
+        bound = cls is not None and "staticmethod" not in {
+            getattr(d, "id", None) for d in fn.decorator_list}
+        qual = f"{cls.name}.{name}" if cls else name
+        callee = cls.name if name == "__init__" else name
+        args = fn.args.posonlyargs + fn.args.args
+        for i, a in enumerate(args[len(args) - len(fn.args.defaults):],
+                              len(args) - len(fn.args.defaults)):
+            out[f"{qual}.{a.arg}"] = (callee, a.arg, i - bound)
+        for a, dflt in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if dflt is not None:
+                out[f"{qual}.{a.arg}"] = (callee, a.arg, None)
+    return out
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether `call` passes the parameter, by keyword or by position (a `*` or `**` may)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+    return position is not None and (len(positional) > position
+                                     or len(positional) < len(call.args))
+
+
+def test_every_default_is_set_outside_the_tests():
+    calls = [n for tree in _reader_trees() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    by_callee = {}
+    for c in calls:
+        by_callee.setdefault(getattr(c.func, "id", getattr(c.func, "attr", None)), []).append(c)
+    defaults = {}
+    for p in sorted((ROOT / "src" / "robinlab").glob("*.py")):
+        defaults |= _defaults(ast.parse(p.read_text()))
+    unset = {key for key, (callee, name, pos) in defaults.items()
+             if not any(_sets(c, name, pos) for c in by_callee.get(callee, []))}
+    assert unset == set(UNSET_DEFAULTS)

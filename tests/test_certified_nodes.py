@@ -116,7 +116,7 @@ def test_explicit_256_is_the_fixed_solve(name, builds):
     assert solve_torsion(d, 256).T == solve_torsion(d, operator=op).T
     for a in ALPHAS:
         assert energy_direct(d, a, 256) == energy_direct(d, a, operator=op)
-    first_variation_general(d, 0.5, VN, 256)
+    first_variation_general(d, [0.5], VN, 256)
     alpha0(d, M=256)
     assert set(builds) == {256} and len(builds) > 1
 

@@ -246,6 +246,16 @@ class TestVariations:
         assert code == 3 and out == ""
         assert "solver failure: no Robin solution" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("first-variation", "--alpha", "0.5", "--vn-const", "1e308"),
+        ("j-variations", "--alpha", "0.5", "--modes", "k2=1e200"),
+    ])
+    def test_overflow_exit3(self, capsys, argv):
+        # finite inputs whose variations overflow to inf or NaN
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "solver failure" in err and "not finite" in err
+
     def test_bad_modes_spec(self, capsys):
         code, _, err = run(capsys, "second-variation", "--alpha", "0.5",
                            "--modes", "q2=1")
@@ -271,6 +281,13 @@ class TestChecks:
         cols = dict(zip(header.split(","), row.split(",")))
         assert cols["gap_ok"] == "true" and cols["chain_ok"] == "true"
         assert 0.0 < float(cols["alpha"]) < float(cols["mu2"])
+
+    @pytest.mark.parametrize("domain", [(), ("--domain", "star", "--rho-cos", "0,0.1")])
+    def test_corollary_check_next_to_the_pole_at_zero_exit3(self, capsys, domain):
+        # within the resonance tolerance of the pole at 0 the series row is NoSolution
+        code, out, err = run(capsys, "corollary-check", *domain, "--alpha", "1e-10")
+        assert code == 3 and out == ""
+        assert "solver failure: no Robin solution at alpha=1e-10" in err
 
     def test_oracle_verify(self, capsys):
         code, out, _ = run(capsys, "oracle-verify", "--alpha", "1.0",
@@ -476,6 +493,21 @@ class TestBadInputs:
         joined = run(capsys, "energy", f"--alpha-grid={grid}", *flags)
         assert joined[0] == 0
         assert run(capsys, "energy", "--alpha-grid", grid, *flags) == joined
+
+    @pytest.mark.parametrize("content, key", [
+        ({}, "'kind'"),
+        ([], "JSON object"),
+        ({"kind": "ball"}, "'dim'"),
+        ({"kind": "star2d", "dim": 2, "R": 1.0}, "'rho_coeffs'"),
+        ({"kind": "star2d", "dim": 2, "R": 1.0,
+          "rho_coeffs": {"a0": 1.0, "cos": "abc"}}, "'cos'"),
+    ])
+    def test_malformed_domain_json(self, capsys, tmp_path, content, key):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "spectrum", "--domain-json", str(path))
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err and key in err
 
     def test_star_is_planar(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--domain", "star",

@@ -10,7 +10,6 @@ from robinlab import (
     StarLayerOperator,
     TrigPoly,
     energy_direct,
-    energy_series,
     fem_robin_energy,
     finite_difference_check,
     first_variation_general,
@@ -21,6 +20,8 @@ from robinlab import (
 from robinlab.cli import main
 from robinlab.shape_calculus import FiniteDifferenceReport, NormalSpeedFamily
 from robinlab.layerpot import START_NODES
+
+from conftest import series_report
 
 M = 192
 N_MODES = 24
@@ -81,7 +82,7 @@ def family():
 
 class TestBuildCounts:
     def test_cold_energy_series(self, builds, three_mode):
-        energy_series(three_mode, -0.5, n_modes=N_MODES, M=M)
+        series_report(three_mode, -0.5, n_modes=N_MODES, M=M)
         assert builds == [M]             # one operator for basis and torsion
 
     def test_corpus_one_per_domain(self, builds, capsys):
@@ -158,10 +159,11 @@ class TestFemBuildCounts:
         assert len(assembles) == 3       # three levels, whatever the alphas
 
     def test_alpha_list_assembles_each_level_once(self, assembles, disc):
-        sols = fem_robin_energy(disc, [0.5, -1.0, 1.5], h_max=0.2)
+        fem = oracle.FemRobin(disc, h_max=0.2)
+        sols = [fem_robin_energy(fem, a) for a in [0.5, -1.0, 1.5]]
         assert len(assembles) == 3
         for a, sol in zip([0.5, -1.0, 1.5], sols):
-            ref = fem_robin_energy(disc, a, h_max=0.2)
+            ref = fem_robin_energy(oracle.FemRobin(disc, h_max=0.2), a)
             assert sol.alpha == a and sol.iterations == ref.iterations
             assert sol.energy == ref.energy and sol.error == ref.error
 
@@ -180,11 +182,11 @@ class TestSameNumbers:
         reports = finite_difference_check(family, ALPHAS, T_GRID, **kw)
         assert len(reports) == len(ALPHAS)
         for a, rep in zip(ALPHAS, reports):
-            ref = finite_difference_check(family, a, T_GRID, **kw)
+            ref, = finite_difference_check(family, [a], T_GRID, **kw)
             assert rep == ref
 
     def test_scalar_alpha_returns_one_report(self, family):
-        rep = finite_difference_check(family, 0.5, T_GRID, route="direct", M=M)
+        rep, = finite_difference_check(family, [0.5], T_GRID, route="direct", M=M)
         assert isinstance(rep, FiniteDifferenceReport)
 
     @pytest.mark.parametrize("domain", ["three_mode", "disc"])
@@ -192,7 +194,7 @@ class TestSameNumbers:
         d = request.getfixturevalue(domain)
         vn = TrigPoly(0.0, (0.0, 0.3), (0.0, 0.0, -0.2))
         values = first_variation_general(d, ALPHAS, vn)
-        assert values == [first_variation_general(d, a, vn) for a in ALPHAS]
+        assert values == [first_variation_general(d, [a], vn)[0] for a in ALPHAS]
 
     @pytest.mark.parametrize("alphas, message", [
         ([0.0, 0.5], "no Robin solution at alpha=0.0"),

@@ -17,7 +17,6 @@ from robinlab import (
     Domain,
     SolverError,
     TrigPoly,
-    energy_series,
     fem_dirichlet_T,
     fem_robin_energy,
     oracle,
@@ -28,6 +27,8 @@ from robinlab import (
     steklov_residual,
 )
 from robinlab.cli import main
+
+from conftest import series_report
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("output_diff",
@@ -45,34 +46,39 @@ def square_torsion_series(side: float) -> float:
     return -side ** 4 * s
 
 
+def fem_energy(d, alpha, h_max=0.065):
+    """The FemSolution of one alpha on d's meshes, built for this call."""
+    return fem_robin_energy(oracle.FemRobin(d, h_max), alpha)
+
+
 class TestRobinEnergy:
     def test_disc_both_signs(self, disc):
-        sol = fem_robin_energy(disc, 1.0)
+        sol = fem_energy(disc, 1.0)
         assert sol.energy == pytest.approx(3 * math.pi / 8, abs=1e-5)
         assert abs(sol.energy - 3 * math.pi / 8) < 1e-7
-        neg = fem_robin_energy(disc, -1.0)
+        neg = fem_energy(disc, -1.0)
         assert neg.energy == pytest.approx(-5 * math.pi / 8, abs=1e-5)
 
     def test_error_indicator_covers_truth(self, disc):
-        sol = fem_robin_energy(disc, 1.0)
+        sol = fem_energy(disc, 1.0)
         assert abs(sol.energy - 3 * math.pi / 8) <= 10 * sol.error
 
     def test_ellipse_against_series(self, ellipse):
-        sol = fem_robin_energy(ellipse, 0.5)
-        series = energy_series(ellipse, 0.5, n_modes=32, M=256).E_total
+        sol = fem_energy(ellipse, 0.5)
+        series = series_report(ellipse, 0.5, n_modes=32, M=256).E_total
         assert sol.energy == pytest.approx(series, abs=1e-6)
 
     def test_near_pole_flagged_by_indicator(self, ellipse):
         # alpha=2.0 sits close to the pole at 1.9576; accuracy degrades
         # and the Richardson jump must admit it
-        sol = fem_robin_energy(ellipse, 2.0)
-        series = energy_series(ellipse, 2.0, n_modes=32, M=256).E_total
+        sol = fem_energy(ellipse, 2.0)
+        series = series_report(ellipse, 2.0, n_modes=32, M=256).E_total
         assert abs(sol.energy - series) < 1e-4
         assert sol.error > 1e-5
 
     def test_zero_alpha_rejected(self, disc):
         with pytest.raises(SolverError):
-            fem_robin_energy(disc, 0.0)
+            fem_energy(disc, 0.0)
 
 
 class TestDirichletTorsion:
@@ -128,13 +134,13 @@ class TestSteklovResidual:
 class TestMeshArguments:
     @pytest.mark.parametrize("kwargs", [
         {"h_max": 0.0}, {"h_max": -0.1}, {"h_max": math.nan},
-        {"h_max": math.inf}, {"levels": 1},
+        {"h_max": math.inf},
     ])
     def test_rejected(self, disc, kwargs):
         with pytest.raises(ValueError):
             fem_dirichlet_T(disc, **kwargs)
         with pytest.raises(ValueError):
-            fem_robin_energy(disc, 1.0, **kwargs)
+            oracle.FemRobin(disc, **kwargs)
 
 
 class TestFactor:
@@ -152,13 +158,13 @@ class TestSolver:
         # the disc's rings are rotation invariant, so the angle average is
         # the block itself: the preconditioned block's eigenvalues are +-1
         rho, _ = oracle._rho_callable(disc)
-        for mesh in oracle._mesh_levels(rho, 0.065, 3):
+        for mesh in oracle._mesh_levels(rho, 0.065):
             K, f = mesh.assemble()
             _, its = oracle._Block(mesh, K, 1, mesh.n_r - 1).solve(f[:mesh.n_free], None)
             assert its <= 4
         fem = oracle.FemRobin(disc)
         for a in (-1.0, 0.5, 5.0):
-            sol = fem.solve(a)
+            sol = fem_robin_energy(fem, a)
             assert len(sol.iterations) == 3 and max(sol.iterations) <= 4
 
     def test_prolongation_is_linear_in_ring_index_and_angle(self, ellipse):
@@ -183,7 +189,8 @@ class TestSolver:
         # the tolerance was fixed before the first run: the start moves only
         # where MINRES stops, against _RTOL = 1e-15
         star, alphas = rmax_star(1.1), [0.3, -1.0, 5.0]
-        nested = fem_robin_energy(star, alphas)
+        fem = oracle.FemRobin(star)
+        nested = [fem_robin_energy(fem, a) for a in alphas]
         T = fem_dirichlet_T(star)
         for sol in nested[:2]:
             first, *finer = sol.iterations
@@ -191,7 +198,7 @@ class TestSolver:
         solve = oracle._Block.solve
         monkeypatch.setattr(oracle._Block, "solve",
                             lambda self, b, x0: solve(self, b, None))
-        for sol, cold in zip(nested, fem_robin_energy(star, alphas)):
+        for sol, cold in zip(nested, [fem_robin_energy(fem, a) for a in alphas]):
             assert sol.energy == pytest.approx(cold.energy, rel=1e-10, abs=0)
             assert sol.iterations[0] == cold.iterations[0]
         assert T == pytest.approx(fem_dirichlet_T(star), rel=1e-10, abs=0)
@@ -200,14 +207,14 @@ class TestSolver:
     def test_indefinite_ellipse_converges_under_the_cap(self, ellipse, alpha):
         # alpha = 5 lies past several Steklov eigenvalues; 2.0 sits next
         # to the pole at 1.9576
-        sol = fem_robin_energy(ellipse, alpha)
+        sol = fem_energy(ellipse, alpha)
         assert max(sol.iterations) < oracle._MAXITER
         assert np.isfinite(sol.energy)
 
     def test_cap_reached_raises_solver_error(self, ellipse, monkeypatch, capsys):
         monkeypatch.setattr(oracle, "_MAXITER", 1)
         with pytest.raises(SolverError, match="MINRES"):
-            fem_robin_energy(ellipse, 0.5, h_max=0.2, levels=2)
+            fem_energy(ellipse, 0.5, h_max=0.2)
         code = main(["oracle-verify", "--domain", "star", "--rho-cos", "0,0.1",
                      "--alpha", "0.5", "--h-max", "0.2"])
         out, err = capsys.readouterr()
@@ -245,7 +252,7 @@ def assert_matches_colamd_spsolve(d, nodes: int) -> None:
     ~1e-14.
     """
     rho, drho = oracle._rho_callable(d)
-    *_, mesh = oracle._mesh_levels(rho, 0.065, 3)
+    *_, mesh = oracle._mesh_levels(rho, 0.065)
     assert mesh.coords.shape[0] == nodes
     K_ref, f_ref, Mb_ref = coo_assembly(mesh, rho, drho)
     K, f = mesh.assemble()
@@ -367,7 +374,7 @@ class TestStencil:
     @pytest.mark.parametrize("name", ["disc", "ellipse", "wobbly"])
     def test_matches_frozen_coo_assembly(self, request, name):
         rho, drho = oracle._rho_callable(request.getfixturevalue(name))
-        for mesh in oracle._mesh_levels(rho, 0.065, 3):
+        for mesh in oracle._mesh_levels(rho, 0.065):
             n = mesh.coords.shape[0]
             K_ref, f_ref, Mb_ref = coo_assembly(mesh, rho, drho)
             K, f = mesh.assemble()
@@ -381,7 +388,7 @@ class TestStencil:
     def test_apply_matches_stencil_matrix(self, request, name):
         rho, drho = oracle._rho_callable(request.getfixturevalue(name))
         rng = np.random.default_rng(2)
-        for mesh in oracle._mesh_levels(rho, 0.065, 3):
+        for mesh in oracle._mesh_levels(rho, 0.065):
             K, _ = mesh.assemble()
             data = K - 0.7 * mesh.boundary_mass(rho, drho)
             A = stencil_matrix(mesh, data)

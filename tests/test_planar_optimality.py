@@ -20,6 +20,7 @@ from robinlab import (
     threshold_alpha,
     volume,
 )
+from robinlab.planar_optimality import corollary_pack
 
 
 class TestProfileG:
@@ -105,7 +106,7 @@ class TestThreshold:
 
     def test_theorem_check_ellipse(self, ellipse):
         crossover = alpha0(ellipse)
-        rep = theorem_J_check(ellipse, T_omega=crossover.T_omega)
+        rep = theorem_J_check(ellipse, crossover)
         assert rep.satisfied
         assert rep.alpha0 == pytest.approx(1.51270077, rel=1e-6)
         assert rep.threshold == pytest.approx(1.05179033, rel=1e-6)
@@ -115,44 +116,45 @@ class TestThreshold:
         assert bound.defect == pytest.approx(surface_defect(ellipse))
 
     def test_theorem_check_disc(self, disc):
-        rep = theorem_J_check(disc)
+        rep = theorem_J_check(disc, alpha0(disc))
         assert rep.satisfied and math.isinf(rep.alpha0)
 
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_threshold_below_crossover(self, seed):
         d = random_star_domain(np.random.default_rng(seed))
         crossover = alpha0(d, M=128)
-        assert theorem_J_check(d, T_omega=crossover.T_omega).satisfied
+        assert theorem_J_check(d, crossover).satisfied
         bound = pw_upper_bound(volume(d), surface_area(d))
         assert crossover.epsilon0 <= bound.epsilon0_upper + 1e-12
 
 
 class TestDiscMax:
     def test_disc_equality(self, disc):
-        rep = corollary_disc_max(disc, 0.4)
+        rep = corollary_disc_max(corollary_pack(disc, 32, None), 0.4)
         assert abs(rep.gap) < 1e-8
         assert rep.chain_ok
 
     def test_ellipse_below_disc(self, ellipse):
-        rep = corollary_disc_max(ellipse, 0.4, M=256)
+        rep = corollary_disc_max(corollary_pack(ellipse, 32, 256), 0.4)
         assert rep.gap > 0.0
         assert rep.mu2 == pytest.approx(0.86078796, rel=1e-6)
         assert rep.chain_ok
         assert rep.mu2 <= rep.weinstock <= rep.inv_R + 1e-12
 
     def test_window_enforced(self, ellipse):
+        pack = corollary_pack(ellipse, 32, 256)
         with pytest.raises(ValueError):
-            corollary_disc_max(ellipse, 0.9, M=256)    # above mu_2
+            corollary_disc_max(pack, 0.9)    # above mu_2
         with pytest.raises(ValueError):
-            corollary_disc_max(ellipse, -0.1, M=256)
+            corollary_disc_max(pack, -0.1)
 
     def test_annulus_rejected(self):
         with pytest.raises(ValueError):
-            corollary_disc_max(Domain.annulus(2, 1.0, 0.5), 0.3)
+            corollary_disc_max(corollary_pack(Domain.annulus(2, 1.0, 0.5), 32, None), 0.3)
 
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_gap_nonnegative_random(self, seed):
         d = random_star_domain(np.random.default_rng(seed))
-        rep = corollary_disc_max(d, 0.2, n_modes=24, M=192)
+        rep = corollary_disc_max(corollary_pack(d, 24, 192), 0.2)
         assert rep.gap >= -1e-10
         assert rep.chain_ok

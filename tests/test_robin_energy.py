@@ -22,13 +22,17 @@ from robinlab import (
     j_functional,
     pole_scan,
     random_star_domain,
+    series_pack,
     solve_robin,
+    solve_torsion,
     spectrum_annulus,
     spectrum_ball,
     unit_ball_volume,
 )
 from robinlab.shape_calculus import NormalSpeedFamily
 from robinlab import robin_energy, steklov
+
+from conftest import series_report
 
 
 def ball_energy(n, R, alpha):
@@ -175,7 +179,7 @@ class TestOneStatusRule:
         assert basis.mu[basis.k == basis.k.max()].min() > mu[-1]   # k_max past alpha
         statuses = set()
         for a in alphas.tolist():
-            series = energy_series(d, a, basis=basis).status
+            series = series_report(d, a, basis=basis).status
             assert solve_robin(d, a).status == series, a
             statuses.add(series)
         assert statuses == {STATUS_UNIQUE, STATUS_FAMILY, STATUS_NO_SOLUTION}
@@ -186,21 +190,21 @@ class TestStarSeries:
         d5 = Domain.star2d(TrigPoly(1.0, (0.0, 0.0, 0.0, 0.0, 0.15)))
         # at the basis floor of 256 nodes, which resolves d5; 64 nodes do not
         with pytest.raises(SolverError, match="series tail bound"):
-            energy_series(d5, 0.5, n_modes=6)
-        rep = energy_series(d5, 0.5, n_modes=64, M=512)
+            series_report(d5, 0.5, n_modes=6)
+        rep = series_report(d5, 0.5, n_modes=64, M=512)
         assert rep.status == STATUS_UNIQUE
         assert rep.E_total == pytest.approx(2.4559363974167256, rel=1e-9)
         assert rep.tail_bound < 1e-6 * abs(rep.E_total)
 
     def test_series_vs_direct(self):
         d = random_star_domain(np.random.default_rng(3))
-        rep = energy_series(d, 0.8, n_modes=48, M=512)
+        rep = series_report(d, 0.8, n_modes=48, M=512)
         assert rep.E_total == pytest.approx(energy_direct(d, 0.8, M=512),
                                             abs=1e-10)
 
     def test_alpha_above_truncation_rejected(self, three_mode):
         with pytest.raises(SolverError):
-            energy_series(three_mode, 100.0, n_modes=16, M=256)
+            series_report(three_mode, 100.0, n_modes=16, M=256)
 
     def test_report_row_contract(self, disc):
         rep = energy_series(disc, 0.5)
@@ -211,24 +215,24 @@ class TestStarSeries:
     @given(seed=hst.integers(min_value=0, max_value=10 ** 6))
     def test_sign_split(self, seed):
         d = random_star_domain(np.random.default_rng(seed))
-        rep = energy_series(d, 0.5, n_modes=32, M=256)
+        rep = series_report(d, 0.5, n_modes=32, M=256)
         assert rep.E_plus >= 0.0 and rep.E_minus <= 0.0
         assert rep.E_total == pytest.approx(rep.T + rep.E_plus + rep.E_minus)
 
 
 class TestVariationalSplit:
     def test_eplus_dual_route(self, three_mode):
-        rep = energy_series(three_mode, 0.5, n_modes=24, M=256)
-        ep, em_bound = energy_split_variational(three_mode, 0.5,
-                                                n_modes=24, M=256)
+        pack = series_pack(three_mode, n_modes=24, M=256)
+        rep = series_report(three_mode, 0.5, n_modes=24, M=256)
+        (ep,), (em_bound,) = robin_energy.split_variational_grid(pack, [0.5])
         assert ep == pytest.approx(rep.E_plus, rel=1e-10)
         # trial value sits above the exact stable-side minimum
         assert rep.E_minus <= em_bound + 1e-12
         assert em_bound <= 0.0
 
     def test_bound_not_applicable_above_mu2(self, three_mode):
-        _, em_bound = energy_split_variational(three_mode, 50.0,
-                                               n_modes=24, M=256)
+        pack = series_pack(three_mode, n_modes=24, M=256)
+        _, (em_bound,) = robin_energy.split_variational_grid(pack, [50.0])
         assert math.isnan(em_bound)
 
     def test_ball_trial_is_exact_zero(self, disc):
@@ -242,12 +246,12 @@ class TestJAndThreshold:
     def test_j_matches_two_term_series(self, disc):
         # on a ball the series has the single pole at 0, so J is exact
         for a in (0.5, 2.0, -1.0):
-            assert j_functional(disc, a) == pytest.approx(
+            assert j_functional(disc, a, solve_torsion(disc).T) == pytest.approx(
                 energy_series(disc, a).E_total, rel=1e-12)
 
     def test_j_zero_alpha_rejected(self, disc):
         with pytest.raises(ValueError):
-            j_functional(disc, 0.0)
+            j_functional(disc, 0.0, solve_torsion(disc).T)
 
     def test_ellipse_threshold(self, ellipse):
         rep = alpha0(ellipse)
@@ -288,7 +292,7 @@ class TestPoleScan:
         assert pole_scan(disc) == (0.0,)
 
     def test_ellipse_poles(self, ellipse):
-        ps = pole_scan(ellipse, n_modes=24, M=512)
+        ps = series_pack(ellipse, n_modes=24, M=512).poles
         assert ps[0] == pytest.approx(0.0, abs=1e-9)
         # symmetry kills the odd-degree moments; the next poles sit just
         # below the even disc eigenvalues
@@ -301,12 +305,12 @@ class TestNonFiniteAlpha:
 
     CALLS = {
         "series_disc": lambda d, a: energy_series(d["disc"], a),
-        "series_star": lambda d, a: energy_series(d["star"], a, n_modes=24, M=192),
+        "series_star": lambda d, a: series_report(d["star"], a, n_modes=24, M=192),
         "direct_disc": lambda d, a: energy_direct(d["disc"], a),
         "direct_star": lambda d, a: energy_direct(d["star"], a, 192),
         "solve_robin_shell": lambda d, a: solve_robin(d["shell"], a),
         "fd_scalar": lambda d, a: finite_difference_check(
-            d["family"], a, [-0.01, 0.01], route="direct", M=192),
+            d["family"], [a], [-0.01, 0.01], route="direct", M=192),
         "fd_list": lambda d, a: finite_difference_check(
             d["family"], [0.5, a], [-0.01, 0.01], route="series", M=192),
     }

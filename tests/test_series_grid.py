@@ -13,8 +13,6 @@ from robinlab import (
     SolverError,
     TrigPoly,
     boundary_grid,
-    energy_series,
-    energy_split_variational,
     finite_difference_check,
     flux_coefficients,
     solve_robin,
@@ -34,6 +32,8 @@ from robinlab.robin_energy import (
     series_pack,
     split_variational_grid,
 )
+
+from conftest import series_report
 
 M = 192
 N_MODES = 24
@@ -158,7 +158,7 @@ class TestSameBits:
         d, basis, ts = packs(name)
         rows = energy_series_grid(series_pack(d, M=M, basis=basis), alphas)
         ref = [reference_row(d, float(a), basis, ts) for a in alphas]
-        scalar = [row_of(energy_series(d, float(a), M=M, basis=basis))
+        scalar = [row_of(series_report(d, float(a), M=M, basis=basis))
                   for a in alphas]
         assert [bits(r) for r in rows] == [bits(r) for r in ref] \
             == [bits(r) for r in scalar]
@@ -171,7 +171,8 @@ class TestSameBits:
             series_pack(d, M=M, basis=basis), alphas)
         got = list(zip(e_plus.tolist(), e_minus.tolist()))
         ref = [reference_split(d, float(a), basis, ts) for a in alphas]
-        scalar = [energy_split_variational(d, float(a), M=M, basis=basis)
+        pack = series_pack(d, M=M, basis=basis)
+        scalar = [tuple(float(v[0]) for v in split_variational_grid(pack, [float(a)]))
                   for a in alphas]
         assert [bits(r) for r in got] == [bits(r) for r in ref] \
             == [bits(r) for r in scalar]
@@ -246,7 +247,7 @@ class TestStatusPastTheBasis:
         rows = energy_series_grid(series_pack(d, M=M, basis=basis), alphas)
         direct = [solve_robin(d, float(a)).status for a in alphas]
         assert [r[6] for r in rows] == direct
-        assert [energy_series(d, float(a), M=M, basis=basis).status
+        assert [series_report(d, float(a), M=M, basis=basis).status
                 for a in alphas] == direct
         past = alphas > cut * (1.0 - 1e-9)
         assert {direct[i] for i in np.flatnonzero(past)} == {"Family", "Unique"}
@@ -294,15 +295,14 @@ class TestFailures:
 
     def test_star_series_needs_two_modes(self, three_mode):
         with pytest.raises(ValueError, match="at least 2 star modes"):
-            energy_series(three_mode, 0.5, n_modes=1, M=M)
+            series_report(three_mode, 0.5, n_modes=1, M=M)
         with pytest.raises(ValueError, match="n_modes must be at least 1"):
-            energy_series(three_mode, 0.5, n_modes=0, M=M)
+            series_report(three_mode, 0.5, n_modes=0, M=M)
 
     def test_pole_scan_reads_pack(self, packs):
         d, basis, ts = packs("shell")
         pack = series_pack(d, basis=basis)
-        assert pole_scan(d, pack=pack) == pole_scan(d) == (0.0, 5.0)
-        assert pack.poles == (0.0, 5.0)
+        assert pack.poles == pole_scan(d) == (0.0, 5.0)
 
 
 @pytest.fixture

@@ -184,12 +184,12 @@ class TestSignZones:
 class TestFirstVariation:
     def test_ball_uniform_speed_matches_radius_derivative(self, disc):
         # E(R) = pi R^2 (-R^2/8 + R/(2 alpha)); dE/dR at R=1, alpha=1 is pi
-        got = first_variation_general(disc, 1.0, 1.0)
+        got, = first_variation_general(disc, [1.0], 1.0)
         assert got == pytest.approx(math.pi, rel=1e-12)
 
     def test_volume_preserving_speed_is_critical(self, disc):
         vn = NormalSpeedFamily.from_perturbation(mode(3), 1.0).vdotnu
-        assert first_variation_general(disc, 0.7, vn) == pytest.approx(0.0, abs=1e-14)
+        assert first_variation_general(disc, [0.7], vn)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_star_dilation_matches_energy_derivative(self, ellipse):
         # dilation speed x.nu = rho^2 / sqrt(rho^2 + rho'^2)
@@ -200,7 +200,7 @@ class TestFirstVariation:
                                           tuple(c * x for x in r.sin)))
 
         vn = lambda t: r(t) ** 2 / np.sqrt(r(t) ** 2 + r(t, 1) ** 2)
-        had = first_variation_general(ellipse, alpha, vn, M=256)
+        had, = first_variation_general(ellipse, [alpha], vn, M=256)
         h = 1e-4
         fd = (energy_direct(scaled(1 + h), alpha, 256)
               - energy_direct(scaled(1 - h), alpha, 256)) / (2 * h)
@@ -208,13 +208,13 @@ class TestFirstVariation:
 
     def test_shell_rejected(self, shell):
         with pytest.raises(ValueError):
-            first_variation_general(shell, 1.0, 1.0)
+            first_variation_general(shell, [1.0], 1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-12, -1e-10])
     def test_no_solution_raises(self, disc, ball3, ellipse, alpha):
         for d in (disc, ball3, ellipse):
             with pytest.raises(SolverError, match="no Robin solution"):
-                first_variation_general(d, alpha, 1.0, M=64)
+                first_variation_general(d, [alpha], 1.0, M=64)
 
 
 class TestJVariations:
@@ -300,8 +300,8 @@ class TestNormalSpeedFamily:
 class TestFiniteDifference:
     def test_series_fit_matches_modal(self):
         fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
-        rep = finite_difference_check(
-            fam, 0.5, [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03],
+        rep, = finite_difference_check(
+            fam, [0.5], [-0.03, -0.02, -0.01, 0.01, 0.02, 0.03],
             route="series", degree=3)
         assert rep.E_dot == pytest.approx(0.0, abs=1e-9)
         assert rep.E_ddot == pytest.approx(-4.0 * math.pi / 3.0, rel=1e-2)
@@ -309,14 +309,14 @@ class TestFiniteDifference:
     def test_direct_route_agrees(self):
         fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         grid = [-0.02, -0.01, 0.01, 0.02]
-        r1 = finite_difference_check(fam, 0.5, grid, route="series", degree=3)
-        r2 = finite_difference_check(fam, 0.5, grid, route="direct", degree=3)
+        r1, = finite_difference_check(fam, [0.5], grid, route="series", degree=3)
+        r2, = finite_difference_check(fam, [0.5], grid, route="direct", degree=3)
         assert r1.E_ddot == pytest.approx(r2.E_ddot, rel=1e-8)
 
     def test_unknown_route(self):
         fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         with pytest.raises(ValueError):
-            finite_difference_check(fam, 0.5, [0.01], route="magic")
+            finite_difference_check(fam, [0.5], [0.01], route="magic")
 
     @pytest.mark.parametrize("grid, degree", [
         ([-0.01, 0.01, 0.02, 0.03], -1),
@@ -332,9 +332,9 @@ class TestFiniteDifference:
         # E'' needs degree >= 2 and degree + 1 distinct finite steps
         fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
         with pytest.raises(ValueError):
-            finite_difference_check(fam, 0.5, grid, degree=degree)
+            finite_difference_check(fam, [0.5], grid, degree=degree)
 
     def test_smallest_fittable_grid(self):
         fam = NormalSpeedFamily(TrigPoly(0.0, (0.0, 1.0)), 1.0)
-        rep = finite_difference_check(fam, 0.5, [-0.01, 0.0, 0.01], degree=2)
+        rep, = finite_difference_check(fam, [0.5], [-0.01, 0.0, 0.01], degree=2)
         assert rep.E_ddot == pytest.approx(-4.0 * math.pi / 3.0, rel=1e-2)
