@@ -6,8 +6,10 @@ Each tree runs every command of `output_commands.txt` (next to this
 script) in one interpreter of its own, with OPENBLAS_NUM_THREADS=1, in
 a fresh working directory that holds the list's fixture files.  Each
 tree's root path in stderr (the file of a Python warning) reads as
-`<tree>`, so a warning compares equal across the two trees.  A list
-line is
+`<tree>`, and the line number of a `<tree>/FILE:N:` warning prefix as
+`N`, so a warning compares equal across the two trees and across edits
+that move its source line; its file, category and text still compare.
+A list line is
 
     robinlab ARGS...      robinlab.cli.main(ARGS), as the console script runs it
     script PATH ARGS...   PATH (relative to the tree's root) run as __main__
@@ -169,17 +171,23 @@ def start(tree: Path, commands: list, fixtures: dict, workdir: Path) -> subproce
 
 
 ROOT_TOKEN = "<tree>"
+WARNING_LINE = re.compile(r"^(" + re.escape(ROOT_TOKEN) + r"/[^:\n]+):\d+:", re.MULTILINE)
+
+
+def mask_stderr(err: str, tree: Path) -> str:
+    """`err` with `tree`'s root path as ROOT_TOKEN and warning line numbers as N."""
+    return WARNING_LINE.sub(r"\1:N:", err.replace(str(tree), ROOT_TOKEN))
 
 
 def collect(proc: subprocess.Popen, workdir: Path, count: int, tree: Path) -> list[dict]:
-    """The results of `start`, with `tree`'s root path in stderr as ROOT_TOKEN."""
+    """The results of `start`, with stderr masked by `mask_stderr`."""
     proc.wait()
     lines = workdir.with_suffix(".jsonl").read_text(encoding="utf-8").splitlines()
     results = [json.loads(line) for line in lines if line.startswith("{")]
     if proc.returncode != 0 or len(results) != count:
         raise SystemExit(f"the runner stopped after {len(results)} of {count} commands")
     for res in results:
-        res["err"] = res["err"].replace(str(tree), ROOT_TOKEN)
+        res["err"] = mask_stderr(res["err"], tree)
     return results
 
 

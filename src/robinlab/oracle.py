@@ -36,6 +36,15 @@ by nested iteration (Brandt, Math. Comp. 31(138), 1977): each level
 after the first starts MINRES from the previous level's solution,
 interpolated onto the doubled mesh, so it needs fewer iterations to the
 same stopping test.
+
+A level's energy is the critical value of the quadratic functional
+u.Bu - 2 f.u of its block B and load f, evaluated at the MINRES
+iterate.  It equals -f.u at the discrete solution, but its error is
+quadratic in the algebraic error, r.B^-1 r for the residual r, where
+-f.u's is linear (Arioli, Numer. Math. 97(1), 2004).  So the energy
+solves stop at the relative tolerance _ENERGY_RTOL = 1e-9, and only
+the Steklov audit, whose fluxes are linear in the solution, solves to
+_RTOL = 1e-15.
 """
 from __future__ import annotations
 
@@ -187,9 +196,15 @@ class _Mesh:
 
 # scipy's MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12(4), 1975)
 # stops once its estimate of the preconditioned residual norm, over its
-# estimates of the preconditioned block's norm times |x|, is _RTOL; a
-# solve that has not stopped after _MAXITER iterations raises SolverError.
+# estimates of the preconditioned block's norm times |x|, is the given
+# tolerance: _RTOL for the Steklov audit's fluxes, _ENERGY_RTOL for the
+# stationary level energies.  _ENERGY_RTOL is the largest power of ten
+# that keeps the energies of stars, the ellipse and the disc within
+# 1e-11 relative of their values at _RTOL (1.5e-12 at most; 1e-8 gave
+# 3.5e-11).  A solve that has not stopped after _MAXITER iterations
+# raises SolverError.
 _RTOL = 1e-15
+_ENERGY_RTOL = 1e-9
 _MAXITER = 200
 
 
@@ -288,14 +303,14 @@ class _Block(_Stencil):
         out = np.fft.irfft(B[c:], n_t, axis=1).ravel()
         return np.concatenate([[B[0, 0].real / math.sqrt(n_t)], out]) if c else out
 
-    def solve(self, b: np.ndarray, x0: np.ndarray | None) -> tuple:
+    def solve(self, b: np.ndarray, x0: np.ndarray | None, rtol: float) -> tuple:
         """(x, iterations) with the block times x = b, by preconditioned MINRES from x0.
 
-        x0 None starts from zero.
+        x0 None starts from zero; MINRES stops at the relative tolerance rtol.
         """
         n, steps = b.size, []
         op = lambda f: spla.LinearOperator((n, n), matvec=f, dtype=float)
-        x, info = spla.minres(op(self.apply), b, x0, rtol=_RTOL, maxiter=_MAXITER,
+        x, info = spla.minres(op(self.apply), b, x0, rtol=rtol, maxiter=_MAXITER,
                               M=op(self.precondition),
                               callback=lambda _: steps.append(None))
         if info:
@@ -364,19 +379,21 @@ def _prolong(u: np.ndarray, mesh: _Mesh) -> np.ndarray:
 
 
 def _nested_solves(systems):
-    """(mesh, load, u, iterations) of each level, coarsest first, by nested iteration.
+    """(mesh, u, energy, iterations) of each level, coarsest first, by nested iteration.
 
-    `systems` yields each level's (mesh, block, load).  The first
+    `systems` yields each level's (mesh, block B, load f).  The first
     level's MINRES starts from zero, every later one from the previous
     level's solution prolonged onto its mesh and cut to its block (the
-    free nodes, or all of them).
+    free nodes, or all of them).  MINRES stops at _ENERGY_RTOL, and the
+    energy is the stationary value u.Bu - 2 f.u at its iterate u.
     """
     u = coarse = None
     for mesh, block, f in systems:
         x0 = None if coarse is None else _prolong(u, coarse)[:f.size]
-        u, its = block.solve(f, x0)
+        u, its = block.solve(f, x0, _ENERGY_RTOL)
+        energy = float(u @ block.apply(u)) - 2.0 * float(f @ u)
         del block                   # freed before the next level builds its own
-        yield mesh, f, u, its
+        yield mesh, u, energy, its
         coarse = mesh
 
 
@@ -391,14 +408,16 @@ def fem_dirichlet_T(d, h_max: float = 0.065) -> float:
     levels = ((mesh, *mesh.assemble()) for mesh in _mesh_levels(rho, h_max))
     systems = ((mesh, _Block(mesh, K, 1, mesh.n_r - 1), f[:mesh.n_free])
                for mesh, K, f in levels)
-    return _richardson([-float(f @ u) for _, f, u, _ in _nested_solves(systems)])[0]
+    return _richardson([E for _, _, E, _ in _nested_solves(systems)])[0]
 
 
 @dataclass(frozen=True)
 class FemSolution:
     """The Robin energy of one alpha, extrapolated over the doubled meshes.
 
-    `energy` is the Richardson extrapolant of the levels' energies;
+    `energy` is the Richardson extrapolant of the levels' energies, each
+    the stationary value u.Bu - 2 f.u at a MINRES iterate stopped at
+    _ENERGY_RTOL (the Steklov audit's solves stop at _RTOL);
     `error` is the last extrapolation jump.  `iterations` holds the
     MINRES iteration count of each level, coarsest first; every level
     after the first starts from the previous level's solution.
@@ -441,7 +460,7 @@ def fem_robin_energy(fem: FemRobin, alpha: float) -> FemSolution:
     systems = ((mesh, _Block(mesh, K - alpha * Mb, 1, mesh.n_r), f)
                for mesh, K, Mb, f in fem._levels)
     vals, iterations = [], []
-    for mesh, f, u, its in _nested_solves(systems):
+    for mesh, u, energy, its in _nested_solves(systems):
         iterations.append(its)
         if not np.all(np.isfinite(u)):
             raise SolverError(f"singular Robin system at alpha={alpha}")
@@ -449,7 +468,7 @@ def fem_robin_energy(fem: FemRobin, alpha: float) -> FemSolution:
         if float(np.abs(u).max()) > 1e10 * scale:
             raise SolverError(
                 f"Robin solution blowup at alpha={alpha}")
-        vals.append(-float(f @ u))
+        vals.append(energy)
     energy, err = _richardson(vals)
     return FemSolution(alpha, energy, err, tuple(iterations))
 
@@ -486,8 +505,8 @@ def steklov_residual(basis, sample_density: int = 256,
         flux = []
         for gi in g:
             v = np.concatenate([np.zeros(nf), gi])
-            v[:nf] = free.solve(-full.apply(v)[:nf], None)[0]
-            flux.append(outer.solve(full.apply(v)[nf:], None)[0])
+            v[:nf] = free.solve(-full.apply(v)[:nf], None, _RTOL)[0]
+            flux.append(outer.solve(full.apply(v)[nf:], None, _RTOL)[0])
         fluxes.append(np.array(flux))
         traces.append(g)
     coarse_flux, _ = _richardson([fluxes[0], fluxes[1][:, ::2]])

@@ -190,22 +190,26 @@ def second_variation_ball(d: Domain, alpha: float,
     Degree-1 (translation) components are zeroed with a warning; a
     nonzero mean component (b_1) is a ValueError; alpha within
     tol_res(alpha) of an eigenvalue k/R with k >= 2 is a SolverError
-    (state derivative blows up), xi = 1 is fine.
+    (state derivative blows up), xi = 1 is fine.  A value that is not
+    finite (an overflowing amplitude) raises SolverError.
     """
-    n, R, xi, b, ks, live = _validate_modal(d, alpha, p)
-    # boundary components c_i of the state derivative u' and its saddle quadratic Q
-    mu = ks / R
-    c = np.zeros_like(b)
-    c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
-    Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
-    dvals = np.zeros_like(b)
-    dvals[live] = modal_coefficient(n, ks[live], xi)
-    E_modal = float(np.sum(b[live] ** 2 * dvals[live]) / (alpha * n ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow raises below
+        n, R, xi, b, ks, live = _validate_modal(d, alpha, p)
+        # boundary components c_i of the state derivative u' and its saddle quadratic Q
+        mu = ks / R
+        c = np.zeros_like(b)
+        c[live] = b[live] * (1.0 - xi) / (n * (mu[live] - alpha))
+        Q = float(np.sum(c[live] ** 2 * (mu[live] - alpha)))
+        dvals = np.zeros_like(b)
+        dvals[live] = modal_coefficient(n, ks[live], xi)
+        E_modal = float(np.sum(b[live] ** 2 * dvals[live]) / (alpha * n ** 2))
 
-    S_dd = _surface_second(n, R, b, ks)
-    b_sq = float(np.sum(b[live] ** 2))
-    E_radial = -2.0 * Q + (2.0 * R / n ** 2) * (1.0 - xi) * b_sq \
-        - (R ** 2 / (alpha * n ** 2)) * S_dd
+        S_dd = _surface_second(n, R, b, ks)
+        b_sq = float(np.sum(b[live] ** 2))
+        E_radial = -2.0 * Q + (2.0 * R / n ** 2) * (1.0 - xi) * b_sq \
+            - (R ** 2 / (alpha * n ** 2)) * S_dd
+    if not np.all(np.isfinite((E_modal, E_radial, S_dd))):
+        raise SolverError(f"second variation at alpha={alpha} is not finite")
     report = VariationReport(alpha, xi, E_modal, E_radial,
                              abs(E_modal - E_radial), S_dd,
                              dvals, ks.astype(int), b)
@@ -385,7 +389,8 @@ def finite_difference_check(family: NormalSpeedFamily, alphas, t_grid,
     series pack (series), layer operator (direct) or meshes and matrices
     (fem) are built once for all alphas, so each report is the one a
     one-alpha list gives.
-    A NaN or infinite alpha raises ValueError.
+    A NaN or infinite alpha raises ValueError; on the series route an
+    alpha where a member has no Robin solution raises SolverError.
     """
     if route not in ("series", "direct", "fem"):
         raise ValueError(f"unknown route {route!r}")
@@ -406,8 +411,7 @@ def finite_difference_check(family: NormalSpeedFamily, alphas, t_grid,
         dom = family.domain(float(t))
         if route == "series":
             pack = energy.series_pack(dom, n_modes=n_modes, M=M)
-            col = energy.ENERGY_COLUMNS.index("E_total")
-            vals[:, j] = [row[col] for row in energy.energy_series_grid(pack, alphas)]
+            vals[:, j] = [energy._series_energy(pack, a) for a in alphas]
         elif route == "direct":
             op = operator_for(dom.rho, M)
             for i, a in enumerate(alphas):

@@ -249,12 +249,20 @@ class TestVariations:
     @pytest.mark.parametrize("argv", [
         ("first-variation", "--alpha", "0.5", "--vn-const", "1e308"),
         ("j-variations", "--alpha", "0.5", "--modes", "k2=1e200"),
+        ("second-variation", "--alpha", "0.5", "--modes", "k2=1e200"),
     ])
-    def test_overflow_exit3(self, capsys, argv):
-        # finite inputs whose variations overflow to inf or NaN
+    def test_overflow_exit3(self, capsys, recwarn, argv):
+        # finite inputs whose variations overflow to inf or NaN, without warnings
         code, out, err = run(capsys, *argv)
-        assert code == 3 and out == ""
+        assert code == 3 and out == "" and len(recwarn) == 0
         assert "solver failure" in err and "not finite" in err
+
+    def test_series_fd_check_next_to_the_pole_at_zero_exit3(self, capsys):
+        # within the resonance tolerance of the pole at 0 every member's row is NoSolution
+        code, out, err = run(capsys, "second-variation", "--alpha", "1e-10",
+                             "--modes", "k2=1", "--fd-check")
+        assert code == 3 and out == ""
+        assert "solver failure: no Robin solution at alpha=1e-10" in err
 
     def test_bad_modes_spec(self, capsys):
         code, _, err = run(capsys, "second-variation", "--alpha", "0.5",

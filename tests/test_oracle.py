@@ -160,7 +160,8 @@ class TestSolver:
         rho, _ = oracle._rho_callable(disc)
         for mesh in oracle._mesh_levels(rho, 0.065):
             K, f = mesh.assemble()
-            _, its = oracle._Block(mesh, K, 1, mesh.n_r - 1).solve(f[:mesh.n_free], None)
+            block = oracle._Block(mesh, K, 1, mesh.n_r - 1)
+            _, its = block.solve(f[:mesh.n_free], None, oracle._RTOL)
             assert its <= 4
         fem = oracle.FemRobin(disc)
         for a in (-1.0, 0.5, 5.0):
@@ -197,11 +198,25 @@ class TestSolver:
             assert max(finer) < first
         solve = oracle._Block.solve
         monkeypatch.setattr(oracle._Block, "solve",
-                            lambda self, b, x0: solve(self, b, None))
+                            lambda self, b, x0, rtol: solve(self, b, None, rtol))
         for sol, cold in zip(nested, [fem_robin_energy(fem, a) for a in alphas]):
             assert sol.energy == pytest.approx(cold.energy, rel=1e-10, abs=0)
             assert sol.iterations[0] == cold.iterations[0]
         assert T == pytest.approx(fem_dirichlet_T(star), rel=1e-10, abs=0)
+
+    def test_stationary_energy_at_the_energy_tolerance(self, monkeypatch):
+        # the tolerance was fixed before the first run: the stationary level
+        # energy moves by the square of the algebraic error, against _RTOL
+        star, alphas = rmax_star(1.1), [0.1, 0.3, 5.0]
+        fem = oracle.FemRobin(star)
+        loose = [fem_robin_energy(fem, a) for a in alphas]
+        T = fem_dirichlet_T(star)
+        assert loose[1].iterations[-1] <= 7
+        monkeypatch.setattr(oracle, "_ENERGY_RTOL", oracle._RTOL)
+        for sol, tight in zip(loose, [fem_robin_energy(fem, a) for a in alphas]):
+            assert sol.energy == pytest.approx(tight.energy, rel=1e-11, abs=0)
+            assert sol.iterations[-1] < tight.iterations[-1]
+        assert T == pytest.approx(fem_dirichlet_T(star), rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("alpha", [5.0, 2.0])
     def test_indefinite_ellipse_converges_under_the_cap(self, ellipse, alpha):
@@ -264,7 +279,7 @@ def assert_matches_colamd_spsolve(d, nodes: int) -> None:
     cases.append((oracle._Block(mesh, K, 1, mesh.n_r - 1), f[:nf],
                   K_ref[idx][:, idx], f_ref[idx]))
     for block, b, A_ref, b_ref in cases:
-        got, _ = block.solve(b, None)
+        got, _ = block.solve(b, None, oracle._RTOL)
         ref = spla.spsolve(A_ref.tocsc(), b_ref, permc_spec="COLAMD")
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 

@@ -152,6 +152,31 @@ def test_warning_reads_the_same_from_two_roots(tmp_path):
     assert od.compare(warns, base, head)["identical"]
 
 
+WARNING = ("{root}/src/robinlab/{file}:{line}: {category}: degree-1 components are "
+           "{text}; zeroing them\n  rep = second_variation_ball(d, alpha, p)\n")
+
+
+def masked_warning(tmp_path, **fields):
+    values = {"file": "shape_calculus.py", "line": 245, "category": "UserWarning",
+              "text": "translations", **fields}
+    return result("a\n1\n", err=od.mask_stderr(WARNING.format(root=tmp_path, **values),
+                                                 tmp_path))
+
+
+def test_moved_warning_compares_equal(tmp_path):
+    base, moved = masked_warning(tmp_path), masked_warning(tmp_path, line=249)
+    assert base["err"].startswith(f"{od.ROOT_TOKEN}/src/robinlab/shape_calculus.py:N: ")
+    assert od.compare(SPECTRUM, base, moved)["identical"]
+
+
+@pytest.mark.parametrize("fields", [dict(text="rigid motions"), dict(file="geometry.py"),
+                                    dict(category="RuntimeWarning")])
+def test_reworded_warning_still_fails(tmp_path, fields):
+    rec = od.compare(SPECTRUM, masked_warning(tmp_path),
+                     masked_warning(tmp_path, line=249, **fields))
+    assert rec["failures"] == rec["changes"] == ["stderr"]
+
+
 def test_without_expect_a_listed_kind_still_fails(capsys):
     rec = od.compare(SPECTRUM, result("", code=2), result("a\n1\n"))
     assert od.report([rec], False) == 1
